@@ -29,9 +29,8 @@ from .evaluate import (
 )
 from .mdn import SIGMA_FLOOR, GmmParams, gmm_nll, gmm_pdf, mdn_transform
 from .recurrent import (
-    GruWeights,
+    CellWeights,
     HeadSpec,
-    LstmWeights,
     RecurrentModel,
     TrainConfig,
     gru_cell_forward,

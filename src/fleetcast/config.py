@@ -43,8 +43,7 @@ class PipelineConfig:
     momentum: float = 0.9
     seed: int = 7
 
-    # forecasting mode
-    forecast_mode: str = "mdn"          # mdn | posthoc-em
+    # post-hoc residual mixtures
     val_fraction: float = 0.15          # tail share of train windows for residual fits
     em_components: int = 3
     em_restarts: int = 5
@@ -85,8 +84,6 @@ class PipelineConfig:
             ("clip_norm", self.clip_norm > 0, "must be > 0"),
             ("optimizer", self.optimizer in ("momentum", "adam"),
              "must be momentum or adam"),
-            ("forecast_mode", self.forecast_mode in ("mdn", "posthoc-em"),
-             "must be mdn or posthoc-em"),
             ("val_fraction", 0.0 < self.val_fraction < 1.0, "must be in (0, 1)"),
             ("em_components", self.em_components >= 1, "must be >= 1"),
             ("em_restarts", self.em_restarts >= 1, "must be >= 1"),

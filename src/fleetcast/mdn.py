@@ -169,11 +169,12 @@ def nll_and_grad_raw(raw, targets, sigma_floor: float = SIGMA_FLOOR):
     means = raw[..., k : 2 * k]
     s_raw = raw[..., 2 * k :]
 
-    w = softmax(logits, axis=-1)
+    log_w = logits - _logsumexp(logits, axis=-1)[..., None]
+    w = np.exp(log_w)
     sig = softplus(s_raw) + sigma_floor
     x = targets[..., None]
     z = (x - means) / sig
-    log_comp = np.log(w) - np.log(sig) - 0.5 * _LOG_2PI - 0.5 * z * z
+    log_comp = log_w - np.log(sig) - 0.5 * _LOG_2PI - 0.5 * z * z
     lse = _logsumexp(log_comp, axis=-1)
     nll = -lse
     post = np.exp(log_comp - lse[..., None])

@@ -11,11 +11,18 @@ shuffling so runs are bit-reproducible.
 Update gate z and reset gate r use the logistic sigmoid, the candidate
 state uses tanh, and the new state is the convex combination
 h_t = z * h_prev + (1 - z) * candidate.
+
+Each cell stores its gates fused: input weights w (I, G*H), recurrent
+weights u (H, G*H) and bias b (G*H,), with the G gate blocks of width H
+side by side in the order GATES gives (GRU z, r, h; LSTM i, f, o, g).
+Checkpoints keep the per-gate v1 layout: save_model splits the blocks
+into cell.w_z ... cell.b_g and load_model stacks them again.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,82 +43,36 @@ def sigmoid(x):
     return out
 
 
-@dataclass
-class GruWeights:
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
-    u_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
-    b_h: np.ndarray
-
-    @property
-    def input_size(self) -> int:
-        return self.w_z.shape[0]
-
-    @property
-    def hidden_size(self) -> int:
-        return self.w_z.shape[1]
-
-    def validate(self) -> None:
-        i, h = self.input_size, self.hidden_size
-        for name in ("w_z", "w_r", "w_h"):
-            if getattr(self, name).shape != (i, h):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("u_z", "u_r", "u_h"):
-            if getattr(self, name).shape != (h, h):
-                raise ValueError(f"{name} shape mismatch")
-        for name in ("b_z", "b_r", "b_h"):
-            if getattr(self, name).shape != (h,):
-                raise ValueError(f"{name} shape mismatch")
-        for name, arr in self.arrays().items():
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite entries in {name}")
-
-    def arrays(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")}
+GATES = {"gru": "zrh", "lstm": "ifog"}
 
 
 @dataclass
-class LstmWeights:
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+class CellWeights:
+    """Fused gate weights; block j of the last axis belongs to gate j."""
+
+    w: np.ndarray  # (I, G*H)
+    u: np.ndarray  # (H, G*H)
+    b: np.ndarray  # (G*H,)
 
     @property
     def input_size(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0]
 
     @property
     def hidden_size(self) -> int:
-        return self.w_i.shape[1]
+        return self.u.shape[0]
 
-    def validate(self) -> None:
+    def validate(self, n_gates: int) -> None:
         i, h = self.input_size, self.hidden_size
+        wants = {"w": (i, n_gates * h), "u": (h, n_gates * h), "b": (n_gates * h,)}
         for name, arr in self.arrays().items():
-            want = (i, h) if name.startswith("w") else (h, h) if name.startswith("u") else (h,)
-            if arr.shape != want:
-                raise ValueError(f"{name} shape mismatch")
+            if arr.shape != wants[name]:
+                raise ValueError(f"cell.{name} shape {arr.shape} != {wants[name]}")
             if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite entries in {name}")
+                raise ValueError(f"non-finite entries in cell.{name}")
 
     def arrays(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("w_i", "w_f", "w_o", "w_g", "u_i", "u_f", "u_o", "u_g",
-                 "b_i", "b_f", "b_o", "b_g")}
+        return {"w": self.w, "u": self.u, "b": self.b}
 
 
 @dataclass
@@ -158,16 +119,16 @@ class HeadSpec:
 @dataclass
 class RecurrentModel:
     cell_kind: str  # "gru" | "lstm"
-    cell: GruWeights | LstmWeights
+    cell: CellWeights
     dense: list[DenseLayer]
     head: HeadSpec
     window_size: int | None = None
     sigma_floor: float = SIGMA_FLOOR
 
     def validate(self) -> None:
-        if self.cell_kind not in ("gru", "lstm"):
+        if self.cell_kind not in GATES:
             raise ValueError(f"unknown cell kind {self.cell_kind}")
-        self.cell.validate()
+        self.cell.validate(len(GATES[self.cell_kind]))
         self.head.validate()
         size = self.cell.hidden_size
         for layer in self.dense:
@@ -193,7 +154,7 @@ class RecurrentModel:
             setattr(self.dense[int(scope[5:])], attr, value)
 
     def copy(self) -> "RecurrentModel":
-        cell = type(self.cell)(**{k: v.copy() for k, v in self.cell.arrays().items()})
+        cell = CellWeights(**{k: v.copy() for k, v in self.cell.arrays().items()})
         dense = [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation)
                  for l in self.dense]
         return RecurrentModel(self.cell_kind, cell, dense, replace(self.head),
@@ -224,31 +185,34 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer}")
 
 
-def gru_cell_forward(x_t, h_prev, w: GruWeights):
+def gru_cell_forward(x_t, h_prev, w: CellWeights):
     """One GRU step. Returns (h_t, cache) where cache holds the update
     gate z, reset gate r, and the tanh candidate."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     h_prev = np.atleast_2d(np.asarray(h_prev, dtype=float))
     if x_t.shape[1] != w.input_size or h_prev.shape[1] != w.hidden_size:
         raise ValueError("input/hidden sizes do not match the weights")
-    z = sigmoid(x_t @ w.w_z + h_prev @ w.u_z + w.b_z)
-    r = sigmoid(x_t @ w.w_r + h_prev @ w.u_r + w.b_r)
-    cand = np.tanh(x_t @ w.w_h + (r * h_prev) @ w.u_h + w.b_h)
+    h = w.hidden_size
+    a = x_t @ w.w + w.b
+    zr = sigmoid(a[:, : 2 * h] + h_prev @ w.u[:, : 2 * h])
+    z, r = zr[:, :h], zr[:, h:]
+    cand = np.tanh(a[:, 2 * h :] + (r * h_prev) @ w.u[:, 2 * h :])
     h_t = z * h_prev + (1.0 - z) * cand
     return h_t, {"z": z, "r": r, "cand": cand}
 
 
-def lstm_cell_forward(x_t, h_prev, c_prev, w: LstmWeights):
+def lstm_cell_forward(x_t, h_prev, c_prev, w: CellWeights):
     """One LSTM step with the standard gate equations."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     h_prev = np.atleast_2d(np.asarray(h_prev, dtype=float))
     c_prev = np.atleast_2d(np.asarray(c_prev, dtype=float))
     if x_t.shape[1] != w.input_size or h_prev.shape[1] != w.hidden_size:
         raise ValueError("input/hidden sizes do not match the weights")
-    i = sigmoid(x_t @ w.w_i + h_prev @ w.u_i + w.b_i)
-    f = sigmoid(x_t @ w.w_f + h_prev @ w.u_f + w.b_f)
-    o = sigmoid(x_t @ w.w_o + h_prev @ w.u_o + w.b_o)
-    g = np.tanh(x_t @ w.w_g + h_prev @ w.u_g + w.b_g)
+    h = w.hidden_size
+    a = x_t @ w.w + h_prev @ w.u + w.b
+    ifo = sigmoid(a[:, : 3 * h])
+    i, f, o = ifo[:, :h], ifo[:, h : 2 * h], ifo[:, 2 * h :]
+    g = np.tanh(a[:, 3 * h :])
     c_t = f * c_prev + i * g
     h_t = o * np.tanh(c_t)
     return h_t, c_t, {"i": i, "f": f, "o": o, "g": g, "c_t": c_t}
@@ -361,30 +325,24 @@ def backward(model: RecurrentModel, cache, d_raw):
     x = cache["x"]
     hs = cache["hs"]
     steps = cache["steps"]
-    w = model.cell
+    u = model.cell.u
+    h = model.cell.hidden_size
+    gw, gu, gb = grads["cell.w"], grads["cell.u"], grads["cell.b"]
     if model.cell_kind == "gru":
         for s in range(len(steps) - 1, -1, -1):
             st = steps[s]
             z, r, cand = st["z"], st["r"], st["cand"]
             h_prev = hs[s]
-            x_t = x[:, s]
-            dcand = dh * (1.0 - z)
-            dz = dh * (h_prev - cand)
-            da_h = dcand * (1.0 - cand**2)
-            da_z = dz * z * (1.0 - z)
-            dr = (da_h @ w.u_h.T) * h_prev
-            da_r = dr * r * (1.0 - r)
-            grads["cell.w_h"] += x_t.T @ da_h
-            grads["cell.u_h"] += (r * h_prev).T @ da_h
-            grads["cell.b_h"] += da_h.sum(axis=0)
-            grads["cell.w_z"] += x_t.T @ da_z
-            grads["cell.u_z"] += h_prev.T @ da_z
-            grads["cell.b_z"] += da_z.sum(axis=0)
-            grads["cell.w_r"] += x_t.T @ da_r
-            grads["cell.u_r"] += h_prev.T @ da_r
-            grads["cell.b_r"] += da_r.sum(axis=0)
-            dh = (dh * z + da_z @ w.u_z.T + da_r @ w.u_r.T
-                  + (da_h @ w.u_h.T) * r)
+            da_h = dh * (1.0 - z) * (1.0 - cand**2)
+            dh_cand = da_h @ u[:, 2 * h :].T  # d(loss)/d(r * h_prev)
+            da = np.hstack([dh * (h_prev - cand) * z * (1.0 - z),
+                            dh_cand * h_prev * r * (1.0 - r), da_h])
+            gw += x[:, s].T @ da
+            # the candidate's recurrent input is r * h_prev, not h_prev
+            gu[:, : 2 * h] += h_prev.T @ da[:, : 2 * h]
+            gu[:, 2 * h :] += (r * h_prev).T @ da_h
+            gb += da.sum(axis=0)
+            dh = dh * z + da[:, : 2 * h] @ u[:, : 2 * h].T + dh_cand * r
     else:
         dc = np.zeros_like(dh)
         for s in range(len(steps) - 1, -1, -1):
@@ -392,23 +350,14 @@ def backward(model: RecurrentModel, cache, d_raw):
             i, f, o, g, c_t = st["i"], st["f"], st["o"], st["g"], st["c_t"]
             c_prev = steps[s - 1]["c_t"] if s > 0 else np.zeros_like(c_t)
             h_prev = hs[s]
-            x_t = x[:, s]
             tc = np.tanh(c_t)
-            do = dh * tc
             dc = dc + dh * o * (1.0 - tc**2)
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            da_i = di * i * (1.0 - i)
-            da_f = df * f * (1.0 - f)
-            da_o = do * o * (1.0 - o)
-            da_g = dg * (1.0 - g**2)
-            for tag, da in (("i", da_i), ("f", da_f), ("o", da_o), ("g", da_g)):
-                grads[f"cell.w_{tag}"] += x_t.T @ da
-                grads[f"cell.u_{tag}"] += h_prev.T @ da
-                grads[f"cell.b_{tag}"] += da.sum(axis=0)
-            dh = (da_i @ w.u_i.T + da_f @ w.u_f.T + da_o @ w.u_o.T
-                  + da_g @ w.u_g.T)
+            da = np.hstack([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                            dh * tc * o * (1.0 - o), dc * i * (1.0 - g**2)])
+            gw += x[:, s].T @ da
+            gu += h_prev.T @ da
+            gb += da.sum(axis=0)
+            dh = da @ u.T
             dc = dc * f
     return grads
 
@@ -514,30 +463,15 @@ def init_model(cell_kind: str, input_size: int, hidden_size: int,
     head.validate()
     rng = np.random.default_rng(seed)
     h = hidden_size
-    if cell_kind == "gru":
-        cell = GruWeights(
-            w_z=_uniform(rng, input_size, (input_size, h)),
-            w_r=_uniform(rng, input_size, (input_size, h)),
-            w_h=_uniform(rng, input_size, (input_size, h)),
-            u_z=_uniform(rng, h, (h, h)),
-            u_r=_uniform(rng, h, (h, h)),
-            u_h=_uniform(rng, h, (h, h)),
-            b_z=np.zeros(h), b_r=np.zeros(h), b_h=np.zeros(h),
-        )
-    elif cell_kind == "lstm":
-        cell = LstmWeights(
-            w_i=_uniform(rng, input_size, (input_size, h)),
-            w_f=_uniform(rng, input_size, (input_size, h)),
-            w_o=_uniform(rng, input_size, (input_size, h)),
-            w_g=_uniform(rng, input_size, (input_size, h)),
-            u_i=_uniform(rng, h, (h, h)),
-            u_f=_uniform(rng, h, (h, h)),
-            u_o=_uniform(rng, h, (h, h)),
-            u_g=_uniform(rng, h, (h, h)),
-            b_i=np.zeros(h), b_f=np.zeros(h), b_o=np.zeros(h), b_g=np.zeros(h),
-        )
-    else:
+    if cell_kind not in GATES:
         raise ValueError(f"unknown cell kind {cell_kind}")
+    gates = GATES[cell_kind]
+    # one block per gate, drawn in gate order so a seed keeps its weights
+    cell = CellWeights(
+        w=np.hstack([_uniform(rng, input_size, (input_size, h)) for _ in gates]),
+        u=np.hstack([_uniform(rng, h, (h, h)) for _ in gates]),
+        b=np.zeros(len(gates) * h),
+    )
     dense = []
     fan_in = h
     for size in dense_sizes:
@@ -552,8 +486,19 @@ def init_model(cell_kind: str, input_size: int, hidden_size: int,
 
 
 def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) -> None:
-    """Checkpoint = JSON manifest plus a flat little-endian float64 sidecar."""
-    arrays = model.parameters()
+    """Checkpoint = JSON manifest plus a flat little-endian float64 sidecar.
+
+    The fused cell arrays are written one gate block at a time under the
+    v1 names (cell.w_z, cell.w_r, ... cell.b_h for a GRU).
+    """
+    params = model.parameters()
+    h = model.cell.hidden_size
+    arrays = {}
+    for name in ("w", "u", "b"):
+        fused = params.pop(f"cell.{name}")
+        for j, gate in enumerate(GATES[model.cell_kind]):
+            arrays[f"cell.{name}_{gate}"] = fused[..., j * h : (j + 1) * h]
+    arrays.update(params)
     manifest = {
         "format": "fleetcast-checkpoint-v1",
         "cell_kind": model.cell_kind,
@@ -585,16 +530,21 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
         manifest = json.load(fh)
     if manifest.get("format") != "fleetcast-checkpoint-v1":
         raise ValueError("unrecognized checkpoint format")
+    gates = GATES.get(manifest["cell_kind"])
+    if gates is None:
+        raise ValueError(f"unknown cell kind {manifest['cell_kind']}")
+    sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+    need = 8 * max((e["offset"] + n for e, n in zip(manifest["arrays"], sizes)), default=0)
+    have = os.path.getsize(f"{prefix}.bin")
+    if have != need:
+        raise ValueError(f"{prefix}.bin holds {have} bytes, its manifest implies {need}")
     raw = np.fromfile(f"{prefix}.bin", dtype="<f8")
     arrays = {}
-    for entry in manifest["arrays"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for entry, size in zip(manifest["arrays"], sizes):
         arrays[entry["name"]] = raw[entry["offset"] : entry["offset"] + size] \
             .reshape(entry["shape"]).astype(float)
-    cell_names = [n for n in arrays if n.startswith("cell.")]
-    cell_kwargs = {n.split(".")[1]: arrays[n] for n in cell_names}
-    cell = GruWeights(**cell_kwargs) if manifest["cell_kind"] == "gru" \
-        else LstmWeights(**cell_kwargs)
+    cell = CellWeights(*(np.hstack([arrays[f"cell.{name}_{gate}"] for gate in gates])
+                         for name in ("w", "u", "b")))
     acts = manifest["dense_activations"]
     dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
              for i in range(len(acts))]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ def test_nll_grad_matches_finite_differences():
         dn[i] -= h
         fd = (nll_and_grad_raw(up, target)[0] - nll_and_grad_raw(dn, target)[0]) / (2 * h)
         assert grad[i] == pytest.approx(float(fd), rel=1e-5, abs=1e-8)
+
+
+def test_nll_with_underflowing_weights_is_finite_and_silent():
+    # the two small weights underflow to 0; their log must not become -inf
+    raw = np.array([800.0, 0.0, 0.0, 0.5, 1.0, 2.0, 0.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll, grad = nll_and_grad_raw(raw, 0.3)
+    assert np.isfinite(nll) and np.isfinite(grad).all()
+    sig = math.log(2.0) + SIGMA_FLOOR
+    assert float(nll) == pytest.approx(-norm.logpdf(0.3, 0.5, sig), rel=1e-12)
 
 
 def test_scale_and_shift_transform_density_correctly():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,10 @@ from hypothesis import strategies as st
 
 from fleetcast.data import WindowSet
 from fleetcast.recurrent import (
+    GATES,
+    CellWeights,
     DenseLayer,
-    GruWeights,
     HeadSpec,
-    LstmWeights,
     RecurrentModel,
     TrainConfig,
     TrainingDivergedError,
@@ -28,18 +30,19 @@ from fleetcast.recurrent import (
 FD_STEP = 1e-5
 
 
+def fused(ws, us, bs):
+    """CellWeights from per-gate arrays listed in GATES order."""
+    return CellWeights(np.hstack(ws), np.hstack(us), np.hstack(bs))
+
+
 def zero_gru(input_size=2, hidden=3):
     z = lambda *s: np.zeros(s)
-    return GruWeights(z(input_size, hidden), z(input_size, hidden), z(input_size, hidden),
-                      z(hidden, hidden), z(hidden, hidden), z(hidden, hidden),
-                      z(hidden), z(hidden), z(hidden))
+    return fused([z(input_size, hidden)] * 3, [z(hidden, hidden)] * 3, [z(hidden)] * 3)
 
 
 def zero_lstm(input_size=2, hidden=3):
     z = lambda *s: np.zeros(s)
-    return LstmWeights(*(z(input_size, hidden) for _ in range(4)),
-                       *(z(hidden, hidden) for _ in range(4)),
-                       *(z(hidden) for _ in range(4)))
+    return fused([z(input_size, hidden)] * 4, [z(hidden, hidden)] * 4, [z(hidden)] * 4)
 
 
 def fd_gradients(model, inputs, targets, loss):
@@ -86,14 +89,11 @@ class TestGruCell:
 
     def test_hand_case_matches_scalar_recomputation(self):
         # H = 2, input size 1; independent scalar-by-scalar oracle
-        w = GruWeights(
-            w_z=np.array([[0.1, -0.2]]), w_r=np.array([[0.3, 0.05]]),
-            w_h=np.array([[-0.4, 0.25]]),
-            u_z=np.array([[0.2, 0.1], [-0.1, 0.3]]),
-            u_r=np.array([[0.0, 0.2], [0.1, -0.3]]),
-            u_h=np.array([[0.5, -0.1], [0.2, 0.2]]),
-            b_z=np.array([0.01, -0.02]), b_r=np.array([0.03, 0.0]),
-            b_h=np.array([-0.01, 0.02]))
+        w_z, w_r, w_h = [[0.1, -0.2]], [[0.3, 0.05]], [[-0.4, 0.25]]
+        u_z = [[0.2, 0.1], [-0.1, 0.3]]
+        u_r = [[0.0, 0.2], [0.1, -0.3]]
+        u_h = [[0.5, -0.1], [0.2, 0.2]]
+        b_z, b_r, b_h = [0.01, -0.02], [0.03, 0.0], [-0.01, 0.02]
         x = 0.7
         hp = [0.3, -0.5]
 
@@ -102,16 +102,17 @@ class TestGruCell:
 
         want = []
         for j in range(2):
-            az = w.w_z[0, j] * x + w.u_z[0, j] * hp[0] + w.u_z[1, j] * hp[1] + w.b_z[j]
-            ar = w.w_r[0, j] * x + w.u_r[0, j] * hp[0] + w.u_r[1, j] * hp[1] + w.b_r[j]
+            az = w_z[0][j] * x + u_z[0][j] * hp[0] + u_z[1][j] * hp[1] + b_z[j]
+            ar = w_r[0][j] * x + u_r[0][j] * hp[0] + u_r[1][j] * hp[1] + b_r[j]
             want.append((sig(az), sig(ar)))
         cand = []
         for j in range(2):
-            ah = (w.w_h[0, j] * x
-                  + w.u_h[0, j] * (want[0][1] * hp[0])
-                  + w.u_h[1, j] * (want[1][1] * hp[1]) + w.b_h[j])
+            ah = (w_h[0][j] * x
+                  + u_h[0][j] * (want[0][1] * hp[0])
+                  + u_h[1][j] * (want[1][1] * hp[1]) + b_h[j])
             cand.append(np.tanh(ah))
         expect = [want[j][0] * hp[j] + (1 - want[j][0]) * cand[j] for j in range(2)]
+        w = fused([w_z, w_r, w_h], [u_z, u_r, u_h], [b_z, b_r, b_h])
         h, _ = gru_cell_forward(np.array([x]), np.array(hp), w)
         np.testing.assert_allclose(h.ravel(), expect, rtol=1e-12)
 
@@ -150,9 +151,9 @@ class TestLstmCell:
 
     def test_hand_case_matches_scalar_recomputation(self):
         rng = np.random.default_rng(4)
-        w = LstmWeights(*(rng.normal(scale=0.4, size=(1, 2)) for _ in range(4)),
-                        *(rng.normal(scale=0.4, size=(2, 2)) for _ in range(4)),
-                        *(rng.normal(scale=0.1, size=2) for _ in range(4)))
+        w_i, w_f, w_o, w_g = (rng.normal(scale=0.4, size=(1, 2)) for _ in range(4))
+        u_i, u_f, u_o, u_g = (rng.normal(scale=0.4, size=(2, 2)) for _ in range(4))
+        b_i, b_f, b_o, b_g = (rng.normal(scale=0.1, size=2) for _ in range(4))
         x, hp, cp = 0.9, np.array([0.2, -0.4]), np.array([0.6, 0.1])
 
         def sig(v):
@@ -160,13 +161,14 @@ class TestLstmCell:
 
         expect_c, expect_h = [], []
         for j in range(2):
-            ai = w.w_i[0, j] * x + w.u_i[0, j] * hp[0] + w.u_i[1, j] * hp[1] + w.b_i[j]
-            af = w.w_f[0, j] * x + w.u_f[0, j] * hp[0] + w.u_f[1, j] * hp[1] + w.b_f[j]
-            ao = w.w_o[0, j] * x + w.u_o[0, j] * hp[0] + w.u_o[1, j] * hp[1] + w.b_o[j]
-            ag = w.w_g[0, j] * x + w.u_g[0, j] * hp[0] + w.u_g[1, j] * hp[1] + w.b_g[j]
+            ai = w_i[0, j] * x + u_i[0, j] * hp[0] + u_i[1, j] * hp[1] + b_i[j]
+            af = w_f[0, j] * x + u_f[0, j] * hp[0] + u_f[1, j] * hp[1] + b_f[j]
+            ao = w_o[0, j] * x + u_o[0, j] * hp[0] + u_o[1, j] * hp[1] + b_o[j]
+            ag = w_g[0, j] * x + u_g[0, j] * hp[0] + u_g[1, j] * hp[1] + b_g[j]
             c = sig(af) * cp[j] + sig(ai) * np.tanh(ag)
             expect_c.append(c)
             expect_h.append(sig(ao) * np.tanh(c))
+        w = fused([w_i, w_f, w_o, w_g], [u_i, u_f, u_o, u_g], [b_i, b_f, b_o, b_g])
         h, c, _ = lstm_cell_forward(np.array([x]), hp, cp, w)
         np.testing.assert_allclose(c.ravel(), expect_c, rtol=1e-12)
         np.testing.assert_allclose(h.ravel(), expect_h, rtol=1e-12)
@@ -366,5 +368,49 @@ class TestCheckpoint:
         assert (tmp_path / "m.bin").stat().st_size == 8 * n_floats
         first = manifest["arrays"][0]
         raw = np.fromfile(tmp_path / "m.bin", dtype="<f8", count=int(np.prod(first["shape"])))
+        assert first["name"] == "cell.w_z"
         np.testing.assert_array_equal(raw.reshape(first["shape"]),
-                                      model.parameters()[first["name"]])
+                                      model.cell.w[:, :model.cell.hidden_size])
+
+    @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+    def test_manifest_keeps_v1_per_gate_blocks(self, tmp_path, cell_kind):
+        model = init_model(cell_kind, 2, 3, dense_sizes=(4,), seed=1,
+                           head=HeadSpec("point", 2))
+        save_model(model, str(tmp_path / "m"))
+        import json as _json
+
+        entries = _json.loads((tmp_path / "m.json").read_text())["arrays"]
+        gates = GATES[cell_kind]
+        v1_order = {"gru": "zrh", "lstm": "ifog"}[cell_kind]
+        v1_names = [f"cell.{n}_{g}" for n in "wub" for g in v1_order]
+        assert [e["name"] for e in entries] == v1_names + [
+            "dense0.weight", "dense0.bias", "dense1.weight", "dense1.bias"]
+        raw = np.fromfile(tmp_path / "m.bin", dtype="<f8")
+        h = model.cell.hidden_size
+        for e in entries[: len(v1_names)]:
+            name, gate = e["name"][5:].split("_")
+            j = gates.index(gate)
+            block = getattr(model.cell, name)[..., j * h:(j + 1) * h]
+            size = int(np.prod(e["shape"]))
+            np.testing.assert_array_equal(
+                raw[e["offset"]:e["offset"] + size].reshape(e["shape"]), block)
+
+    def test_truncated_sidecar_names_the_file(self, tmp_path):
+        model = init_model("gru", 1, 2, dense_sizes=(2,), seed=0,
+                           head=HeadSpec("point", 1))
+        prefix = str(tmp_path / "m")
+        save_model(model, prefix)
+        data = (tmp_path / "m.bin").read_bytes()
+        (tmp_path / "m.bin").write_bytes(data[:-12])
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}.bin")):
+            load_model(prefix)
+
+
+def test_gate_count_must_match_cell_kind():
+    model = init_model("lstm", 2, 3, dense_sizes=(4,), seed=0,
+                       head=HeadSpec("point", 2))
+    h = model.cell.hidden_size
+    model.cell = CellWeights(model.cell.w[:, :3 * h], model.cell.u[:, :3 * h],
+                             model.cell.b[:3 * h])
+    with pytest.raises(ValueError, match="cell.w shape"):
+        model.validate()
