@@ -2,7 +2,8 @@
 
 Pipeline: trip ingestion -> per-zone demand series -> recurrent mixture
 density forecaster (or point baseline) -> Monte Carlo scenarios -> two
-stage relocation program on an embedded simplex -> rolling evaluation.
+stage relocation program (exact greedy solver certified by the embedded
+simplex's dual check) -> rolling evaluation.
 """
 
 __version__ = "0.1.0"
@@ -45,6 +46,7 @@ from .relocation import (
     DayOutcome,
     PlanDecision,
     RelocationInstance,
+    RelocationSolveError,
     ScenarioSet,
     build_two_stage,
     deterministic_model,

@@ -36,6 +36,7 @@ from .evaluate import EvalSettings, EvaluationReport, compare, rolling_evaluate
 from .recurrent import HeadSpec, TrainConfig, init_model, load_model, save_model, train
 from .relocation import (
     RelocationInstance,
+    RelocationSolveError,
     format_saa_table,
     saa_convergence_table,
     sample_scenarios,
@@ -326,7 +327,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     forecaster = _forecaster(cfg, tag)
     settings = EvalSettings(window_size=cfg.window_size,
                             n_scenarios=cfg.n_scenarios, seed=cfg.seed,
-                            replan=cfg.replan, threads=cfg.threads)
+                            replan=cfg.replan)
     instance = _instance(cfg, series.n_zones)
     report = rolling_evaluate(forecaster, mode, train_series, test_series,
                               instance, settings)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override config data_dir")
         p.add_argument("--seed", dest="seed", default=None, help="override seed")
         p.add_argument("--threads", dest="threads", default=None,
-                       help="worker threads for parallel-safe stages")
+                       help="worker threads for the EM restarts of fit-gmm")
         return p
 
     add("synth", cmd_synth, "generate the bundled synthetic benchmark data")
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
         overrides = {k: getattr(args, k) for k in OVERRIDE_KEYS if hasattr(args, k)}
         cfg = apply_overrides(cfg, overrides)
         return args.fn(cfg, args)
-    except (MissingArtifactError, ValueError) as exc:
+    except (MissingArtifactError, RelocationSolveError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,7 +60,7 @@ class PipelineConfig:
     # evaluation
     optimizer_mode: str = "stochastic"  # stochastic | deterministic
     replan: bool = True
-    threads: int = 1
+    threads: int = 1                    # fit-gmm EM restarts in parallel
 
     # synthetic benchmark
     synth_days: int = 691

@@ -9,7 +9,6 @@ demand. Day plans never see the day's own demand or anything after it.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .relocation import (
     deterministic_model,
     evaluate_decision,
     extract_plan,
+    require_certified,
     sample_scenarios,
     solve_relocation,
 )
@@ -91,7 +91,6 @@ class EvalSettings:
     n_scenarios: int = 200
     seed: int = 0
     replan: bool = True   # re-forecast and re-plan each day; False = one plan
-    threads: int = 1
 
 
 def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
@@ -127,19 +126,13 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
             lp, index_map = deterministic_model(instance, point)
-            res = solve_lp(lp)
-            if res.status != "optimal":
-                raise RuntimeError(f"day program not optimal: {res.status}")
+            res = require_certified(solve_lp(lp))
             plan = extract_plan(res, index_map, instance.n_zones)
         return plan
 
     indices = list(range(test.n_days))
     if settings.replan:
-        if settings.threads > 1:
-            with ThreadPoolExecutor(max_workers=settings.threads) as pool:
-                plans = list(pool.map(plan_for, indices))
-        else:
-            plans = [plan_for(t) for t in indices]
+        plans = [plan_for(t) for t in indices]
     else:
         first = plan_for(0)
         plans = [first] * test.n_days

@@ -10,6 +10,23 @@ is the same model with a single scenario.
 This model is a fully specified stand-in, not a reimplementation of any
 proprietary car-sharing formulation; parameters (stock, move costs,
 price, penalty) define the whole economics.
+
+Solving. When every move between two different zones costs the same c
+(every cost matrix the config produces), the recourse is separable and
+the program is a concave resource allocation: split the fixed fleet
+across zones. `solve_relocation` then solves it exactly by greedy
+marginal allocation (Fox 1966; Ibaraki & Katoh 1988) and checks the
+answer with the simplex's `certify` on a closed-form dual. Any other
+cost matrix goes to the dense simplex.
+
+Tie-breaking of the greedy solver, which picks one optimum where
+several exist (possible with three or more zones, or when a marginal
+gain equals a marginal loss):
+  - vehicles move only while the marginal gain is strictly above the
+    marginal loss, so a flat stretch of the objective is not traversed;
+  - among equal marginal gains (or losses), the lower zone index is
+    served (or drawn from) first, then the segment nearer the stock;
+  - flows fill donors into receivers in zone-index order.
 """
 
 from __future__ import annotations
@@ -20,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdn import GmmParams
-from .simplex import LinearProgram, SolveResult, solve_lp
+from .simplex import LinearProgram, SolveResult, certified_result, solve_lp
 
 
 @dataclass
@@ -175,30 +192,15 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
     index_map = {"r": {(i, j): i * z + j for i in range(z) for j in range(z)},
                  "y": {(w, zz): nr + w * z + zz for w in range(n) for zz in range(z)}}
 
-    net_out = np.zeros((z, nvar))  # sum_j r_zj - sum_i r_iz per zone
-    for zz in range(z):
-        for j in range(z):
-            net_out[zz, zz * z + j] += 1.0
-            net_out[zz, j * z + zz] -= 1.0
-
-    n_rows = z + 2 * n * z
-    rows = np.zeros((n_rows, nvar))
-    rhs = np.zeros(n_rows)
-    senses = ["<="] * n_rows
-    rows[:z] = net_out                      # s'_z >= 0
-    rhs[:z] = instance.stock
-    r0 = z
-    for w in range(n):                      # y_wz <= s'_z
-        blk = r0 + w * z
-        rows[blk : blk + z] = net_out
-        for zz in range(z):
-            rows[blk + zz, nr + w * z + zz] = 1.0
-        rhs[blk : blk + z] = instance.stock
-    r1 = z + n * z
-    for w in range(n):                      # y_wz <= d_wz
-        for zz in range(z):
-            rows[r1 + w * z + zz, nr + w * z + zz] = 1.0
-            rhs[r1 + w * z + zz] = d[w, zz]
+    # net outflow sum_j r_zj - sum_i r_iz of each zone over the flow columns
+    net_out = np.kron(np.eye(z), np.ones(z)) - np.tile(np.eye(z), z)
+    recourse = np.arange(n * z)
+    rows = np.zeros((z + 2 * n * z, nvar))
+    rows[: z + n * z, :nr] = np.tile(net_out, (n + 1, 1))  # s'_z >= 0, y_wz <= s'_z
+    rows[z + recourse, nr + recourse] = 1.0
+    rows[z + n * z + recourse, nr + recourse] = 1.0       # y_wz <= d_wz
+    rhs = np.concatenate([np.tile(instance.stock, n + 1), d.ravel()])
+    senses = ["<="] * rows.shape[0]
 
     lp = LinearProgram(objective=obj, rows=rows, senses=senses, rhs=rhs,
                        offset=offset, names=names)
@@ -221,14 +223,138 @@ def extract_plan(lp_result: SolveResult, index_map, n_zones: int) -> PlanDecisio
     return PlanDecision(flows)
 
 
+class RelocationSolveError(RuntimeError):
+    """A day's program was not solved to a certified optimum."""
+
+
+CERT_TOL = 1e-6  # largest certificate residual per unit of max(1, |objective|)
+
+
+def require_certified(res: SolveResult) -> SolveResult:
+    """Return `res` if it is optimal with certificate residuals within
+    CERT_TOL; raise RelocationSolveError otherwise."""
+    if res.status != "optimal":
+        raise RelocationSolveError(
+            f"relocation program not solved to optimality: {res.status}")
+    worst = max(res.residuals.values(), default=0.0)
+    if not worst <= CERT_TOL * max(1.0, abs(res.objective)):
+        raise RelocationSolveError(
+            f"relocation program failed its optimality certificate: "
+            f"residual {worst:.3g} at objective {res.objective:.6g}")
+    return res
+
+
+def _uniform_move_cost(instance: RelocationInstance) -> float | None:
+    """The common off-diagonal move cost, or None if the costs differ."""
+    off = instance.move_cost[~np.eye(instance.n_zones, dtype=bool)]
+    if off.size == 0:
+        return 0.0
+    return float(off[0]) if (off == off[0]).all() else None
+
+
+def _greedy_post_stock(stock, demand, value: float, cost: float) -> np.ndarray:
+    """Optimal post-move stock by greedy marginal allocation.
+
+    Zone z is worth value * sum_w min(s'_z, d_wz); with D the zone's
+    ascending demands (D[-1] = 0, D[N] = inf), that is linear between
+    breakpoints.
+    Receiver segment k runs up from max(s_z, D[k-1]) to D[k] and gains
+    value*(N-k) - cost per vehicle; donor segment j runs down from
+    min(s_z, D[j]) to D[j-1] and loses value*(N-j). Both lists are walked
+    in merged order (gains falling, losses rising, ties by zone index
+    because a segment's rate depends only on k or j) and vehicles move
+    while the gain is strictly above the loss.
+    """
+    n, z = demand.shape
+    srt = np.sort(demand, axis=0)
+    rank = np.arange(n + 1)
+    r_lo = np.maximum(np.vstack([np.zeros((1, z)), srt[:-1]]), stock)
+    r_hi = srt
+    gain = np.repeat(value * (n - rank[:n]) - cost, z)
+    d_lo = np.vstack([np.zeros((1, z)), srt])[::-1]
+    d_hi = np.minimum(np.vstack([srt, np.full((1, z), np.inf)]), stock)[::-1]
+    loss = np.repeat(value * (n - rank[::-1]), z)
+
+    def walk(length):
+        end = np.cumsum(length.ravel())
+        return np.concatenate([[0.0], end[:-1]]).reshape(length.shape), end
+
+    r_len, d_len = np.maximum(r_hi - r_lo, 0.0), np.maximum(d_hi - d_lo, 0.0)
+    (r_start, r_end), (d_start, d_end) = walk(r_len), walk(d_len)
+    # donor volume cheaper than each receiver segment's gain
+    reach = np.concatenate([[0.0], d_end])[np.searchsorted(loss, gain, side="left")]
+    stop = np.minimum(r_end, reach)
+    moved = float(np.max(stop[stop > r_start.ravel()], initial=0.0))
+    r_end, d_end = r_end.reshape(r_len.shape), d_end.reshape(d_len.shape)
+
+    up = np.where(r_end <= moved, r_hi, np.minimum(r_lo + (moved - r_start), r_hi))
+    up = np.where((r_len > 0) & (r_start < moved), up, -np.inf).max(axis=0)
+    down = np.where(d_end <= moved, d_lo, np.maximum(d_hi - (moved - d_start), d_lo))
+    down = np.where((d_len > 0) & (d_start < moved), down, np.inf).min(axis=0)
+    # the strict rule never lets a zone both give and take
+    return np.where(up > stock, up, np.minimum(down, stock))
+
+
+def _fill_flows(stock, post) -> np.ndarray:
+    """Flows that move donors' surplus (stock above post) into receivers'
+    deficits, both sides taken in zone-index order."""
+    give = np.maximum(stock - post, 0.0)
+    take = np.maximum(post - stock, 0.0)
+    give_end, take_end = np.cumsum(give), np.cumsum(take)
+    give_start = np.concatenate([[0.0], give_end[:-1]])
+    take_start = np.concatenate([[0.0], take_end[:-1]])
+    flows = (np.minimum(give_end[:, None], take_end[None, :])
+             - np.maximum(give_start[:, None], take_start[None, :]))
+    return np.maximum(flows, 0.0)
+
+
+def _dual_certificate(stock, demand, post, value: float, cost: float) -> np.ndarray:
+    """Closed-form duals of `build_two_stage`'s rows at the greedy optimum.
+
+    pi_z, the value of one more vehicle in zone z, lies in the zone's
+    subgradient interval: donors get pi = L and receivers L + cost, with
+    L the largest marginal gain left; untouched zones take the lowest
+    value of [L, L + cost] inside their interval. Each scenario row y_wz <= s'_z carries
+    beta = value where demand exceeds post-stock and a share of what is
+    left of pi where it ties; the stock row s'_z >= 0 absorbs the rest
+    (only at zero stock); y_wz <= d_wz carries gamma = value - beta.
+    """
+    above = demand > post
+    tied = demand == post
+    right = value * above.sum(axis=0)
+    lam = np.max(right - cost * (post >= stock))
+    pi = np.where(post < stock, lam,
+                  np.where(post > stock, lam + cost, np.maximum(lam, right)))
+    spare = pi - right
+    n_tied = tied.sum(axis=0)
+    tie_share = np.minimum(value, spare / np.maximum(n_tied, 1))
+    alpha = spare - n_tied * tie_share
+    beta = value * above + tie_share * tied
+    return np.concatenate([alpha, beta.ravel(), (value - beta).ravel()])
+
+
 def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
                      maxiter: int = 100_000):
-    """Build, solve, and extract the first-stage plan."""
+    """Solve the scenario program; returns (plan, certified SolveResult).
+
+    With uniform off-diagonal move costs the exact greedy solver runs and
+    its closed-form dual is checked by `simplex.certify`; other cost
+    matrices go to the simplex (`maxiter` caps its pivots). Raises
+    RelocationSolveError unless the result is a certified optimum.
+    """
     lp, index_map = build_two_stage(instance, scenarios)
-    res = solve_lp(lp, maxiter=maxiter)
-    if res.status != "optimal":
-        raise RuntimeError(f"relocation program not solved to optimality: {res.status}")
-    return extract_plan(res, index_map, instance.n_zones), res
+    cost = _uniform_move_cost(instance)
+    if cost is None:
+        res = require_certified(solve_lp(lp, maxiter=maxiter))
+        return extract_plan(res, index_map, instance.n_zones), res
+    demand = scenarios.demand
+    value = (instance.price + instance.penalty) / scenarios.n_scenarios
+    post = _greedy_post_stock(instance.stock, demand, value, cost)
+    flows = _fill_flows(instance.stock, post)
+    x = np.concatenate([flows.ravel(), np.minimum(post, demand).ravel()])
+    duals = _dual_certificate(instance.stock, demand, post, value, cost)
+    res = require_certified(certified_result(lp, x, duals))
+    return PlanDecision(flows), res
 
 
 def evaluate_decision(instance: RelocationInstance, plan: PlanDecision,

@@ -8,7 +8,8 @@ get slack/surplus/artificial columns, phase 1 clears artificials, phase
 Bland's rule permanently after a run of degenerate pivots, which
 guarantees termination.  Optimal solves return a dual vector and reduced
 costs so callers can verify feasibility and complementary slackness
-independently of the pivot path.
+independently of the pivot path. `certified_result` packages a
+primal/dual pair found by any other solver the same way.
 """
 
 from __future__ import annotations
@@ -105,45 +106,51 @@ def certify(lp: LinearProgram, x, duals) -> dict:
     if lp.sense == "min":  # reduce to the max convention
         c = -c
         y = -y
-    act = lp.rows @ x if lp.n_rows else np.zeros(0)
+    senses = np.asarray(lp.senses, dtype=object)
+    le, ge = senses == "<=", senses == ">="
+    eq = ~(le | ge)
+    slack = (lp.rows @ x - lp.rhs) if lp.n_rows else np.zeros(0)
 
-    primal = 0.0
-    cs = 0.0
-    dual = 0.0
-    for i, s in enumerate(lp.senses):
-        if s == "<=":
-            primal = max(primal, act[i] - lp.rhs[i])
-            dual = max(dual, -y[i])
-            cs = max(cs, abs(y[i] * (act[i] - lp.rhs[i])))
-        elif s == ">=":
-            primal = max(primal, lp.rhs[i] - act[i])
-            dual = max(dual, y[i])
-            cs = max(cs, abs(y[i] * (act[i] - lp.rhs[i])))
-        else:
-            primal = max(primal, abs(act[i] - lp.rhs[i]))
-    primal = max(primal, float(np.max(lp.lower - x, initial=0.0)))
-    primal = max(primal, float(np.max((x - lp.upper)[np.isfinite(lp.upper)],
-                                      initial=0.0)))
+    lo, hi = lp.lower, lp.upper
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    primal = max(np.max(slack[le], initial=0.0),
+                 np.max(-slack[ge], initial=0.0),
+                 np.max(np.abs(slack[eq]), initial=0.0),
+                 np.max(lo - x, initial=0.0),
+                 np.max((x - hi)[has_hi], initial=0.0))
+    dual = max(np.max(-y[le], initial=0.0), np.max(y[ge], initial=0.0))
+    cs = np.max(np.abs(y * slack)[le | ge], initial=0.0)
 
     g = c - (lp.rows.T @ y if lp.n_rows else 0.0)
     at_tol = 1e-7
-    for j in range(lp.n_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        at_lo = np.isfinite(lo) and x[j] <= lo + at_tol
-        at_hi = np.isfinite(hi) and x[j] >= hi - at_tol
-        if at_lo and at_hi:
-            continue  # fixed variable absorbs any reduced cost
-        if at_lo:
-            dual = max(dual, g[j])
-        elif at_hi:
-            dual = max(dual, -g[j])
-        else:
-            dual = max(dual, abs(g[j]))
-        if np.isfinite(lo):
-            cs = max(cs, abs(max(-g[j], 0.0) * (x[j] - lo)))
-        if np.isfinite(hi):
-            cs = max(cs, abs(max(g[j], 0.0) * (hi - x[j])))
+    at_lo = has_lo & (x <= lo + at_tol)
+    at_hi = has_hi & (x >= hi - at_tol)
+    live = ~(at_lo & at_hi)  # a fixed variable absorbs any reduced cost
+    wrong_sign = np.where(at_lo, g, np.where(at_hi, -g, np.abs(g)))
+    dual = max(dual, np.max(wrong_sign[live], initial=0.0))
+    above_lo = np.where(live & has_lo, x - lo, 0.0)
+    below_hi = np.where(live & has_hi, hi - x, 0.0)
+    cs = max(cs, np.max(np.abs(np.maximum(-g, 0.0) * above_lo), initial=0.0),
+             np.max(np.abs(np.maximum(g, 0.0) * below_hi), initial=0.0))
     return {"primal": float(primal), "dual": float(dual), "cs": float(cs)}
+
+
+def certified_result(lp: LinearProgram, x, duals, status: str = "optimal",
+                     iterations: int = 0) -> SolveResult:
+    """Wrap a primal/dual pair, found by any method, as a SolveResult.
+
+    Sets the objective (with `lp.offset`) and the reduced costs
+    c - A^T y; an "optimal" result also carries its `certify` residuals,
+    so a solver that is not the simplex is checked by the same arithmetic.
+    """
+    x = np.asarray(x, dtype=float)
+    duals = np.asarray(duals, dtype=float)
+    reduced = lp.objective - (lp.rows.T @ duals if lp.n_rows else 0.0)
+    obj = float(lp.objective @ x) + lp.offset
+    result = SolveResult(status, obj, x, duals, reduced, iterations)
+    if status == "optimal":
+        result.residuals = certify(lp, x, duals)
+    return result
 
 
 class _Core:
@@ -460,13 +467,7 @@ def solve_lp(lp: LinearProgram, maxiter: int = 100_000,
 
     if lp.sense == "min":
         duals = -duals
-        g = -g
-
-    obj = float(lp.objective @ x) + lp.offset
-    result = SolveResult(status, obj, x, duals, g, iterations)
-    if status == "optimal":
-        result.residuals = certify(lp, x, duals)
-    return result
+    return certified_result(lp, x, duals, status, iterations)
 
 
 def export_lp_text(lp: LinearProgram) -> str:

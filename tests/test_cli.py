@@ -105,6 +105,20 @@ class TestPipeline:
         for name, arr in fresh.parameters().items():
             np.testing.assert_array_equal(arr, trained.parameters()[name])
 
+    def test_failed_solve_is_a_named_error_with_exit_2(self, run_dir, capsys,
+                                                       monkeypatch):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "1"),
+                     ("forecast", "--model", "mdn")):
+            assert call(cfg, *argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("fleetcast.simplex.certify",
+                            lambda lp, x, duals: {"primal": 1.0, "dual": 0.0, "cs": 0.0})
+        assert call(cfg, "optimize") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: relocation program failed its optimality certificate")
+        assert "Traceback" not in err
+
     def test_unknown_flags_fail_fast(self, run_dir):
         _, cfg = run_dir
         with pytest.raises(SystemExit):

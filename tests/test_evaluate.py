@@ -12,7 +12,8 @@ from fleetcast.evaluate import (
 )
 from fleetcast.forecast import PerfectForecaster
 from fleetcast.mdn import GmmParams
-from fleetcast.relocation import DayOutcome, RelocationInstance
+from fleetcast.relocation import DayOutcome, RelocationInstance, RelocationSolveError
+from fleetcast.simplex import solve_lp
 
 
 def mk_series(values, start=dt.date(2020, 1, 1)):
@@ -152,18 +153,14 @@ class TestRolling:
         movings = {o.moving for o in report.outcomes}
         assert len(movings) == 1  # one frozen first-stage plan
 
-    def test_threaded_evaluation_matches_serial(self):
-        rng = np.random.default_rng(21)
-        series = mk_series(rng.integers(0, 10, size=(2, 40)).astype(float))
-        history, test = split(series, 25)
-        a = rolling_evaluate(constant_forecaster(), "stochastic", history, test,
-                             toy_instance(),
-                             EvalSettings(window_size=10, n_scenarios=20, seed=3))
-        b = rolling_evaluate(constant_forecaster(), "stochastic", history, test,
-                             toy_instance(),
-                             EvalSettings(window_size=10, n_scenarios=20, seed=3,
-                                          threads=4))
-        assert a.to_dict() == b.to_dict()
+    def test_unsolved_deterministic_day_raises_named_error(self, monkeypatch):
+        series = mk_series(np.full((2, 20), 5.0))
+        history, test = split(series, 12)
+        monkeypatch.setattr("fleetcast.evaluate.solve_lp",
+                            lambda lp: solve_lp(lp, maxiter=1))
+        with pytest.raises(RelocationSolveError, match="iteration_limit"):
+            rolling_evaluate(constant_forecaster(), "deterministic", history, test,
+                             toy_instance(), EvalSettings(window_size=5))
 
     def test_bad_mode_and_empty_test_rejected(self):
         series = mk_series([[1.0] * 20])

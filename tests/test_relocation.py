@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fleetcast.mdn import SIGMA_FLOOR, GmmParams
 from fleetcast.relocation import (
     PlanDecision,
     RelocationInstance,
+    RelocationSolveError,
     ScenarioSet,
     build_two_stage,
     deterministic_model,
@@ -18,7 +22,7 @@ from fleetcast.relocation import (
     sample_scenarios,
     solve_relocation,
 )
-from fleetcast.simplex import solve_lp
+from fleetcast.simplex import export_lp_text, solve_lp
 
 
 def brute_force_plan(instance, scenarios):
@@ -95,6 +99,13 @@ class TestTwoStageModel:
         assert lp.n_vars == 4 + 4  # Z^2 flows + N*Z recourse
         assert len(index_map["r"]) == 4 and len(index_map["y"]) == 4
         assert lp.names[index_map["r"][(0, 1)]] == "r[0->1]"
+
+    def test_lp_text_matches_golden_export(self):
+        inst = RelocationInstance(stock=np.array([4.0, 0.0]),
+                                  move_cost=np.array([[0.0, 1.0], [1.5, 0.0]]),
+                                  price=10.0, penalty=5.0)
+        lp, _ = build_two_stage(inst, ScenarioSet(np.array([[1.0, 3.25], [3.0, 0.5]])))
+        assert export_lp_text(lp) == GOLDEN_LP
 
     def test_single_scenario_collapses_to_deterministic(self):
         inst = small_instance()
@@ -197,6 +208,93 @@ class TestTwoStageModel:
             assert sp_val == pytest.approx(sp_res.objective, abs=1e-6)
 
 
+def uniform_instance(stock, cost, price, penalty):
+    z = len(stock)
+    cmat = np.full((z, z), float(cost))
+    np.fill_diagonal(cmat, 0.0)
+    return RelocationInstance(stock=np.asarray(stock, dtype=float), move_cost=cmat,
+                              price=price, penalty=penalty)
+
+
+def strict_optimum(inst, scen, post, margin=1e-6):
+    """True when moving any vehicle between two zones away from `post`
+    lowers the objective by more than `margin` per vehicle, so the optimal
+    post-stock is unique by more than the simplex's pricing tolerance."""
+    value = (inst.price + inst.penalty) / scen.n_scenarios
+    cost = inst.move_cost[~np.eye(inst.n_zones, dtype=bool)][0]
+    d = scen.demand
+    right = value * (d > post).sum(axis=0)
+    left = np.where(post > 0, value * (d >= post).sum(axis=0), np.inf)
+    gain = right - cost * (post >= inst.stock)   # one vehicle more
+    loss = left - cost * (post > inst.stock)     # one vehicle fewer
+    return all(gain[j] < loss[i] - margin for i in range(inst.n_zones)
+               for j in range(inst.n_zones) if i != j)
+
+
+@st.composite
+def uniform_cost_programs(draw):
+    z = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 40))
+    whole = st.integers(0, 25).map(float)     # integer demands force ties
+    demand = draw(arrays(float, (n, z),
+                         elements=whole if draw(st.booleans()) else st.floats(0.0, 40.0)))
+    # money keeps clear of the oracle's absolute 1e-9 pricing tolerance: at
+    # price 0 and penalty 1e-9 the simplex stops 1.5e-8 short of the optimum
+    money = st.just(0.0) | st.floats(0.01, 20.0)
+    inst = uniform_instance(draw(arrays(float, z, elements=st.integers(0, 30).map(float))),
+                            draw(st.sampled_from([0.5, 2.0]) | money),
+                            draw(money), draw(money))
+    return inst, ScenarioSet(demand)
+
+
+class TestGreedySolver:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(uniform_cost_programs())
+    def test_matches_simplex_on_the_same_program(self, program):
+        inst, scen = program
+        plan, res = solve_relocation(inst, scen)
+        lp, index_map = build_two_stage(inst, scen)
+        ref = solve_lp(lp)
+        assert ref.status == "optimal"
+        scale = max(1.0, abs(ref.objective))
+        assert abs(res.objective - ref.objective) <= 1e-9 * scale
+        assert max(res.residuals.values()) <= 1e-9 * scale
+        assert (plan.flows >= 0).all()
+        post = plan.post_stock(inst.stock)
+        fleet_tol = 1e-9 * max(1.0, inst.fleet_size)
+        assert abs(post.sum() - inst.fleet_size) <= fleet_tol
+        assert (post >= -fleet_tol).all()
+        if inst.n_zones == 2 and inst.move_cost[0, 1] > 0 \
+                and strict_optimum(inst, scen, post):
+            np.testing.assert_allclose(plan.flows, extract_plan(ref, index_map, 2).flows,
+                                       rtol=0, atol=1e-9 * scale)
+
+    def test_exact_tie_moves_nothing(self):
+        # gain 2*2 - 2 of the receiver equals the donor's loss 2: no move
+        inst = uniform_instance([2.0, 0.0], 2.0, 3.0, 1.0)
+        scen = ScenarioSet(np.array([[0.0, 5.0], [3.0, 5.0]]))
+        plan, res = solve_relocation(inst, scen)
+        lp, _ = build_two_stage(inst, scen)
+        assert res.objective == pytest.approx(solve_lp(lp).objective, abs=1e-12)
+        assert plan.moving == 0.0
+
+    def test_uncertifiable_result_raises_named_error(self, monkeypatch):
+        monkeypatch.setattr("fleetcast.simplex.certify",
+                            lambda lp, x, duals: {"primal": 1.0, "dual": 0.0, "cs": 0.0})
+        with pytest.raises(RelocationSolveError, match="certificate"):
+            solve_relocation(small_instance(), ScenarioSet(np.array([[1.0, 3.0]])))
+
+    def test_unsolved_simplex_fallback_raises_named_error(self):
+        inst = RelocationInstance(stock=np.array([6.0, 0.0, 2.0]),
+                                  move_cost=np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 1.0],
+                                                      [2.0, 1.0, 0.0]]),
+                                  price=6.0, penalty=2.0)
+        scen = ScenarioSet(np.array([[1.0, 4.0, 3.0], [2.0, 5.0, 1.0]]))
+        with pytest.raises(RelocationSolveError, match="iteration_limit"):
+            solve_relocation(inst, scen, maxiter=1)
+        assert isinstance(RelocationSolveError("x"), RuntimeError)
+
+
 class TestEvaluateDecision:
     def test_realized_equals_post_stock(self):
         inst = small_instance()
@@ -272,3 +370,22 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         RelocationInstance(stock=np.array([-1.0]), move_cost=np.array([[0.0]]),
                            price=1.0, penalty=1.0)
+
+
+GOLDEN_LP = """\
+Maximize
+ obj: - 1 r[0->1] - 1.5 r[1->0] + 7.5 y[s0,z0] + 7.5 y[s0,z1] + 7.5 y[s1,z0] + 7.5 y[s1,z1]
+Subject To
+ c0: 1 r[0->1] - 1 r[1->0] <= 4
+ c1: - 1 r[0->1] + 1 r[1->0] <= 0
+ c2: 1 r[0->1] - 1 r[1->0] + 1 y[s0,z0] <= 4
+ c3: - 1 r[0->1] + 1 r[1->0] + 1 y[s0,z1] <= 0
+ c4: 1 r[0->1] - 1 r[1->0] + 1 y[s1,z0] <= 4
+ c5: - 1 r[0->1] + 1 r[1->0] + 1 y[s1,z1] <= 0
+ c6: 1 y[s0,z0] <= 1
+ c7: 1 y[s0,z1] <= 3.25
+ c8: 1 y[s1,z0] <= 3
+ c9: 1 y[s1,z1] <= 0.5
+Bounds
+End
+"""

@@ -235,3 +235,83 @@ def test_lp_text_export_round_trips_key_facts():
     assert text.startswith("Maximize")
     assert "move" in text and "serve" in text
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
+
+
+def certify_reference(lp: LinearProgram, x, duals) -> dict:
+    """Row-by-row, column-by-column loop over the residual definitions that
+    the vectorised `certify` must reproduce exactly."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(duals, dtype=float)
+    c = lp.objective
+    if lp.sense == "min":
+        c = -c
+        y = -y
+    act = lp.rows @ x if lp.n_rows else np.zeros(0)
+    primal = cs = dual = 0.0
+    for i, s in enumerate(lp.senses):
+        if s == "<=":
+            primal = max(primal, act[i] - lp.rhs[i])
+            dual = max(dual, -y[i])
+            cs = max(cs, abs(y[i] * (act[i] - lp.rhs[i])))
+        elif s == ">=":
+            primal = max(primal, lp.rhs[i] - act[i])
+            dual = max(dual, y[i])
+            cs = max(cs, abs(y[i] * (act[i] - lp.rhs[i])))
+        else:
+            primal = max(primal, abs(act[i] - lp.rhs[i]))
+    primal = max(primal, float(np.max(lp.lower - x, initial=0.0)))
+    primal = max(primal, float(np.max((x - lp.upper)[np.isfinite(lp.upper)],
+                                      initial=0.0)))
+    g = c - (lp.rows.T @ y if lp.n_rows else 0.0)
+    for j in range(lp.n_vars):
+        lo, hi = lp.lower[j], lp.upper[j]
+        at_lo = np.isfinite(lo) and x[j] <= lo + 1e-7
+        at_hi = np.isfinite(hi) and x[j] >= hi - 1e-7
+        if at_lo and at_hi:
+            continue
+        if at_lo:
+            dual = max(dual, g[j])
+        elif at_hi:
+            dual = max(dual, -g[j])
+        else:
+            dual = max(dual, abs(g[j]))
+        if np.isfinite(lo):
+            cs = max(cs, abs(max(-g[j], 0.0) * (x[j] - lo)))
+        if np.isfinite(hi):
+            cs = max(cs, abs(max(g[j], 0.0) * (hi - x[j])))
+    return {"primal": float(primal), "dual": float(dual), "cs": float(cs)}
+
+
+def random_mixed_lp(rng):
+    """Rows of every sense; columns fixed, free, upper-bounded only, boxed
+    or plain nonnegative; either objective sense."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(0, 7))
+    kind = rng.integers(0, 5, size=n)
+    lo = rng.uniform(-3.0, 1.0, n)
+    hi = lo + rng.uniform(0.5, 4.0, n)                   # kind 2: boxed
+    lo[kind == 0], hi[kind == 0] = 0.0, np.inf           # nonnegative
+    lo[kind == 1], hi[kind == 1] = -np.inf, np.inf       # free
+    lo[kind == 3] = -np.inf                              # upper-bounded only
+    hi[kind == 4] = lo[kind == 4]                        # fixed
+    return LinearProgram(objective=rng.normal(size=n), rows=rng.normal(size=(m, n)),
+                         senses=list(rng.choice(["<=", "=", ">="], size=m)),
+                         rhs=rng.normal(size=m), lower=lo, upper=hi,
+                         sense=str(rng.choice(["max", "min"])))
+
+
+def test_vectorised_certify_matches_scalar_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(300):
+        lp = random_mixed_lp(rng)
+        lp.validate()
+        x = rng.normal(scale=2.0, size=lp.n_vars)
+        snap = rng.integers(0, 3, size=lp.n_vars)  # put some x on a bound
+        x = np.where((snap == 1) & np.isfinite(lp.lower), lp.lower, x)
+        x = np.where((snap == 2) & np.isfinite(lp.upper), lp.upper, x)
+        y = rng.normal(size=lp.n_rows) * (rng.random(lp.n_rows) < 0.7)
+        assert certify(lp, x, y) == certify_reference(lp, x, y), f"trial {trial}"
+    for trial in range(20):  # optimal pairs, where the residuals are ~0
+        lp = random_bounded_lp(rng)
+        res = solve_lp(lp)
+        assert certify(lp, res.x, res.duals) == certify_reference(lp, res.x, res.duals)
