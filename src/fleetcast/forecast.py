@@ -59,6 +59,7 @@ class PointForecaster:
             raise ValueError("point forecaster needs a point head")
 
     def predict_point(self, history, target_day=None) -> np.ndarray:
+        """Point forecast for one (T, Z) window, or (B, Z) for (B, T, Z) windows."""
         raw = sequence_forward(self.scaler.transform(history), self.model)
         return self.scaler.inverse(raw)
 
@@ -107,13 +108,11 @@ class PerfectForecaster:
 
 
 def point_residuals(forecaster: PointForecaster, windows: WindowSet) -> np.ndarray:
-    """target minus point forecast per window, shape (count, Z)."""
+    """target minus point forecast per window, shape (count, Z); all
+    windows go through the network as one batch."""
     if len(windows) == 0:
         raise ValueError("no windows to compute residuals on")
-    res = np.zeros_like(windows.targets)
-    for i in range(len(windows)):
-        res[i] = windows.targets[i] - forecaster.predict_point(windows.inputs[i])
-    return res
+    return windows.targets - forecaster.predict_point(windows.inputs)
 
 
 def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,

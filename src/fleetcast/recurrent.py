@@ -10,7 +10,18 @@ shuffling so runs are bit-reproducible.
 
 Update gate z and reset gate r use the logistic sigmoid, the candidate
 state uses tanh, and the new state is the convex combination
-h_t = z * h_prev + (1 - z) * candidate.
+h_t = z * h_prev + (1 - z) * candidate. The sigmoid is computed as
+where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|): no overflow, and the
+same bits as evaluating 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x))
+below, so it never cancels for large negative x.
+
+One training step is forward_pass (one cell call per step), the head
+loss, backward, the global-norm clip and an in-place update. backward
+computes each gate-derivative factor once per batch as a (T, B, H)
+array, runs the reverse loop only for the dh (and dc) recurrence and
+its matmuls, and stores every step's gate gradient in one (T, B, G*H)
+array, so each cell weight gradient is one matmul over T*B rows. Its
+work arrays persist across the batches of a training run (Scratch).
 
 Each cell stores its gates fused: input weights w (I, G*H), recurrent
 weights u (H, G*H) and bias b (G*H,), with the G gate blocks of width H
@@ -22,6 +33,7 @@ into cell.w_z ... cell.b_g and load_model stacks them again.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -35,12 +47,10 @@ class TrainingDivergedError(RuntimeError):
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function. exp(-|x|) never overflows, and each sign takes
+    the form that is exact for it: 1/(1+e) for x >= 0, e/(1+e) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 GATES = {"gru": "zrh", "lstm": "ifog"}
@@ -303,13 +313,58 @@ def head_loss_and_grad(model: RecurrentModel, raw, targets, loss: str):
     return total, grad
 
 
-def _zero_grads(model):
-    return {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
+class Scratch:
+    """Named work arrays kept across the batches of one training run.
+
+    A backward pass needs about a megabyte of (T, B, H)-sized arrays.
+    Allocated fresh, the allocator hands those pages back to the system
+    after every batch and faults them in again on the next; held here,
+    they are touched once. A request smaller than the held array (the
+    short last batch) gets a view of its front.
+    """
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, key: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size:
+            flat = self._flat[key] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
-def backward(model: RecurrentModel, cache, d_raw):
-    """Exact gradients of a scalar loss given d(loss)/d(raw head outputs)."""
-    grads = _zero_grads(model)
+def _fresh(key, shape):
+    return np.empty(shape)
+
+
+def _sigmoid_factor(a, s, out, tmp):
+    """out = a * s * (1 - s): a times the derivative of a sigmoid gate s."""
+    np.multiply(a, s, out=out)
+    np.subtract(1.0, s, out=tmp)
+    out *= tmp
+    return out
+
+
+def _tanh_factor(a, t, out, tmp):
+    """out = a * (1 - t**2): a times the derivative of a tanh output t."""
+    np.square(t, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    return np.multiply(a, tmp, out=out)
+
+
+def backward(model: RecurrentModel, cache, d_raw, scratch=_fresh):
+    """Exact gradients of a scalar loss given d(loss)/d(raw head outputs).
+
+    Every gate-derivative factor that depends only on the forward pass is
+    computed once for all T steps as a (T, B, H) array; the reverse loop
+    keeps only the recurrence on dh (and dc) and writes each step's gate
+    pre-activation gradient into one (T, B, G*H) array, from which each
+    cell gradient is one matmul or sum over T*B rows. Work arrays come
+    from `scratch` (a Scratch during training), so the returned dense
+    weight gradients may be views into it.
+    """
+    grads = dict.fromkeys(model.parameters())  # parameter order, for the clip norm
     d = np.atleast_2d(d_raw)
     dense_cache = cache["dense"]
     for idx in range(len(model.dense) - 1, -1, -1):
@@ -317,48 +372,69 @@ def backward(model: RecurrentModel, cache, d_raw):
         pre = dense_cache["pre"][idx]
         inp = dense_cache["post"][idx]
         da = d * (pre > 0) if layer.activation == "relu" else d
-        grads[f"dense{idx}.weight"] += inp.T @ da
-        grads[f"dense{idx}.bias"] += da.sum(axis=0)
+        grads[f"dense{idx}.weight"] = np.matmul(
+            inp.T, da, out=scratch(f"dense{idx}.weight", layer.weight.shape))
+        grads[f"dense{idx}.bias"] = da.sum(axis=0)
         d = da @ layer.weight.T
     dh = d
 
     x = cache["x"]
-    hs = cache["hs"]
     steps = cache["steps"]
+    t, n = len(steps), x.shape[0]
     u = model.cell.u
     h = model.cell.hidden_size
-    gw, gu, gb = grads["cell.w"], grads["cell.u"], grads["cell.b"]
+    shape = (t, n, h)
+
+    def stacked(key):
+        return np.stack([st[key] for st in steps], out=scratch(key, shape))
+
+    h_prev = np.stack(cache["hs"][:-1], out=scratch("h_prev", shape))
+    tmp = scratch("tmp", shape)
+    da = scratch("da", (t, n, u.shape[1]))
     if model.cell_kind == "gru":
-        for s in range(len(steps) - 1, -1, -1):
-            st = steps[s]
-            z, r, cand = st["z"], st["r"], st["cand"]
-            h_prev = hs[s]
-            da_h = dh * (1.0 - z) * (1.0 - cand**2)
-            dh_cand = da_h @ u[:, 2 * h :].T  # d(loss)/d(r * h_prev)
-            da = np.hstack([dh * (h_prev - cand) * z * (1.0 - z),
-                            dh_cand * h_prev * r * (1.0 - r), da_h])
-            gw += x[:, s].T @ da
-            # the candidate's recurrent input is r * h_prev, not h_prev
-            gu[:, : 2 * h] += h_prev.T @ da[:, : 2 * h]
-            gu[:, 2 * h :] += (r * h_prev).T @ da_h
-            gb += da.sum(axis=0)
-            dh = dh * z + da[:, : 2 * h] @ u[:, : 2 * h].T + dh_cand * r
+        z, r, cand = stacked("z"), stacked("r"), stacked("cand")
+        f_h, f_z = scratch("f_h", shape), scratch("f_z", shape)
+        _tanh_factor(np.subtract(1.0, z, out=f_h), cand, f_h, tmp)
+        _sigmoid_factor(np.subtract(h_prev, cand, out=f_z), z, f_z, tmp)
+        f_r = _sigmoid_factor(h_prev, r, scratch("f_r", shape), tmp)
+        u_zr, u_h = u[:, : 2 * h].T, u[:, 2 * h :].T
+        for s in range(t - 1, -1, -1):
+            np.multiply(dh, f_h[s], out=da[s, :, 2 * h :])
+            dh_cand = da[s, :, 2 * h :] @ u_h  # d(loss)/d(r * h_prev)
+            np.multiply(dh, f_z[s], out=da[s, :, :h])
+            np.multiply(dh_cand, f_r[s], out=da[s, :, h : 2 * h])
+            dh = dh * z[s] + da[s, :, : 2 * h] @ u_zr + dh_cand * r[s]
+        rows = da.reshape(t * n, -1)
+        # the candidate's recurrent input is r * h_prev, not h_prev
+        rh = np.multiply(r, h_prev, out=tmp).reshape(-1, h)
+        gu = np.hstack([h_prev.reshape(-1, h).T @ rows[:, : 2 * h],
+                        rh.T @ rows[:, 2 * h :]])
     else:
+        i, f, o, g, c = (stacked(k) for k in ("i", "f", "o", "g", "c_t"))
+        c_prev = scratch("c_prev", shape)
+        c_prev[0] = 0.0
+        c_prev[1:] = c[:-1]
+        tc = np.tanh(c, out=scratch("tc", shape))
+        f_c = _tanh_factor(o, tc, scratch("f_c", shape), tmp)
+        f_i = _sigmoid_factor(g, i, scratch("f_i", shape), tmp)
+        f_f = _sigmoid_factor(c_prev, f, scratch("f_f", shape), tmp)
+        f_o = _sigmoid_factor(tc, o, scratch("f_o", shape), tmp)
+        f_g = _tanh_factor(i, g, scratch("f_g", shape), tmp)
+        ut = u.T
         dc = np.zeros_like(dh)
-        for s in range(len(steps) - 1, -1, -1):
-            st = steps[s]
-            i, f, o, g, c_t = st["i"], st["f"], st["o"], st["g"], st["c_t"]
-            c_prev = steps[s - 1]["c_t"] if s > 0 else np.zeros_like(c_t)
-            h_prev = hs[s]
-            tc = np.tanh(c_t)
-            dc = dc + dh * o * (1.0 - tc**2)
-            da = np.hstack([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                            dh * tc * o * (1.0 - o), dc * i * (1.0 - g**2)])
-            gw += x[:, s].T @ da
-            gu += h_prev.T @ da
-            gb += da.sum(axis=0)
-            dh = da @ u.T
-            dc = dc * f
+        for s in range(t - 1, -1, -1):
+            dc = dc + dh * f_c[s]
+            np.multiply(dc, f_i[s], out=da[s, :, :h])
+            np.multiply(dc, f_f[s], out=da[s, :, h : 2 * h])
+            np.multiply(dh, f_o[s], out=da[s, :, 2 * h : 3 * h])
+            np.multiply(dc, f_g[s], out=da[s, :, 3 * h :])
+            dh = da[s] @ ut
+            dc = dc * f[s]
+        rows = da.reshape(t * n, -1)
+        gu = h_prev.reshape(-1, h).T @ rows
+    grads["cell.w"] = x.swapaxes(0, 1).reshape(t * n, -1).T @ rows
+    grads["cell.u"] = gu
+    grads["cell.b"] = rows.sum(axis=0)
     return grads
 
 
@@ -377,15 +453,42 @@ def compute_loss(model: RecurrentModel, inputs, targets, loss: str) -> float:
 
 
 def _clip_global_norm(grads, clip):
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
+    norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if norm > clip:
         scale = clip / norm
         for g in grads.values():
             g *= scale
     return norm
+
+
+def _momentum_step(p, g, v, lr, momentum):
+    """v = momentum*v + g; p -= lr*v, in place; g is overwritten."""
+    v *= momentum
+    v += g
+    np.multiply(v, lr, out=g)
+    p -= g
+
+
+def _adam_step(p, g, st, lr, t):
+    """One Adam update in place, with the bits of the textbook formulas
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps); g is overwritten."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m, v, tmp = st["m"], st["v"], st["tmp"]
+    m *= b1
+    np.multiply(g, 1 - b1, out=tmp)
+    m += tmp
+    v *= b2
+    np.square(g, out=g)
+    g *= 1 - b2
+    v += g
+    np.divide(v, 1 - b2**t, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    np.divide(m, 1 - b1**t, out=tmp)
+    tmp *= lr
+    tmp /= g
+    p -= tmp
 
 
 def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = None):
@@ -406,8 +509,9 @@ def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = N
 
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    state = {name: {"v": np.zeros_like(p), "m": np.zeros_like(p)}
-             for name, p in params.items()}
+    slots = ("v",) if cfg.optimizer == "momentum" else ("m", "v", "tmp")
+    state = {name: {k: np.zeros_like(p) for k in slots} for name, p in params.items()}
+    scratch = Scratch()
     adam_t = 0
     history = []
     n = inputs.shape[0]
@@ -421,23 +525,16 @@ def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = N
             if not np.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
-            grads = backward(model, fwd_cache, d_raw)
+            grads = backward(model, fwd_cache, d_raw, scratch)
             _clip_global_norm(grads, cfg.clip_norm)
             if cfg.optimizer == "momentum":
                 for name, p in params.items():
-                    st = state[name]
-                    st["v"] = cfg.momentum * st["v"] + grads[name]
-                    p -= cfg.learning_rate * st["v"]
+                    _momentum_step(p, grads[name], state[name]["v"], cfg.learning_rate,
+                                   cfg.momentum)
             else:
                 adam_t += 1
-                b1, b2, eps = 0.9, 0.999, 1e-8
                 for name, p in params.items():
-                    st = state[name]
-                    st["m"] = b1 * st["m"] + (1 - b1) * grads[name]
-                    st["v"] = b2 * st["v"] + (1 - b2) * grads[name] ** 2
-                    mhat = st["m"] / (1 - b1**adam_t)
-                    vhat = st["v"] / (1 - b2**adam_t)
-                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                    _adam_step(p, grads[name], state[name], cfg.learning_rate, adam_t)
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
         for p in params.values():

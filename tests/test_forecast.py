@@ -99,6 +99,19 @@ class TestResidualMixtureRoute:
         np.testing.assert_allclose(dist.weights, mix.weights)
         assert dist.mean() == pytest.approx(point + mix.mean())
 
+    def test_batched_residuals_equal_the_per_window_loop(self):
+        model = init_model("gru", 2, 32, dense_sizes=(256, 128), seed=5,
+                           head=HeadSpec("point", 2))
+        base = PointForecaster(model, Standardizer(np.array([40.0, 60.0]),
+                                                   np.array([8.0, 12.0])))
+        rng = np.random.default_rng(1)
+        windows = WindowSet(inputs=rng.normal(50.0, 10.0, size=(88, 10, 2)),
+                            targets=rng.normal(50.0, 10.0, size=(88, 2)),
+                            target_days=None)
+        loop = np.array([windows.targets[i] - base.predict_point(windows.inputs[i])
+                         for i in range(len(windows))])
+        np.testing.assert_allclose(point_residuals(base, windows), loop, rtol=1e-12)
+
     def test_fit_residual_mixtures_recovers_bias(self):
         # constant-output model: residual distribution equals shifted targets
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=4,

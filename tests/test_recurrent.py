@@ -12,18 +12,21 @@ from fleetcast.recurrent import (
     DenseLayer,
     HeadSpec,
     RecurrentModel,
+    Scratch,
     TrainConfig,
     TrainingDivergedError,
     backward,
     compute_loss,
     forward_pass,
     gru_cell_forward,
+    head_loss_and_grad,
     init_model,
     load_model,
     loss_and_grads,
     lstm_cell_forward,
     save_model,
     sequence_forward,
+    sigmoid,
     train,
 )
 
@@ -71,6 +74,31 @@ def max_rel_error(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
         worst = max(worst, float((np.abs(a - b) / denom).max()))
     return worst
+
+
+def sigmoid_reference(x):
+    """The boolean-mask form: 1/(1+exp(-x)) for x >= 0, e/(1+e) with e = exp(x) below."""
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_boolean_mask_form_without_warnings(self):
+        edges = np.array([0.0, 1e-300, 5e-324, 1e-8, 0.5, 1.0, 36.0, 37.0, 709.0,
+                          710.0, 745.0, 746.0, 800.0, 1e300, np.inf])
+        rng = np.random.default_rng(0)
+        grid = np.concatenate([edges, -edges, rng.normal(scale=20.0, size=2000),
+                               np.linspace(-50.0, 50.0, 2001)])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(grid.reshape(-1, 1))
+            want = sigmoid_reference(grid.reshape(-1, 1))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert got[0, 0] == 0.5 and got[len(edges), 0] == 0.5  # +0.0 and -0.0
+        assert got[len(edges) - 1, 0] == 1.0 and got[2 * len(edges) - 1, 0] == 0.0
 
 
 class TestGruCell:
@@ -260,6 +288,176 @@ class TestBackward:
         _, analytic = loss_and_grads(model, inputs, targets, "gmm_nll")
         numeric = fd_gradients(model, inputs, targets, "gmm_nll")
         assert max_rel_error(analytic, numeric) <= 1e-4
+
+
+def oracle_backward(model, cache, d_raw):
+    """Reference BPTT: gate derivatives recomputed at every step and the
+    cell gradients accumulated one step (B rows) at a time."""
+    grads = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
+    d = np.atleast_2d(d_raw)
+    for idx in range(len(model.dense) - 1, -1, -1):
+        layer = model.dense[idx]
+        pre = cache["dense"]["pre"][idx]
+        inp = cache["dense"]["post"][idx]
+        da = d * (pre > 0) if layer.activation == "relu" else d
+        grads[f"dense{idx}.weight"] += inp.T @ da
+        grads[f"dense{idx}.bias"] += da.sum(axis=0)
+        d = da @ layer.weight.T
+    dh = d
+    x, hs, steps = cache["x"], cache["hs"], cache["steps"]
+    u = model.cell.u
+    h = model.cell.hidden_size
+    gw, gu, gb = grads["cell.w"], grads["cell.u"], grads["cell.b"]
+    if model.cell_kind == "gru":
+        for s in range(len(steps) - 1, -1, -1):
+            z, r, cand = steps[s]["z"], steps[s]["r"], steps[s]["cand"]
+            h_prev = hs[s]
+            da_h = dh * (1.0 - z) * (1.0 - cand**2)
+            dh_cand = da_h @ u[:, 2 * h:].T
+            da = np.hstack([dh * (h_prev - cand) * z * (1.0 - z),
+                            dh_cand * h_prev * r * (1.0 - r), da_h])
+            gw += x[:, s].T @ da
+            gu[:, :2 * h] += h_prev.T @ da[:, :2 * h]
+            gu[:, 2 * h:] += (r * h_prev).T @ da_h
+            gb += da.sum(axis=0)
+            dh = dh * z + da[:, :2 * h] @ u[:, :2 * h].T + dh_cand * r
+    else:
+        dc = np.zeros_like(dh)
+        for s in range(len(steps) - 1, -1, -1):
+            st = steps[s]
+            i, f, o, g, c_t = st["i"], st["f"], st["o"], st["g"], st["c_t"]
+            c_prev = steps[s - 1]["c_t"] if s > 0 else np.zeros_like(c_t)
+            h_prev = hs[s]
+            tc = np.tanh(c_t)
+            dc = dc + dh * o * (1.0 - tc**2)
+            da = np.hstack([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                            dh * tc * o * (1.0 - o), dc * i * (1.0 - g**2)])
+            gw += x[:, s].T @ da
+            gu += h_prev.T @ da
+            gb += da.sum(axis=0)
+            dh = da @ u.T
+            dc = dc * f
+    return grads
+
+
+PRODUCTION_HEADS = {"mdn": HeadSpec("mdn", 2, k=3, aux_point=True),
+                    "point": HeadSpec("point", 2)}
+
+
+def production_model(cell_kind, head, seed=0, window_size=None):
+    """The pipeline's default sizes: H=32, dense (256, 128), two zones."""
+    return init_model(cell_kind, 2, 32, dense_sizes=(256, 128), seed=seed,
+                      head=PRODUCTION_HEADS[head], window_size=window_size)
+
+
+class TestBackwardAtProductionShapes:
+    @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("head", ["mdn", "point"])
+    @pytest.mark.parametrize("t", [1, 10])
+    def test_matches_per_step_oracle(self, cell_kind, head, t):
+        model = production_model(cell_kind, head, seed=t)
+        loss = "gmm_nll" if head == "mdn" else "mse"
+        rng = np.random.default_rng(t)
+        scratch = Scratch()
+        for b in (32, 14, 1):  # the short batches reuse the front of the scratch arrays
+            inputs = rng.normal(size=(b, t, 2))
+            targets = rng.normal(size=(b, 2))
+            raw, cache = forward_pass(model, inputs)
+            _, d_raw = head_loss_and_grad(model, raw, targets, loss)
+            want = oracle_backward(model, cache, d_raw)
+            fresh = backward(model, cache, d_raw)
+            reused = backward(model, cache, d_raw, scratch)
+            assert list(fresh) == list(want)
+            for name in want:
+                # summation order differs, so an entry that cancels to far
+                # below its array's scale is held to that scale
+                scale = np.abs(want[name]).max()
+                np.testing.assert_allclose(fresh[name], want[name], rtol=1e-12,
+                                           atol=1e-12 * scale, err_msg=f"{name} at B={b}")
+                np.testing.assert_array_equal(reused[name], fresh[name])
+
+
+def reference_train(model, windows, cfg, loss, backward_fn):
+    """Training loop with out-of-place updates and a (g*g).sum() clip norm."""
+    inputs, targets = windows.inputs, windows.targets
+    rng = np.random.default_rng(cfg.seed)
+    params = model.parameters()
+    vel = {k: np.zeros_like(p) for k, p in params.items()}
+    mom = {k: np.zeros_like(p) for k, p in params.items()}
+    step = 0
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(inputs))
+        losses = []
+        for b0 in range(0, len(inputs), cfg.batch_size):
+            sel = order[b0:b0 + cfg.batch_size]
+            raw, cache = forward_pass(model, inputs[sel])
+            value, d_raw = head_loss_and_grad(model, raw, targets[sel], loss)
+            grads = backward_fn(model, cache, d_raw)
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            if norm > cfg.clip_norm:
+                for g in grads.values():
+                    g *= cfg.clip_norm / norm
+            step += 1
+            for k, p in params.items():
+                g = grads[k]
+                if cfg.optimizer == "momentum":
+                    vel[k] = cfg.momentum * vel[k] + g
+                    p -= cfg.learning_rate * vel[k]
+                else:
+                    b1, b2, eps = 0.9, 0.999, 1e-8
+                    mom[k] = b1 * mom[k] + (1 - b1) * g
+                    vel[k] = b2 * vel[k] + (1 - b2) * g**2
+                    mhat = mom[k] / (1 - b1**step)
+                    vhat = vel[k] / (1 - b2**step)
+                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            losses.append(value)
+        history.append(float(np.mean(losses)))
+    return history
+
+
+def production_windows(n=46, t=10, seed=0):
+    """n windows of a two-zone random walk: batches of 32 and n - 32."""
+    walk = np.random.default_rng(seed).normal(scale=0.3, size=(n + t, 2)).cumsum(axis=0)
+    inputs = np.stack([walk[i:i + t] for i in range(n)])
+    return WindowSet(inputs=inputs, targets=walk[t:], target_days=None)
+
+
+class TestTrainAgainstReference:
+    @pytest.mark.parametrize("optimizer,lr", [("momentum", 0.05), ("adam", 0.01)])
+    @pytest.mark.parametrize("cell_kind,head", [("gru", "mdn"), ("gru", "point"),
+                                                ("lstm", "point")])
+    def test_updates_match_out_of_place_formulas_bit_for_bit(self, optimizer, lr,
+                                                              cell_kind, head):
+        # no clipping, same backward: only the in-place updates differ
+        cfg = TrainConfig(learning_rate=lr, epochs=2, seed=4, optimizer=optimizer,
+                          clip_norm=1e300)
+        loss = "gmm_nll" if head == "mdn" else "mse"
+        ws = production_windows()
+        model = production_model(cell_kind, head, seed=2)
+        ref = model.copy()
+        _, history = train(model, ws, cfg)
+        want = reference_train(ref, ws, cfg, loss, backward)
+        assert history == want
+        for name, arr in ref.parameters().items():
+            np.testing.assert_array_equal(model.parameters()[name], arr, err_msg=name)
+
+    @pytest.mark.parametrize("optimizer,lr", [("momentum", 0.05), ("adam", 0.01)])
+    @pytest.mark.parametrize("cell_kind,head", [("gru", "mdn"), ("lstm", "point")])
+    def test_three_epochs_match_the_per_step_oracle(self, optimizer, lr, cell_kind,
+                                                    head):
+        cfg = TrainConfig(learning_rate=lr, epochs=3, seed=5, optimizer=optimizer,
+                          clip_norm=1.0)
+        loss = "gmm_nll" if head == "mdn" else "mse"
+        ws = production_windows(seed=1)
+        model = production_model(cell_kind, head, seed=3)
+        ref = model.copy()
+        _, history = train(model, ws, cfg)
+        want = reference_train(ref, ws, cfg, loss, oracle_backward)
+        np.testing.assert_allclose(history, want, rtol=1e-9)
+        for name, arr in ref.parameters().items():
+            np.testing.assert_allclose(model.parameters()[name], arr, rtol=1e-9,
+                                       err_msg=name)
 
 
 def toy_windows(n=20, ws=5, z=1, seed=0):
