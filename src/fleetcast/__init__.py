@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .data import (
     DemandSeries,
     Standardizer,
-    TripRecord,
+    TripTable,
     WindowSet,
     ZoneBox,
     ZoneMap,

@@ -163,9 +163,9 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 def cmd_ingest(cfg: PipelineConfig, args) -> int:
     out = _data_dir(cfg)
     trips_path = _require(out / cfg.trips_file, "trips")
-    records, ingest_report = ingest_trips(trips_path)
     zones = ZoneMap.parse(cfg.zones)
-    series, agg_report = aggregate_demand(records, zones, count=cfg.count_field)
+    trips, ingest_report = ingest_trips(trips_path)
+    series, agg_report = aggregate_demand(trips, zones, count=cfg.count_field)
     demand_path = out / cfg.demand_file
     series.to_csv(demand_path)
     report_path = out / "ingest_report.json"

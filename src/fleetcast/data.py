@@ -1,10 +1,15 @@
 """Trip ingestion and the per-zone daily demand series.
 
-Raw trip CSVs become TripRecords, records aggregate into a gap-free
-Z x D demand matrix (first-match zone boxes, UTC pickup dates), the
-series splits chronologically and slices into sliding windows for the
-sequence models. Demand counts trips by default; passengers is a config
-choice.
+A raw trip CSV becomes a columnar TripTable: one array per field, ordered
+by pickup time. The file is read with `csv.reader` in chunks of
+CHUNK_ROWS rows; each chunk is parsed a column at a time, and its
+malformed rows are dropped by one mask per rejection rule, so memory is
+bounded by the accepted columns plus one chunk of text. The table
+aggregates into a gap-free Z x D demand matrix: first-match zone boxes
+(one mask per box) and UTC pickup dates from epoch-day arithmetic that
+agrees with `datetime.fromtimestamp`. The series splits chronologically
+and slices into sliding windows for the sequence models. Demand counts
+trips by default; passengers is a config choice.
 """
 
 from __future__ import annotations
@@ -12,25 +17,59 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 REQUIRED_FIELDS = ("pickup_time", "pickup_lat", "pickup_lon",
                    "dropoff_lat", "dropoff_lon", "passengers")
+CHUNK_ROWS = 4096  # CSV rows parsed per step of `ingest_trips`
+EPOCH = dt.date(1970, 1, 1)
+# the days `datetime` can represent, counted from EPOCH
+_DAY_MIN = dt.date.min.toordinal() - EPOCH.toordinal()
+_DAY_MAX = dt.date.max.toordinal() - EPOCH.toordinal()
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    pickup_time: float  # UTC epoch seconds
-    pickup_lat: float
-    pickup_lon: float
-    dropoff_lat: float
-    dropoff_lon: float
-    passengers: int
+def utc_days(times) -> tuple[np.ndarray, np.ndarray]:
+    """UTC day of each epoch timestamp, counted from EPOCH, plus a mask of
+    the timestamps that `datetime` can represent.
 
-    def pickup_date(self) -> dt.date:
-        return dt.datetime.fromtimestamp(self.pickup_time, tz=dt.timezone.utc).date()
+    Agrees with `datetime.fromtimestamp(t, timezone.utc).date()`: like
+    CPython, it splits off the fraction with modf and rounds it half-even
+    to the microsecond, so a time within half a microsecond of midnight
+    carries into the next day.
+    """
+    times = np.asarray(times, dtype=float)
+    finite = np.abs(times) < 1e13  # beyond datetime's years 1-9999; False for nan
+    frac, whole = np.modf(np.where(finite, times, 0.0))
+    micros = np.rint(frac * 1e6)
+    seconds = whole.astype(np.int64) + (micros >= 1e6) - (micros < 0)
+    days = seconds // 86400
+    return days, finite & (days >= _DAY_MIN) & (days <= _DAY_MAX)
+
+
+@dataclass
+class TripTable:
+    """Accepted trips as columns, one row per trip, ordered by pickup time."""
+
+    pickup_time: np.ndarray  # UTC epoch seconds
+    pickup_lat: np.ndarray
+    pickup_lon: np.ndarray
+    dropoff_lat: np.ndarray
+    dropoff_lon: np.ndarray
+    passengers: np.ndarray  # int64
+
+    def __post_init__(self):
+        for name in REQUIRED_FIELDS[:-1]:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        self.passengers = np.asarray(self.passengers, dtype=np.int64)
+        if len({len(getattr(self, name)) for name in REQUIRED_FIELDS}) != 1:
+            raise ValueError("trip columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.pickup_time)
 
 
 @dataclass(frozen=True)
@@ -41,9 +80,18 @@ class ZoneBox:
     lon_min: float
     lon_max: float
 
-    def contains(self, lat: float, lon: float) -> bool:
-        return (self.lat_min <= lat <= self.lat_max
-                and self.lon_min <= lon <= self.lon_max)
+    def __post_init__(self):
+        bounds = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"zone {self.zone_id!r} has a non-finite bound: {bounds}")
+        if self.lat_min > self.lat_max or self.lon_min > self.lon_max:
+            raise ValueError(f"zone {self.zone_id!r} has a minimum above its "
+                             f"maximum: {bounds}")
+
+    def contains(self, lat, lon):
+        """Elementwise on arrays; the bounds are inclusive."""
+        return ((self.lat_min <= lat) & (lat <= self.lat_max)
+                & (self.lon_min <= lon) & (lon <= self.lon_max))
 
 
 @dataclass
@@ -61,12 +109,18 @@ class ZoneMap:
     def zone_ids(self) -> list[str]:
         return [z.zone_id for z in self.zones]
 
-    def locate(self, lat: float, lon: float) -> str | None:
-        """First matching box wins; boxes may overlap or leave gaps."""
-        for z in self.zones:
-            if z.contains(lat, lon):
-                return z.zone_id
-        return None
+    def locate(self, lat, lon) -> np.ndarray:
+        """Position of the first box containing each point, -1 for none.
+
+        Boxes may overlap or leave gaps; painting the box masks in reverse
+        order leaves the first match on top.
+        """
+        lat = np.asarray(lat, dtype=float)
+        lon = np.asarray(lon, dtype=float)
+        out = np.full(lat.shape, -1, dtype=np.intp)
+        for pos in range(len(self.zones) - 1, -1, -1):
+            out[self.zones[pos].contains(lat, lon)] = pos
+        return out
 
     @classmethod
     def parse(cls, text: str) -> "ZoneMap":
@@ -76,7 +130,11 @@ class ZoneMap:
             if not part:
                 continue
             zone_id, _, nums = part.partition(":")
-            vals = [float(v) for v in nums.split(",")]
+            try:
+                vals = [float(v) for v in nums.split(",")]
+            except ValueError:
+                raise ValueError(f"zone {zone_id!r} has a bound that is not a number: "
+                                 f"{nums!r}") from None
             if len(vals) != 4:
                 raise ValueError(f"zone {zone_id!r} needs 4 numbers, got {len(vals)}")
             zones.append(ZoneBox(zone_id.strip(), *vals))
@@ -94,9 +152,9 @@ class IngestReport:
     rejected: int = 0
     reasons: dict = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rejected += 1
-        self.reasons[reason] = self.reasons.get(reason, 0) + 1
+    def reject(self, reason: str, count: int = 1) -> None:
+        self.rejected += count
+        self.reasons[reason] = self.reasons.get(reason, 0) + count
 
     def to_dict(self) -> dict:
         return {"total": self.total, "accepted": self.accepted,
@@ -116,58 +174,100 @@ def _parse_timestamp(text: str) -> float:
     return parsed.timestamp()
 
 
+def _parse_column(texts: list, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Values of `convert(text)` for each cell, plus a mask of the cells it
+    parsed. A value outside `dtype` fails to parse.
+
+    The whole column is converted at once; only a column holding a bad
+    cell is redone cell by cell.
+    """
+    try:
+        return (np.fromiter(map(convert, texts), dtype, len(texts)),
+                np.ones(len(texts), dtype=bool))
+    except (OverflowError, ValueError):
+        pass
+    values = np.zeros(len(texts), dtype=dtype)
+    parsed = np.zeros(len(texts), dtype=bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = convert(text)
+        except (OverflowError, ValueError):
+            continue
+        parsed[i] = True
+    return values, parsed
+
+
+def _parse_chunk(rows: list, positions: list, report: IngestReport) -> list:
+    """Columns of the rows that pass every check; counts the rest in `report`.
+
+    A row is rejected for the first failed check, in the order listed. A
+    cell missing from a short row reads as empty, which fails to parse.
+    """
+    if min(map(len, rows)) > max(positions):
+        cells = [[row[p] for row in rows] for p in positions]
+    else:
+        cells = [[row[p] if p < len(row) else "" for row in rows] for p in positions]
+    times, time_ok = _parse_column(cells[0], _parse_timestamp, float)
+    time_ok &= utc_days(times)[1]
+    coords = [_parse_column(col, float, float) for col in cells[1:5]]
+    coord_ok = np.logical_and.reduce([ok for _, ok in coords])
+    plat, plon, dlat, dlon = (vals for vals, _ in coords)
+    passengers, pax_ok = _parse_column(cells[5], int, np.int64)
+    checks = (
+        ("bad_timestamp", time_ok),
+        ("bad_coordinate", coord_ok),
+        ("latitude_out_of_range",
+         (-90.0 <= plat) & (plat <= 90.0) & (-90.0 <= dlat) & (dlat <= 90.0)),
+        ("longitude_out_of_range",
+         (-180.0 <= plon) & (plon <= 180.0) & (-180.0 <= dlon) & (dlon <= 180.0)),
+        ("bad_passengers", pax_ok),
+        ("negative_passengers", passengers >= 0),
+    )
+    keep = np.ones(len(rows), dtype=bool)
+    for reason, ok in checks:
+        failed = int(np.count_nonzero(keep & ~ok))
+        if failed:
+            report.reject(reason, failed)
+        keep &= ok
+    report.total += len(rows)
+    report.accepted += int(np.count_nonzero(keep))
+    return [col[keep] for col in (times, plat, plon, dlat, dlon, passengers)]
+
+
 def ingest_trips(path, schema: dict | None = None):
-    """Parse a trip CSV into records plus a per-reason rejection report.
+    """Parse a trip CSV into a TripTable plus a per-reason rejection report.
 
     `schema` maps required field names to the file's column names (field
-    names themselves by default). Malformed rows are skipped and counted,
-    never fatal; a missing column or unreadable file is fatal.
+    names themselves by default; of repeated names the last column
+    counts). Blank lines are skipped; malformed rows are skipped and
+    counted, never fatal; a missing column or unreadable file is fatal.
+    A timestamp `datetime` cannot represent is a bad timestamp, and a
+    passenger count outside int64 is a bad passenger count. The table is
+    sorted by pickup time, stably, so ties keep file order.
     """
     schema = dict(schema or {})
     for name in REQUIRED_FIELDS:
         schema.setdefault(name, name)
     report = IngestReport()
-    records = []
+    chunks = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None:
-            missing = [schema[f] for f in REQUIRED_FIELDS
-                       if schema[f] not in reader.fieldnames]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None:
+            missing = [schema[f] for f in REQUIRED_FIELDS if schema[f] not in header]
             if missing:
                 raise ValueError(f"input is missing required columns: {missing}")
-        for row in reader:
-            report.total += 1
-            try:
-                ts = _parse_timestamp(row[schema["pickup_time"]])
-            except (ValueError, TypeError, KeyError):
-                report.reject("bad_timestamp")
-                continue
-            try:
-                plat = float(row[schema["pickup_lat"]])
-                plon = float(row[schema["pickup_lon"]])
-                dlat = float(row[schema["dropoff_lat"]])
-                dlon = float(row[schema["dropoff_lon"]])
-            except (ValueError, TypeError, KeyError):
-                report.reject("bad_coordinate")
-                continue
-            if not (-90.0 <= plat <= 90.0 and -90.0 <= dlat <= 90.0):
-                report.reject("latitude_out_of_range")
-                continue
-            if not (-180.0 <= plon <= 180.0 and -180.0 <= dlon <= 180.0):
-                report.reject("longitude_out_of_range")
-                continue
-            try:
-                pax = int(row[schema["passengers"]])
-            except (ValueError, TypeError, KeyError):
-                report.reject("bad_passengers")
-                continue
-            if pax < 0:
-                report.reject("negative_passengers")
-                continue
-            records.append(TripRecord(ts, plat, plon, dlat, dlon, pax))
-            report.accepted += 1
-    records.sort(key=lambda r: r.pickup_time)
-    return records, report
+            positions = [len(header) - 1 - header[::-1].index(schema[f])
+                         for f in REQUIRED_FIELDS]
+            while raw := list(islice(reader, CHUNK_ROWS)):
+                rows = [row for row in raw if row]
+                if rows:
+                    chunks.append(_parse_chunk(rows, positions, report))
+    if not chunks:
+        chunks = [[np.zeros(0)] * 5 + [np.zeros(0, dtype=np.int64)]]
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    order = np.argsort(columns[0], kind="stable")
+    return TripTable(*(col[order] for col in columns)), report
 
 
 @dataclass
@@ -251,39 +351,38 @@ class AggregationReport:
                 "zero_filled_days": [d.isoformat() for d in self.zero_filled_days]}
 
 
-def aggregate_demand(trips, zones: ZoneMap, count: str = "trips"):
+def aggregate_demand(trips: TripTable, zones: ZoneMap, count: str = "trips"):
     """Count trips (or passengers) per zone per UTC pickup date.
 
     Trips matching no zone are dropped and counted; calendar gaps between
-    the first and last matched day are zero-filled and flagged.
+    the first and last matched day are zero-filled and flagged. Each
+    zone-day sum adds its trips in table order, as a row-by-row loop would.
     """
     if count not in ("trips", "passengers"):
         raise ValueError("count must be 'trips' or 'passengers'")
     report = AggregationReport()
-    zone_pos = {zid: i for i, zid in enumerate(zones.zone_ids)}
-    counts: dict[tuple[int, dt.date], float] = {}
-    seen_days: set[dt.date] = set()
-    for trip in trips:
-        zid = zones.locate(trip.pickup_lat, trip.pickup_lon)
-        if zid is None:
-            report.dropped_no_zone += 1
-            continue
-        report.matched += 1
-        day = trip.pickup_date()
-        seen_days.add(day)
-        key = (zone_pos[zid], day)
-        counts[key] = counts.get(key, 0.0) + (1.0 if count == "trips" else trip.passengers)
-    if not seen_days:
-        return (DemandSeries([], zones.zone_ids, np.zeros((len(zones.zones), 0))),
-                report)
-    first, last = min(seen_days), max(seen_days)
-    n_days = (last - first).days + 1
-    days = [first + dt.timedelta(days=i) for i in range(n_days)]
-    values = np.zeros((len(zones.zones), n_days))
-    for (zi, day), units in counts.items():
-        values[zi, (day - first).days] = units
-    report.zero_filled_days = [d for d in days if d not in seen_days]
-    return DemandSeries(days, zones.zone_ids, values), report
+    zone = zones.locate(trips.pickup_lat, trips.pickup_lon)
+    hit = zone >= 0
+    zone = zone[hit]
+    report.matched = len(zone)
+    report.dropped_no_zone = len(trips) - report.matched
+    n_zones = len(zones.zones)
+    if not report.matched:
+        return DemandSeries([], zones.zone_ids, np.zeros((n_zones, 0))), report
+    days, valid = utc_days(trips.pickup_time[hit])
+    if not valid.all():
+        raise ValueError("pickup times outside the dates datetime can represent")
+    first = int(days.min())
+    n_days = int(days.max()) - first + 1
+    offset = days - first
+    weights = None if count == "trips" else trips.passengers[hit].astype(float)
+    values = np.bincount(zone * n_days + offset, weights=weights,
+                         minlength=n_zones * n_days).astype(float)
+    start = EPOCH + dt.timedelta(days=first)
+    day_list = [start + dt.timedelta(days=i) for i in range(n_days)]
+    seen = np.bincount(offset, minlength=n_days) > 0
+    report.zero_filled_days = [d for d, s in zip(day_list, seen) if not s]
+    return DemandSeries(day_list, zones.zone_ids, values.reshape(n_zones, n_days)), report
 
 
 def chronological_split(series: DemandSeries, train_end: dt.date,

@@ -4,19 +4,24 @@ A hidden two-state Markov regime flips which zone group is hot each day,
 so the one-step-ahead predictive distribution is a two-mode mixture
 (stay probability on the current mode, switch probability on the
 other). The generator emits either a demand series directly or a raw
-trip CSV whose aggregation reproduces that series, letting the whole
-pipeline run without external data.
+trip CSV whose aggregation reproduces that series exactly, letting the
+whole pipeline run without external data. The CSV writer draws each
+column for all rows at once and formats the rows in fixed-size chunks,
+so memory is bounded by the drawn columns plus one chunk of text.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries, ZoneBox, ZoneMap
+from .data import EPOCH, REQUIRED_FIELDS, DemandSeries, ZoneBox, ZoneMap
+
+WRITE_CHUNK_ROWS = 8192  # rows formatted per write of `write_trips_csv`
+# a trip row as the csv module writes it: comma-separated, CRLF-terminated
+ROW_FORMAT = "%.3f,%.6f,%.6f,%.6f,%.6f,%d\r\n"
 
 
 def default_zone_map(n_zones: int = 2) -> ZoneMap:
@@ -75,37 +80,52 @@ def generate_demand(cfg: SyntheticConfig) -> tuple[DemandSeries, np.ndarray]:
     return series, regimes
 
 
+def _micro_degrees_inside(box: ZoneBox) -> np.ndarray:
+    """Lowest and highest latitude, then longitude, in millionths of a
+    degree, of the 6-decimal points strictly inside the box."""
+    bounds = np.array([box.lat_min, box.lat_max, box.lon_min, box.lon_max]) * 1e6
+    inside = np.rint(bounds).astype(np.int64) + (1, -1, 1, -1)
+    if inside[0] > inside[1] or inside[2] > inside[3]:
+        raise ValueError(f"zone {box.zone_id!r} is too narrow to hold a 6-decimal "
+                         f"coordinate strictly inside it")
+    return inside
+
+
 def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int,
                     max_passengers: int = 4) -> int:
     """Expand a demand series into one pickup row per demand unit.
 
-    Pickup coordinates are uniform inside the zone box and timestamps
-    uniform within the UTC day, so aggregating the file reproduces the
-    series exactly. Returns the row count.
+    Rows run day by day and, within a day, zone by zone. Each column is
+    drawn for all rows in one generator call: timestamps uniform within
+    the UTC day, pickups uniform over the 6-decimal points strictly
+    inside the zone box, then dropoffs and passengers. A pickup never
+    lies on an edge a neighbouring box shares, so aggregating the file
+    with the same non-overlapping boxes reproduces the series exactly.
+    Rows are formatted and written WRITE_CHUNK_ROWS at a time. Returns
+    the row count.
     """
     rng = np.random.default_rng(seed)
     boxes = {z.zone_id: z for z in zones.zones}
-    n_rows = 0
+    series_boxes = [boxes[zid] for zid in series.zone_ids]
+    counts = np.rint(series.values.T).astype(np.int64)  # days x zones, row order
+    n_rows = int(counts.sum())
+    zone = np.repeat(np.tile(np.arange(series.n_zones), series.n_days), counts.ravel())
+    day_start = 86400.0 * np.array([(day - EPOCH).days for day in series.days])
+    lat_lo, lat_hi, lon_lo, lon_hi = np.array([_micro_degrees_inside(b)
+                                               for b in series_boxes]).T
+    columns = [
+        np.repeat(day_start, counts.sum(axis=1)) + rng.uniform(0.0, 86399.0, n_rows),
+        rng.integers(lat_lo[zone], lat_hi[zone], endpoint=True) / 1e6,
+        rng.integers(lon_lo[zone], lon_hi[zone], endpoint=True) / 1e6,
+        rng.uniform(40.70, 40.80, n_rows),
+        rng.uniform(-74.00, -73.95, n_rows),
+        rng.integers(1, max_passengers + 1, n_rows),
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pickup_time", "pickup_lat", "pickup_lon",
-                         "dropoff_lat", "dropoff_lon", "passengers"])
-        for d, day in enumerate(series.days):
-            day_start = dt.datetime(day.year, day.month, day.day,
-                                    tzinfo=dt.timezone.utc).timestamp()
-            for zi, zid in enumerate(series.zone_ids):
-                box = boxes[zid]
-                count = int(round(series.values[zi, d]))
-                for _ in range(count):
-                    ts = day_start + float(rng.uniform(0.0, 86399.0))
-                    plat = float(rng.uniform(box.lat_min, box.lat_max))
-                    plon = float(rng.uniform(box.lon_min, box.lon_max))
-                    dlat = float(rng.uniform(40.70, 40.80))
-                    dlon = float(rng.uniform(-74.00, -73.95))
-                    pax = int(rng.integers(1, max_passengers + 1))
-                    writer.writerow([f"{ts:.3f}", f"{plat:.6f}", f"{plon:.6f}",
-                                     f"{dlat:.6f}", f"{dlon:.6f}", pax])
-                    n_rows += 1
+        fh.write(",".join(REQUIRED_FIELDS) + "\r\n")
+        for start in range(0, n_rows, WRITE_CHUNK_ROWS):
+            block = np.column_stack([c[start : start + WRITE_CHUNK_ROWS] for c in columns])
+            fh.write((ROW_FORMAT * len(block)) % tuple(block.ravel().tolist()))
     return n_rows
 
 

@@ -140,6 +140,25 @@ class TestPipeline:
         assert (run / "trips.csv").exists()
 
 
+class TestTripRoundTrip:
+    @pytest.mark.parametrize("seed", [9, 4])
+    def test_default_synth_then_ingest_reproduces_the_truth(self, tmp_path, seed):
+        cfg = tmp_path / "default.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'run'}\nseed = {seed}\n")
+        assert call(cfg, "synth") == 0
+        assert call(cfg, "ingest") == 0
+        run = tmp_path / "run"
+        assert (run / "demand.csv").read_bytes() == (run / "truth_demand.csv").read_bytes()
+
+    def test_inverted_zone_box_exits_2_naming_the_zone(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_zones.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'run'}\n"
+                       "synth_days = 10\nzones = A:40.75,40.70,-74.00,-73.95\n")
+        assert call(cfg, "synth") == 0
+        assert call(cfg, "ingest") == 2
+        assert "zone 'A'" in capsys.readouterr().err
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, tmp_path):
         reports = []

@@ -7,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetcast.data import (
+    EPOCH,
     DemandSeries,
     Standardizer,
+    TripTable,
     ZoneBox,
     ZoneMap,
     aggregate_demand,
     chronological_split,
     ingest_trips,
     make_windows,
+    utc_days,
 )
 
 TWO_ZONES = ZoneMap([
@@ -35,21 +38,21 @@ class TestIngest:
     def test_identity_parse_of_a_single_row(self, tmp_path):
         path = tmp_path / "trips.csv"
         write_csv(path, [["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, 2]])
-        records, report = ingest_trips(path)
+        table, report = ingest_trips(path)
         assert report.total == 1 and report.accepted == 1 and report.rejected == 0
-        rec = records[0]
+        assert len(table) == 1
         want_ts = dt.datetime(2019, 4, 1, 8, tzinfo=dt.timezone.utc).timestamp()
-        assert rec.pickup_time == pytest.approx(want_ts)
-        assert (rec.pickup_lat, rec.pickup_lon) == (40.75, -73.99)
-        assert (rec.dropoff_lat, rec.dropoff_lon) == (40.70, -74.01)
-        assert rec.passengers == 2
-        assert rec.pickup_date() == dt.date(2019, 4, 1)
+        assert table.pickup_time[0] == pytest.approx(want_ts)
+        assert (table.pickup_lat[0], table.pickup_lon[0]) == (40.75, -73.99)
+        assert (table.dropoff_lat[0], table.dropoff_lon[0]) == (40.70, -74.01)
+        assert table.passengers[0] == 2
+        assert pickup_date(table, 0) == dt.date(2019, 4, 1)
 
     def test_empty_file_gives_empty_collection(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        records, report = ingest_trips(path)
-        assert records == [] and report.accepted == 0 and report.total == 0
+        table, report = ingest_trips(path)
+        assert len(table) == 0 and report.accepted == 0 and report.total == 0
 
     def test_fixture_rejection_counts_match_row_oracle(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -67,12 +70,12 @@ class TestIngest:
         assert expect_bad == 7
         path = tmp_path / "fixture.csv"
         write_csv(path, rows)
-        records, report = ingest_trips(path)
+        table, report = ingest_trips(path)
         assert report.total == 100
         assert report.accepted == 93
         assert report.rejected == 7
         assert report.reasons == {"latitude_out_of_range": 7}
-        assert len(records) == 93
+        assert len(table) == 93
 
     def test_malformed_rows_are_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -83,7 +86,7 @@ class TestIngest:
             ["2019-04-01T08:00Z", 40.75, -200.0, 40.70, -74.01, 1],
             ["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, 2],
         ])
-        records, report = ingest_trips(path)
+        table, report = ingest_trips(path)
         assert report.accepted == 1 and report.rejected == 4
         assert report.reasons == {"bad_timestamp": 1, "bad_coordinate": 1,
                                   "negative_passengers": 1,
@@ -95,10 +98,52 @@ class TestIngest:
                   header=("t", "plat", "plon", "dlat", "dlon", "pax"))
         schema = {"pickup_time": "t", "pickup_lat": "plat", "pickup_lon": "plon",
                   "dropoff_lat": "dlat", "dropoff_lon": "dlon", "passengers": "pax"}
-        records, report = ingest_trips(path, schema)
+        table, report = ingest_trips(path, schema)
         assert report.accepted == 1
         with pytest.raises(ValueError, match="missing required columns"):
             ingest_trips(path)  # default schema does not match header
+
+    def test_blank_lines_skipped_and_ragged_rows_judged_by_their_cells(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("passengers,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon,"
+                        "pickup_time\r\n"
+                        "\r\n"
+                        "2,40.72,-73.97,40.70,-73.90\r\n"  # no timestamp cell
+                        "3,40.72,-73.97,40.70,-73.90,1554105600,extra\r\n"
+                        "\r\n", newline="")
+        table, report = ingest_trips(path)
+        assert (report.total, report.accepted) == (2, 1)
+        assert report.reasons == {"bad_timestamp": 1}
+        assert table.passengers.tolist() == [3]
+
+    def test_unrepresentable_times_and_oversized_passengers_rejected(self, tmp_path):
+        path = tmp_path / "extreme.csv"
+        write_csv(path, [["1e13", 40.75, -73.99, 40.70, -74.01, 1],
+                         ["nan", 40.75, -73.99, 40.70, -74.01, 1],
+                         ["0001-01-01T00:30+01:00", 40.75, -73.99, 40.70, -74.01, 1],
+                         ["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, 2**63],
+                         ["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, 2**63 - 1]])
+        table, report = ingest_trips(path)
+        assert report.reasons == {"bad_timestamp": 3, "bad_passengers": 1}
+        assert table.passengers.tolist() == [2**63 - 1]
+
+    def test_rows_sorted_stably_by_pickup_time(self, tmp_path):
+        path = tmp_path / "unsorted.csv"
+        write_csv(path, [[30, 40.75, -73.99, 40.70, -74.01, 1],
+                         [10, 40.75, -73.99, 40.70, -74.01, 2],
+                         [30, 40.75, -73.99, 40.70, -74.01, 3],
+                         [20, 40.75, -73.99, 40.70, -74.01, 4]])
+        table, _ = ingest_trips(path)
+        assert table.pickup_time.tolist() == [10, 20, 30, 30]
+        assert table.passengers.tolist() == [2, 4, 1, 3]
+
+    def test_repeated_column_name_reads_the_last_column(self, tmp_path):
+        path = tmp_path / "repeated.csv"
+        write_csv(path, [["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, "x", 3]],
+                  header=("pickup_time", "pickup_lat", "pickup_lon", "dropoff_lat",
+                          "dropoff_lon", "passengers", "passengers"))
+        table, report = ingest_trips(path)
+        assert report.accepted == 1 and table.passengers.tolist() == [3]
 
     def test_unreadable_file_is_fatal(self, tmp_path):
         with pytest.raises(OSError):
@@ -108,30 +153,42 @@ class TestIngest:
         ts = dt.datetime(2019, 4, 2, tzinfo=dt.timezone.utc).timestamp()
         path = tmp_path / "epoch.csv"
         write_csv(path, [[ts, 40.72, -73.97, 40.71, -73.96, 1]])
-        records, _ = ingest_trips(path)
-        assert records[0].pickup_date() == dt.date(2019, 4, 2)
+        table, _ = ingest_trips(path)
+        assert pickup_date(table, 0) == dt.date(2019, 4, 2)
 
 
-def trip(day, hour, lat, lon, pax=1):
-    ts = dt.datetime(2019, 4, day, hour, tzinfo=dt.timezone.utc).timestamp()
-    from fleetcast.data import TripRecord
+def pickup_date(table, i):
+    return dt.datetime.fromtimestamp(table.pickup_time[i], tz=dt.timezone.utc).date()
 
-    return TripRecord(ts, lat, lon, 40.7, -73.9, pax)
+
+def trip(day, hour, lat, lon, pax=1, seconds=0):
+    """One trip's fields: (pickup time, pickup lat, lon, dropoff lat, lon, pax)."""
+    ts = dt.datetime(2019, 4, day, hour, tzinfo=dt.timezone.utc).timestamp() + seconds
+    return (ts, lat, lon, 40.7, -73.9, pax)
+
+
+def table_of(trips):
+    if not trips:
+        return TripTable([], [], [], [], [], [])
+    return TripTable(*zip(*trips))
+
+
+def date_of(t):
+    return dt.datetime.fromtimestamp(t[0], tz=dt.timezone.utc).date()
 
 
 class TestAggregate:
     def test_simple_counting(self):
         trips = [trip(1, 8, 40.72, -73.97), trip(1, 9, 40.72, -73.97),
                  trip(1, 10, 40.72, -73.97)]
-        series, report = aggregate_demand(trips, TWO_ZONES)
+        series, report = aggregate_demand(table_of(trips), TWO_ZONES)
         assert series.values[0, 0] == 3.0
         assert series.values[1, 0] == 0.0
         assert report.matched == 3
 
     def test_day_boundary_uses_pickup_timestamp(self):
-        late = trip(1, 23, 40.72, -73.97)  # 23:59 same UTC day
-        late = type(late)(late.pickup_time + 59 * 60, *list(vars(late).values())[1:])
-        series, _ = aggregate_demand([late], TWO_ZONES)
+        late = trip(1, 23, 40.72, -73.97, seconds=59 * 60)  # 23:59 same UTC day
+        series, _ = aggregate_demand(table_of([late]), TWO_ZONES)
         assert series.days == [dt.date(2019, 4, 1)]
         assert series.values[0, 0] == 1.0
 
@@ -143,12 +200,12 @@ class TestAggregate:
             zone = int(rng.integers(0, 2))
             lat = 40.72 if zone == 0 else 40.77
             trips.append(trip(day, int(rng.integers(0, 24)), lat, -73.97))
-        series, report = aggregate_demand(trips, TWO_ZONES)
+        series, report = aggregate_demand(table_of(trips), TWO_ZONES)
         # independent group-by oracle over the fixture
         table = {}
         for t in trips:
-            zone = "A" if t.pickup_lat < 40.75 else "B"
-            table[(zone, t.pickup_date())] = table.get((zone, t.pickup_date()), 0) + 1
+            zone = "A" if t[1] < 40.75 else "B"
+            table[(zone, date_of(t))] = table.get((zone, date_of(t)), 0) + 1
         assert series.values.shape == (2, 5)
         for (zone, day), count in table.items():
             zi = series.zone_ids.index(zone)
@@ -157,13 +214,13 @@ class TestAggregate:
 
     def test_unmatched_trips_dropped_and_counted(self):
         trips = [trip(1, 8, 40.72, -73.97), trip(1, 9, 10.0, 10.0)]
-        series, report = aggregate_demand(trips, TWO_ZONES)
+        series, report = aggregate_demand(table_of(trips), TWO_ZONES)
         assert report.matched == 1 and report.dropped_no_zone == 1
         assert series.values.sum() == 1.0
 
     def test_gap_days_zero_filled_and_flagged(self):
         trips = [trip(1, 8, 40.72, -73.97), trip(4, 9, 40.72, -73.97)]
-        series, report = aggregate_demand(trips, TWO_ZONES)
+        series, report = aggregate_demand(table_of(trips), TWO_ZONES)
         assert series.n_days == 4
         assert [d.isoformat() for d in report.zero_filled_days] == \
             ["2019-04-02", "2019-04-03"]
@@ -172,16 +229,16 @@ class TestAggregate:
     def test_first_match_wins_on_overlap(self):
         overlapping = ZoneMap([ZoneBox("first", 40.0, 41.0, -75.0, -73.0),
                                ZoneBox("second", 40.0, 41.0, -75.0, -73.0)])
-        series, _ = aggregate_demand([trip(1, 8, 40.5, -74.0)], overlapping)
+        series, _ = aggregate_demand(table_of([trip(1, 8, 40.5, -74.0)]), overlapping)
         assert series.values[0, 0] == 1.0 and series.values[1, 0] == 0.0
 
     def test_passenger_counting_mode(self):
         trips = [trip(1, 8, 40.72, -73.97, pax=3), trip(1, 9, 40.72, -73.97, pax=2)]
-        series, _ = aggregate_demand(trips, TWO_ZONES, count="passengers")
+        series, _ = aggregate_demand(table_of(trips), TWO_ZONES, count="passengers")
         assert series.values[0, 0] == 5.0
 
     def test_empty_input_gives_empty_series(self):
-        series, report = aggregate_demand([], TWO_ZONES)
+        series, report = aggregate_demand(table_of([]), TWO_ZONES)
         assert series.n_days == 0 and report.matched == 0
 
 
@@ -288,6 +345,64 @@ class TestSeriesIO:
         back = ZoneMap.parse(text)
         assert back.zone_ids == ["A", "B"]
         assert back.zones[0] == TWO_ZONES.zones[0]
+
+
+class TestZoneMap:
+    @pytest.mark.parametrize("spec", [
+        "A:40.70,40.75,-74.00,-73.95;B:40.80,40.75,-74.00,-73.95",  # lat min > max
+        "B:40.75,40.80,-73.95,-74.00",                             # lon min > max
+        "B:nan,40.80,-74.00,-73.95",
+        "B:40.75,inf,-74.00,-73.95",
+        "B:40.75,40.80,-inf,-73.95",
+        "B:40.75,x,-74.00,-73.95",
+    ])
+    def test_inverted_or_non_numeric_box_is_an_error_naming_the_zone(self, spec):
+        with pytest.raises(ValueError, match="zone 'B'"):
+            ZoneMap.parse(spec)
+
+    def test_degenerate_box_is_allowed(self):
+        zones = ZoneMap.parse("A:40.75,40.75,-74.00,-74.00")
+        assert zones.locate([40.75, 40.76], [-74.0, -74.0]).tolist() == [0, -1]
+
+    def test_locate_takes_the_first_box_and_includes_edges(self):
+        zones = ZoneMap([ZoneBox("wide", 40.0, 41.0, -75.0, -73.0),
+                         ZoneBox("inner", 40.4, 40.6, -74.1, -73.9),
+                         ZoneBox("east", 40.0, 41.0, -73.0, -72.0)])
+        lat = [40.5, 40.5, 40.5, 41.0, 39.9, np.nan]
+        lon = [-74.0, -73.0, -72.5, -75.0, -74.0, -74.0]
+        assert zones.locate(lat, lon).tolist() == [0, 0, 2, 0, -1, -1]
+        reordered = ZoneMap(zones.zones[::-1])
+        assert reordered.locate(lat, lon).tolist() == [1, 0, 0, 2, -1, -1]
+
+
+class TestUtcDays:
+    def day(self, *args):
+        return (dt.date(*args) - EPOCH).days
+
+    def test_microsecond_rounding_at_midnight(self):
+        midnight = dt.datetime(2019, 4, 2, tzinfo=dt.timezone.utc).timestamp()
+        days, valid = utc_days([midnight - 1e-6, midnight - 4e-7, midnight - 6e-7,
+                                midnight, -1e-6, -4e-7, 0.0])
+        assert valid.all()
+        assert days.tolist() == [self.day(2019, 4, 1), self.day(2019, 4, 2),
+                                 self.day(2019, 4, 1), self.day(2019, 4, 2), -1, 0, 0]
+
+    def test_unrepresentable_times_are_flagged(self):
+        first = dt.datetime(1, 1, 1, tzinfo=dt.timezone.utc).timestamp()
+        days, valid = utc_days([np.nan, np.inf, -np.inf, 1e300, first, first - 1,
+                                253402300799.0, 253402300800.0])
+        assert valid.tolist() == [False] * 4 + [True, False, True, False]
+        assert days[4] == self.day(1, 1, 1)
+        assert days[6] == self.day(9999, 12, 31)
+
+    def test_aggregating_an_unrepresentable_time_is_an_error(self):
+        table = TripTable([1e300], [40.72], [-73.97], [40.7], [-73.9], [1])
+        with pytest.raises(ValueError, match="pickup times"):
+            aggregate_demand(table, TWO_ZONES)
+
+    def test_unequal_columns_are_an_error(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            TripTable([0.0, 1.0], [40.72], [-73.97], [40.7], [-73.9], [1])
 
 
 class TestStandardizer:
