@@ -6,12 +6,19 @@ land in the config's data_dir with a sidecar manifest recording the
 config hash and seed, and contain no timestamps, so identical runs are
 byte-identical. A missing upstream artifact names the command that
 produces it.
+
+Each command does the work of its own days only. `forecast` and
+`evaluate` run the forecaster once over all their day windows.
+`optimize` reads the zone ids from the header of the demand CSV, not its
+body, and turns only the requested day's forecast records into
+mixtures. The argument parser is built once per process, so repeated
+in-process `main` calls parse with the same parser into fresh namespaces.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as dt
+import functools
 import json
 import os
 import sys
@@ -30,7 +37,9 @@ from .data import (
     chronological_split,
     ingest_trips,
     make_windows,
+    read_zone_ids,
     save_ingest_reports,
+    trailing_windows,
 )
 from .evaluate import EvalSettings, EvaluationReport, compare, rolling_evaluate
 from .recurrent import HeadSpec, TrainConfig, init_model, load_model, save_model, train
@@ -148,8 +157,14 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
         n_zones=cfg.synth_zones, n_days=cfg.synth_days, start_day=cfg.synth_start,
         seed=cfg.seed, stay_prob=cfg.synth_stay_prob, mean_high=cfg.synth_mean_high,
         mean_low=cfg.synth_mean_low, noise_sd=cfg.synth_noise_sd)
-    series, _regimes = generate_demand(scfg)
     zones = default_zone_map(cfg.synth_zones)
+    if zones != ZoneMap.parse(cfg.zones):
+        raise ValueError(
+            f"synth_zones = {cfg.synth_zones} writes trips for the zone boxes "
+            f"{zones.spec()!r}, but zones = {cfg.zones!r}, so ingest would not "
+            f"aggregate them as written; set zones = {zones.spec()} or change "
+            f"synth_zones to match zones")
+    series, _regimes = generate_demand(scfg)
     trips_path = out / cfg.trips_file
     n_rows = write_trips_csv(trips_path, series, zones, seed=cfg.seed + 1)
     truth_path = out / "truth_demand.csv"
@@ -267,17 +282,9 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
     train_end, test_end = _split_bounds(cfg, series)
     train_series, test_series = chronological_split(series, train_end, test_end)
     forecaster = _forecaster(cfg, tag)
-    full = train_series.concat(test_series)
-    ws = cfg.window_size
-    offset = train_series.n_days
-    days, dists = [], []
-    for t, day in enumerate(test_series.days):
-        pos = offset + t
-        if pos < ws:
-            continue
-        window = full.values[:, pos - ws : pos].T
-        days.append(day)
-        dists.append(forecaster.predict_distribution(window, day))
+    positions, windows = trailing_windows(train_series, test_series, cfg.window_size)
+    days = [test_series.days[t] for t in positions]
+    dists = forecaster.predict_distribution(windows, days) if days else []
     out_path = _data_dir(cfg) / "forecasts.json"
     fc.save_forecast_file(out_path, days, series.zone_ids, dists)
     _write_manifest(_data_dir(cfg) / "forecast.manifest.json", "forecast", cfg,
@@ -288,13 +295,14 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
 
 def cmd_optimize(cfg: PipelineConfig, args) -> int:
     out = _data_dir(cfg)
-    forecasts = fc.load_forecast_file(_require(out / "forecasts.json", "forecasts"))
-    series = _load_demand(cfg)
-    day = args.day
-    if day is None:
-        day = min(key[0] for key in forecasts)
-    per_zone = [forecasts[(day, zid)] for zid in series.zone_ids]
-    instance = _instance(cfg, series.n_zones)
+    day, forecasts = fc.load_forecast_day(_require(out / "forecasts.json", "forecasts"),
+                                          args.day)
+    zone_ids = read_zone_ids(_require(out / cfg.demand_file, "demand"))
+    missing = [zid for zid in zone_ids if zid not in forecasts]
+    if missing:
+        raise ValueError(f"forecasts for {day} lack zones {missing} of {cfg.demand_file}")
+    per_zone = [forecasts[zid] for zid in zone_ids]
+    instance = _instance(cfg, len(zone_ids))
     if args.saa_table:
         table = saa_convergence_table(instance, per_zone, seed=cfg.seed)
         print(format_saa_table(table))
@@ -365,7 +373,9 @@ def cmd_compare(cfg: PipelineConfig, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fleetcast",
         description="Demand-distribution forecasting feeding a scenario-based "

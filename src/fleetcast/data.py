@@ -329,8 +329,7 @@ class DemandSeries:
     def from_csv(cls, path) -> "DemandSeries":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            zone_ids = header[1:]
+            zone_ids = _demand_header(reader, path)
             days = []
             cols = []
             for row in reader:
@@ -338,6 +337,23 @@ class DemandSeries:
                 cols.append([float(v) for v in row[1:]])
         values = np.array(cols, dtype=float).T if cols else np.zeros((len(zone_ids), 0))
         return cls(days, zone_ids, values)
+
+
+def _demand_header(reader, path) -> list[str]:
+    header = next(reader, None)
+    if not header:
+        raise ValueError(f"demand file {path} is empty or starts with a blank line; "
+                         f"its first row must be the header 'date,<zone ids>'")
+    if header[0] != "date":
+        raise ValueError(f"demand file {path} starts with {header[0]!r}; its first "
+                         f"row must be the header 'date,<zone ids>'")
+    return header[1:]
+
+
+def read_zone_ids(path) -> list[str]:
+    """Zone ids from the header row of a demand CSV; the body is not read."""
+    with open(path, newline="") as fh:
+        return _demand_header(csv.reader(fh), path)
 
 
 @dataclass
@@ -437,6 +453,24 @@ def make_windows(series: DemandSeries, ws: int) -> WindowSet:
         targets[i] = table[i + ws]
     days = [series.days[i + ws] for i in range(count)]
     return WindowSet(inputs=inputs, targets=targets, target_days=days)
+
+
+def trailing_windows(history: DemandSeries, test: DemandSeries,
+                     ws: int) -> tuple[list[int], np.ndarray]:
+    """The test days that have ws days of demand before them, as positions
+    in `test`, and those days' input windows stacked as one (D, ws, Z)
+    array. Window i holds the ws days before test day positions[i], never
+    that day itself. `history` must end the day before `test` starts.
+    """
+    if ws < 1:
+        raise ValueError("window size must be at least 1")
+    table = history.concat(test).values.T  # days x zones
+    offset = history.n_days
+    positions = [t for t in range(test.n_days) if offset + t >= ws]
+    windows = np.zeros((len(positions), ws, test.n_zones))
+    for i, t in enumerate(positions):
+        windows[i] = table[offset + t - ws : offset + t]
+    return positions, windows
 
 
 @dataclass

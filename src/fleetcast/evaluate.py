@@ -4,6 +4,8 @@ For each test day the forecaster sees only the trailing window of
 realized demand, the chosen program (scenario-based or point-based) is
 solved, and the committed plan is scored against that day's realized
 demand. Day plans never see the day's own demand or anything after it.
+The forecaster is called once, with every planned day's window stacked
+into one batch; sampling, solving and scoring then run day by day.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries
+from .data import DemandSeries, trailing_windows
 from .relocation import (
     DayOutcome,
     RelocationInstance,
@@ -99,50 +101,45 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
     """Walk the test partition day by day with a frozen forecaster.
 
     `history` must end the day before `test` starts. In "stochastic"
-    mode each day samples scenarios from the predicted mixtures and
-    solves the scenario program; "deterministic" solves the single
-    point-forecast program. Days without a full trailing window are
-    skipped and reported.
+    mode each day samples scenarios from the predicted mixtures (seed
+    `settings.seed + t` on test day t) and solves the scenario program;
+    "deterministic" solves the single point-forecast program. One batched
+    forecaster call covers every planned day: all days with a full
+    trailing window, or only the first day when `settings.replan` is off,
+    whose plan then serves every day. Days without a full trailing window
+    are skipped and reported.
     """
     if mode not in ("stochastic", "deterministic"):
         raise ValueError("mode must be stochastic or deterministic")
     if test.n_days == 0:
         raise ValueError("empty test partition")
-    full = history.concat(test)
-    ws = settings.window_size
-    offset = history.n_days
+    positions, windows = trailing_windows(history, test, settings.window_size)
+    if not settings.replan:  # the first day's plan, if it has one, serves every day
+        n = 1 if positions[:1] == [0] else 0
+        positions, windows = positions[:n], windows[:n]
+    days = [test.days[t] for t in positions]
 
-    def plan_for(t):
-        pos = offset + t
-        if pos < ws:
-            return None
-        window = full.values[:, pos - ws : pos].T
-        day = test.days[t]
-        if mode == "stochastic":
-            dists = forecaster.predict_distribution(window, day)
-            scen = sample_scenarios(dists, settings.n_scenarios,
+    plans = {}
+    if positions and mode == "stochastic":
+        dists = forecaster.predict_distribution(windows, days)
+        for t, per_zone in zip(positions, dists):
+            scen = sample_scenarios(per_zone, settings.n_scenarios,
                                     seed=settings.seed + t)
-            plan, _ = solve_relocation(instance, scen)
-        else:
-            point = np.maximum(forecaster.predict_point(window, day), 0.0)
+            plans[t], _ = solve_relocation(instance, scen)
+    elif positions:
+        points = np.maximum(forecaster.predict_point(windows, days), 0.0)
+        for t, point in zip(positions, points):
             lp, index_map = deterministic_model(instance, point)
             res = require_certified(solve_lp(lp))
-            plan = extract_plan(res, index_map, instance.n_zones)
-        return plan
-
-    indices = list(range(test.n_days))
-    if settings.replan:
-        plans = [plan_for(t) for t in indices]
-    else:
-        first = plan_for(0)
-        plans = [first] * test.n_days
+            plans[t] = extract_plan(res, index_map, instance.n_zones)
 
     days, outcomes, skipped = [], [], []
-    for t in indices:
-        if plans[t] is None:
+    for t in range(test.n_days):
+        plan = plans.get(t if settings.replan else 0)
+        if plan is None:
             skipped.append(test.days[t])
             continue
-        outcomes.append(evaluate_decision(instance, plans[t], test.values[:, t]))
+        outcomes.append(evaluate_decision(instance, plan, test.values[:, t]))
         days.append(test.days[t])
     return EvaluationReport(method=f"{mode}", days=days, outcomes=outcomes,
                             skipped_days=skipped)

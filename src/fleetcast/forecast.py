@@ -1,11 +1,17 @@
 """Forecaster wrappers: trained models in, per-zone demand forecasts out.
 
-All forecasters consume the raw (unstandardized) trailing window and
-answer in demand units; standardization is applied and inverted
-internally. Two distribution routes exist: the mixture head trained
-end-to-end, and the extraction route where a point model's validation
-residuals are fitted by EM and the residual mixture rides on each day's
-point forecast.
+All forecasters consume raw (unstandardized) trailing windows and answer
+in demand units; standardization is applied and inverted internally.
+The protocol is batched: `predict_distribution(windows, days)` takes a
+(D, T, Z) stack of windows with the list of their D target days and
+returns D per-zone lists of mixtures, and `predict_point(windows, days)`
+returns a (D, Z) array. The whole stack goes through the network as one
+forward pass. A single (T, Z) window with a single day answers as one
+day: one per-zone list, or a (Z,) array.
+
+Two distribution routes exist: the mixture head trained end-to-end, and
+the extraction route where a point model's validation residuals are
+fitted by EM and the residual mixture rides on each day's point forecast.
 """
 
 from __future__ import annotations
@@ -32,19 +38,20 @@ class MixtureForecaster:
         if self.model.head.kind != "mdn":
             raise ValueError("mixture forecaster needs a mixture head")
 
-    def predict_distribution(self, history, target_day=None) -> list[GmmParams]:
-        raw = sequence_forward(self.scaler.transform(history), self.model)
+    def predict_distribution(self, windows, days=None) -> list:
+        raw = sequence_forward(self.scaler.transform(windows), self.model)
         head = self.model.head
-        shaped = raw.reshape(head.n_series, head.per_series)
-        out = []
-        for z in range(head.n_series):
-            params = mdn_transform(shaped[z, : 3 * head.k],
-                                   sigma_floor=self.model.sigma_floor)
-            out.append(params.scale(self.scaler.std[z], self.scaler.mean[z]))
-        return out
+        shaped = raw.reshape(-1, head.n_series, head.per_series)
+        out = [[mdn_transform(row[z, : 3 * head.k], sigma_floor=self.model.sigma_floor)
+                .scale(self.scaler.std[z], self.scaler.mean[z])
+                for z in range(head.n_series)] for row in shaped]
+        return out[0] if raw.ndim == 1 else out
 
-    def predict_point(self, history, target_day=None) -> np.ndarray:
-        return np.array([p.mean() for p in self.predict_distribution(history)])
+    def predict_point(self, windows, days=None) -> np.ndarray:
+        dists = self.predict_distribution(windows, days)
+        if np.ndim(windows) == 2:
+            return np.array([p.mean() for p in dists])
+        return np.array([[p.mean() for p in per_zone] for per_zone in dists])
 
 
 @dataclass
@@ -58,12 +65,11 @@ class PointForecaster:
         if self.model.head.kind != "point":
             raise ValueError("point forecaster needs a point head")
 
-    def predict_point(self, history, target_day=None) -> np.ndarray:
-        """Point forecast for one (T, Z) window, or (B, Z) for (B, T, Z) windows."""
-        raw = sequence_forward(self.scaler.transform(history), self.model)
+    def predict_point(self, windows, days=None) -> np.ndarray:
+        raw = sequence_forward(self.scaler.transform(windows), self.model)
         return self.scaler.inverse(raw)
 
-    def predict_distribution(self, history, target_day=None):
+    def predict_distribution(self, windows, days=None):
         raise NotImplementedError("point model carries no distribution; "
                                   "fit residuals with the extraction route")
 
@@ -80,31 +86,39 @@ class ResidualMixtureForecaster:
     base: PointForecaster
     residual_mixtures: list[GmmParams]
 
-    def predict_point(self, history, target_day=None) -> np.ndarray:
-        return self.base.predict_point(history)
+    def predict_point(self, windows, days=None) -> np.ndarray:
+        return self.base.predict_point(windows)
 
-    def predict_distribution(self, history, target_day=None) -> list[GmmParams]:
-        point = self.base.predict_point(history)
-        return [mix.shift(float(point[z]))
-                for z, mix in enumerate(self.residual_mixtures)]
+    def predict_distribution(self, windows, days=None) -> list:
+        points = self.base.predict_point(windows)
+        out = [[mix.shift(float(row[z])) for z, mix in enumerate(self.residual_mixtures)]
+               for row in np.atleast_2d(points)]
+        return out[0] if points.ndim == 1 else out
 
 
 @dataclass
 class PerfectForecaster:
-    """Diagnostic oracle fed the realized series; looks the target day up."""
+    """Diagnostic oracle fed the realized series; looks the target days up.
+
+    `days` is a list of target days, or one day for a single answer.
+    """
 
     truth: DemandSeries
     sigma: float = 1e-3
 
-    def predict_point(self, history, target_day=None) -> np.ndarray:
-        if target_day is None:
+    def predict_point(self, windows, days=None) -> np.ndarray:
+        if days is None:
             raise ValueError("oracle forecaster needs the target day")
-        return self.truth.values[:, self.truth.day_position(target_day)].copy()
+        if isinstance(days, (list, tuple)):
+            positions = [self.truth.day_position(day) for day in days]
+            return self.truth.values[:, positions].T.copy()
+        return self.truth.values[:, self.truth.day_position(days)].copy()
 
-    def predict_distribution(self, history, target_day=None) -> list[GmmParams]:
-        point = self.predict_point(history, target_day)
-        return [GmmParams(np.array([1.0]), np.array([v]), np.array([self.sigma]))
-                for v in point]
+    def predict_distribution(self, windows, days=None) -> list:
+        points = self.predict_point(windows, days)
+        out = [[GmmParams(np.array([1.0]), np.array([v]), np.array([self.sigma]))
+                for v in row] for row in np.atleast_2d(points)]
+        return out[0] if points.ndim == 1 else out
 
 
 def point_residuals(forecaster: PointForecaster, windows: WindowSet) -> np.ndarray:
@@ -145,8 +159,31 @@ def save_forecast_file(path, days, zone_ids, distributions) -> None:
         fh.write("\n")
 
 
+def _forecast_records(path) -> list[dict]:
+    with open(path) as fh:
+        return json.load(fh)["records"]
+
+
 def load_forecast_file(path):
     """Returns {(day iso, zone): GmmParams}."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return {(r["day"], r["zone"]): GmmParams.from_dict(r) for r in doc["records"]}
+    return {(r["day"], r["zone"]): GmmParams.from_dict(r) for r in _forecast_records(path)}
+
+
+def load_forecast_day(path, day: str | None = None) -> tuple[str, dict]:
+    """One day's forecasts as (day iso, {zone: GmmParams}).
+
+    Only that day's records become GmmParams. Without `day`, the earliest
+    forecast day is used. A day with no forecast raises ValueError naming
+    the first and last forecast days.
+    """
+    records = _forecast_records(path)
+    if not records:
+        raise ValueError(f"forecast file {path} holds no forecasts")
+    first = min(r["day"] for r in records)
+    day = first if day is None else day
+    per_zone = {r["zone"]: GmmParams.from_dict(r) for r in records if r["day"] == day}
+    if not per_zone:
+        last = max(r["day"] for r in records)
+        raise ValueError(f"no forecast for day {day!r} in {path}; forecasts cover "
+                         f"{first} to {last} (ISO dates, YYYY-MM-DD)")
+    return day, per_zone

@@ -25,12 +25,14 @@ ROW_FORMAT = "%.3f,%.6f,%.6f,%.6f,%.6f,%d\r\n"
 
 
 def default_zone_map(n_zones: int = 2) -> ZoneMap:
-    """Adjacent latitude bands over a shared longitude strip."""
-    zones = []
-    for i in range(n_zones):
-        lat0 = 40.70 + 0.05 * i
-        zones.append(ZoneBox(chr(ord("A") + i), lat0, lat0 + 0.05, -74.00, -73.95))
-    return ZoneMap(zones)
+    """Adjacent latitude bands over a shared longitude strip.
+
+    Band edges are rounded to 6 decimals, so `spec()` writes them as a
+    config's `zones` would (40.8, not 40.800000000000004).
+    """
+    edges = [round(40.70 + 0.05 * i, 6) for i in range(n_zones + 1)]
+    return ZoneMap([ZoneBox(chr(ord("A") + i), edges[i], edges[i + 1], -74.00, -73.95)
+                    for i in range(n_zones)])
 
 
 @dataclass

@@ -151,12 +151,40 @@ class TestTripRoundTrip:
         assert (run / "demand.csv").read_bytes() == (run / "truth_demand.csv").read_bytes()
 
     def test_inverted_zone_box_exits_2_naming_the_zone(self, tmp_path, capsys):
-        cfg = tmp_path / "bad_zones.cfg"
-        cfg.write_text(f"data_dir = {tmp_path / 'run'}\n"
+        good = tmp_path / "good.cfg"
+        good.write_text(f"data_dir = {tmp_path / 'run'}\nsynth_days = 10\n")
+        bad = tmp_path / "bad_zones.cfg"
+        bad.write_text(f"data_dir = {tmp_path / 'run'}\n"
                        "synth_days = 10\nzones = A:40.75,40.70,-74.00,-73.95\n")
+        assert call(good, "synth") == 0
+        capsys.readouterr()
+        for command in ("synth", "ingest"):
+            assert call(bad, command) == 2
+            assert "zone 'A'" in capsys.readouterr().err
+
+    def test_synth_zones_that_ingest_would_not_aggregate_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'run'}\nsynth_days = 30\nsynth_zones = 3\n")
+        assert call(cfg, "synth") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: synth_zones = 3 ")
+        assert "zones = 'A:40.70,40.75" in err and "C:40.8,40.85" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "trips.csv").exists()
+        assert not (tmp_path / "run" / "truth_demand.csv").exists()
+
+    def test_ten_synth_zones_with_matching_zones_round_trip_exactly(self, tmp_path):
+        from fleetcast.synth import default_zone_map
+
+        cfg = tmp_path / "ten.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'run'}\nsynth_days = 30\n"
+                       f"synth_zones = 10\nzones = {default_zone_map(10).spec()}\n")
         assert call(cfg, "synth") == 0
-        assert call(cfg, "ingest") == 2
-        assert "zone 'A'" in capsys.readouterr().err
+        assert call(cfg, "ingest") == 0
+        run = tmp_path / "run"
+        header = (run / "demand.csv").read_text().splitlines()[0]
+        assert header == "date," + ",".join("ABCDEFGHIJ")
+        assert (run / "demand.csv").read_bytes() == (run / "truth_demand.csv").read_bytes()
 
 
 class TestReproducibility:
@@ -183,3 +211,73 @@ class TestReproducibility:
                 "ckpt": file_hash(run / "checkpoints" / "mdn.bin"),
             })
         assert reports[0] == reports[1]
+
+
+@pytest.fixture()
+def plan_dir(tmp_path):
+    """A run directory holding only demand.csv and forecasts.json, made
+    without training, plus a config pointing at it."""
+    import datetime as dt
+
+    from fleetcast.data import DemandSeries
+    from fleetcast.forecast import save_forecast_file
+    from fleetcast.mdn import GmmParams
+
+    run = tmp_path / "run"
+    run.mkdir()
+    start = dt.date(2018, 8, 1)
+    days = [start + dt.timedelta(days=i) for i in range(40)]
+    rng = np.random.default_rng(3)
+    DemandSeries(days, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
+        run / "demand.csv")
+    dists = [[GmmParams(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
+                        rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[30:]]
+    save_forecast_file(run / "forecasts.json", days[30:], ["A", "B"], dists)
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(f"data_dir = {run}\nseed = 7\nn_scenarios = 25\n")
+    return run, cfg
+
+
+class TestOptimize:
+    @pytest.mark.parametrize("day", ["2030-01-01", "2018-8-31", "2018-08-29"])
+    def test_day_without_a_forecast_is_a_named_error(self, plan_dir, capsys, day):
+        _, cfg = plan_dir
+        assert call(cfg, "optimize", "--day", day) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no forecast for day '{day}'")
+        assert "2018-08-31 to 2018-09-09" in err
+        assert "Traceback" not in err
+
+    def test_forecasts_missing_a_demand_zone_is_a_named_error(self, plan_dir, capsys):
+        run, cfg = plan_dir
+        text = (run / "demand.csv").read_text().replace("date,A,B", "date,A,C", 1)
+        (run / "demand.csv").write_text(text)
+        assert call(cfg, "optimize") == 2
+        assert "lack zones ['C']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["", "\n", "day,A,B\n2018-08-01,1,2\n"])
+    def test_empty_or_headless_demand_file_exits_2_naming_it(self, plan_dir, capsys,
+                                                             body):
+        run, cfg = plan_dir
+        (run / "demand.csv").write_text(body)
+        for argv in (("optimize",), ("train", "--model", "lstm", "--epochs", "0")):
+            assert call(cfg, *argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: demand file {run / 'demand.csv'} ")
+            assert "'date,<zone ids>'" in err
+
+    def test_overrides_do_not_leak_into_the_next_call(self, plan_dir):
+        from fleetcast.cli import build_parser
+
+        run, cfg = plan_dir
+        assert build_parser() is build_parser()
+        day = "2018-09-02"
+        assert call(cfg, "optimize", "--day", day, "--seed", "3",
+                    "--n-scenarios", "10") == 0
+        first = json.loads((run / f"plan_{day}.json").read_text())
+        assert (first["seed"], first["n_scenarios"]) == (3, 10)
+        assert call(cfg, "optimize", "--day", day) == 0
+        second = json.loads((run / f"plan_{day}.json").read_text())
+        assert (second["seed"], second["n_scenarios"]) == (7, 25)
+        manifest = json.loads((run / "optimize.manifest.json").read_text())
+        assert manifest["seed"] == 7

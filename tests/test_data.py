@@ -17,6 +17,8 @@ from fleetcast.data import (
     chronological_split,
     ingest_trips,
     make_windows,
+    read_zone_ids,
+    trailing_windows,
     utc_days,
 )
 
@@ -325,6 +327,20 @@ class TestWindows:
             np.testing.assert_array_equal(out.targets[i], series.values[:, i + ws])
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 8))
+    def test_trailing_windows_end_the_day_before_their_target(self, n_hist, n_test, ws):
+        series = series_of(n_hist + n_test, n_zones=2, seed=n_hist)
+        history = series.slice_days(0, n_hist)
+        test = series.slice_days(n_hist, series.n_days)
+        positions, windows = trailing_windows(history, test, ws)
+        assert positions == [t for t in range(n_test) if n_hist + t >= ws]
+        assert windows.shape == (len(positions), ws, 2)
+        for t, window in zip(positions, windows):
+            np.testing.assert_array_equal(
+                window, series.values[:, n_hist + t - ws : n_hist + t].T)
+
+
 class TestSeriesIO:
     def test_csv_round_trip(self, tmp_path):
         series = series_of(7, n_zones=3, seed=9)
@@ -334,6 +350,25 @@ class TestSeriesIO:
         assert back.days == series.days
         assert back.zone_ids == series.zone_ids
         np.testing.assert_allclose(back.values, series.values)
+        assert read_zone_ids(path) == series.zone_ids
+
+    def test_zone_ids_come_from_the_header_alone(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("date,A,B\nnot a day,x\n")
+        assert read_zone_ids(path) == ["A", "B"]
+
+    @pytest.mark.parametrize("body, words", [
+        ("", "is empty or starts with a blank line"),
+        ("\n2019-01-01,1\n", "is empty or starts with a blank line"),
+        ("day,A\n2019-01-01,1\n", "starts with 'day'"),
+    ])
+    def test_empty_or_headless_file_is_an_error_naming_it(self, tmp_path, body, words):
+        path = tmp_path / "demand.csv"
+        path.write_text(body)
+        for read in (DemandSeries.from_csv, read_zone_ids):
+            with pytest.raises(ValueError, match=words) as exc:
+                read(path)
+            assert str(path) in str(exc.value)
 
     def test_gap_in_index_rejected(self):
         days = [dt.date(2019, 1, 1), dt.date(2019, 1, 3)]

@@ -34,19 +34,25 @@ def toy_instance(z=2, stock=6.0):
 
 
 class ConstantMixtureForecaster:
-    """Fixed per-zone mixture regardless of history; counts its calls."""
+    """Fixed per-zone mixture regardless of history, batched; records each
+    (window, day) pair it is asked about and counts its calls."""
 
     def __init__(self, dists):
         self.dists = dists
         self.seen = []
+        self.calls = 0
 
-    def predict_distribution(self, history, target_day=None):
-        self.seen.append((np.array(history, copy=True), target_day))
-        return self.dists
+    def _record(self, windows, days):
+        assert np.ndim(windows) == 3 and len(windows) == len(days)
+        self.calls += 1
+        self.seen.extend((np.array(w, copy=True), d) for w, d in zip(windows, days))
+        return len(days)
 
-    def predict_point(self, history, target_day=None):
-        self.seen.append((np.array(history, copy=True), target_day))
-        return np.array([d.mean() for d in self.dists])
+    def predict_distribution(self, windows, days=None):
+        return [self.dists] * self._record(windows, days)
+
+    def predict_point(self, windows, days=None):
+        return np.tile([d.mean() for d in self.dists], (self._record(windows, days), 1))
 
 
 def constant_forecaster(z=2, mean=5.0):
@@ -127,6 +133,8 @@ class TestRolling:
         rolling_evaluate(fc, "deterministic", history, test, toy_instance(z=1),
                          EvalSettings(window_size=5, seed=0))
         full = history.concat(test)
+        assert fc.calls == 1  # one batched call covers every test day
+        assert [day for _, day in fc.seen] == test.days
         for window, day in fc.seen:
             pos = full.day_position(day)
             np.testing.assert_array_equal(
@@ -148,10 +156,24 @@ class TestRolling:
         history, test = split(series, 25)
         settings = EvalSettings(window_size=10, n_scenarios=30, seed=4,
                                 replan=False)
-        report = rolling_evaluate(constant_forecaster(), "stochastic", history,
-                                  test, toy_instance(), settings)
+        fc = constant_forecaster()
+        report = rolling_evaluate(fc, "stochastic", history, test, toy_instance(),
+                                  settings)
         movings = {o.moving for o in report.outcomes}
         assert len(movings) == 1  # one frozen first-stage plan
+        assert report.day_count == test.n_days
+        assert [day for _, day in fc.seen] == [test.days[0]]  # only day one is forecast
+
+    def test_single_plan_mode_without_a_first_day_window_skips_every_day(self):
+        series = mk_series([[2.0] * 12])
+        history, test = split(series, 4)  # ws = 6: test day 0 has no full window
+        fc = constant_forecaster(z=1)
+        report = rolling_evaluate(fc, "stochastic", history, test, toy_instance(z=1),
+                                  EvalSettings(window_size=6, n_scenarios=10,
+                                               replan=False))
+        assert report.day_count == 0
+        assert report.skipped_days == test.days
+        assert fc.calls == 0
 
     def test_unsolved_deterministic_day_raises_named_error(self, monkeypatch):
         series = mk_series(np.full((2, 20), 5.0))
