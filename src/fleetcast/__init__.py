@@ -2,8 +2,8 @@
 
 Pipeline: trip ingestion -> per-zone demand series -> recurrent mixture
 density forecaster (or point baseline) -> Monte Carlo scenarios -> two
-stage relocation program (exact greedy solver certified by the embedded
-simplex's dual check) -> rolling evaluation.
+stage relocation program (exact greedy solver, batched over evaluation
+days, certified by a dual check) -> rolling evaluation.
 """
 
 __version__ = "0.1.0"
@@ -54,5 +54,7 @@ from .relocation import (
     expected_objective,
     sample_scenarios,
     solve_relocation,
+    solve_relocation_days,
+    structural_certificate,
 )
 from .simplex import LinearProgram, SolveResult, certify, export_lp_text, solve_lp

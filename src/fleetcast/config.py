@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import datetime as dt
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 
@@ -104,6 +105,8 @@ class PipelineConfig:
                 raise ValueError(f"config.{name}: {why}")
         if len(self.stock) < 1:
             raise ValueError("config.stock: need at least one zone")
+        if not all(math.isfinite(v) and v >= 0 for v in self.stock):
+            raise ValueError("config.stock: every zone's stock must be finite and >= 0")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}

@@ -5,7 +5,11 @@ realized demand, the chosen program (scenario-based or point-based) is
 solved, and the committed plan is scored against that day's realized
 demand. Day plans never see the day's own demand or anything after it.
 The forecaster is called once, with every planned day's window stacked
-into one batch; sampling, solving and scoring then run day by day.
+into one batch. Stochastic mode then samples each day's scenarios and,
+with a uniform move cost, solves every day's program in one batched pass
+of the greedy solver, each day checked by its own certificate; other
+cost matrices, and the point-forecast programs, are solved day by day.
+Scoring runs day by day.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .relocation import (
     require_certified,
     sample_scenarios,
     solve_relocation,
+    solve_relocation_days,
 )
 from .simplex import solve_lp
 
@@ -102,12 +107,13 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
 
     `history` must end the day before `test` starts. In "stochastic"
     mode each day samples scenarios from the predicted mixtures (seed
-    `settings.seed + t` on test day t) and solves the scenario program;
-    "deterministic" solves the single point-forecast program. One batched
-    forecaster call covers every planned day: all days with a full
-    trailing window, or only the first day when `settings.replan` is off,
-    whose plan then serves every day. Days without a full trailing window
-    are skipped and reported.
+    `settings.seed + t` on test day t) and solves the scenario programs,
+    all days in one `solve_relocation_days` call when the move cost is
+    uniform; "deterministic" solves the single point-forecast program.
+    One batched forecaster call covers every planned day: all days with a
+    full trailing window, or only the first day when `settings.replan` is
+    off, whose plan then serves every day. Days without a full trailing
+    window are skipped and reported.
     """
     if mode not in ("stochastic", "deterministic"):
         raise ValueError("mode must be stochastic or deterministic")
@@ -122,10 +128,13 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
     plans = {}
     if positions and mode == "stochastic":
         dists = forecaster.predict_distribution(windows, days)
-        for t, per_zone in zip(positions, dists):
-            scen = sample_scenarios(per_zone, settings.n_scenarios,
-                                    seed=settings.seed + t)
-            plans[t], _ = solve_relocation(instance, scen)
+        scens = [sample_scenarios(per_zone, settings.n_scenarios, seed=settings.seed + t)
+                 for t, per_zone in zip(positions, dists)]
+        if instance.uniform_move_cost is None:
+            day_plans = [solve_relocation(instance, scen)[0] for scen in scens]
+        else:
+            day_plans, _, _ = solve_relocation_days(instance, scens, labels=days)
+        plans = dict(zip(positions, day_plans))
     elif positions:
         points = np.maximum(forecaster.predict_point(windows, days), 0.0)
         for t, point in zip(positions, points):

@@ -14,10 +14,20 @@ price, penalty) define the whole economics.
 Solving. When every move between two different zones costs the same c
 (every cost matrix the config produces), the recourse is separable and
 the program is a concave resource allocation: split the fixed fleet
-across zones. `solve_relocation` then solves it exactly by greedy
-marginal allocation (Fox 1966; Ibaraki & Katoh 1988) and checks the
-answer with the simplex's `certify` on a closed-form dual. Any other
-cost matrix goes to the dense simplex.
+across zones. It is then solved exactly by greedy marginal allocation
+(Fox 1966; Ibaraki & Katoh 1988), and a closed-form dual certifies the
+answer. The kernel (`_greedy_days`) takes a stack of D demand arrays,
+one program per day, all sharing one instance:
+  - `solve_relocation_days` solves every day of an evaluation in one
+    pass and checks each day with `structural_certificate`, which
+    computes `simplex.certify`'s residuals from the program's rows
+    (stock, link, demand) without building the matrix, in
+    O(D * (N*Z + Z^2)) memory;
+  - `solve_relocation` solves one program (D = 1) and keeps the dense
+    certificate: it builds `build_two_stage` and checks the pair with
+    `simplex.certify`, so its SolveResult carries the program's full
+    primal, dual and reduced-cost vectors.
+Any other cost matrix goes to the dense simplex through `solve_relocation`.
 
 Tie-breaking of the greedy solver, which picks one optimum where
 several exist (possible with three or more zones, or when a marginal
@@ -32,12 +42,13 @@ gain equals a marginal loss):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mdn import GmmParams
-from .simplex import LinearProgram, SolveResult, certified_result, solve_lp
+from .simplex import AT_BOUND_TOL, LinearProgram, SolveResult, certified_result, solve_lp
 
 
 @dataclass
@@ -78,6 +89,9 @@ class RelocationInstance:
         z = self.stock.size
         if self.move_cost.shape != (z, z):
             raise ValueError("move_cost must be Z x Z")
+        if not (np.isfinite(self.stock).all() and np.isfinite(self.move_cost).all()
+                and math.isfinite(self.price) and math.isfinite(self.penalty)):
+            raise ValueError("stock, move cost, price and penalty must be finite")
         if (np.abs(np.diag(self.move_cost)) > 1e-12).any():
             raise ValueError("move_cost diagonal must be zero")
         if (self.move_cost < 0).any() or (self.stock < 0).any():
@@ -92,6 +106,14 @@ class RelocationInstance:
     @property
     def fleet_size(self) -> float:
         return float(self.stock.sum())
+
+    @property
+    def uniform_move_cost(self) -> float | None:
+        """The common off-diagonal move cost, or None if the costs differ."""
+        off = self.move_cost[~np.eye(self.n_zones, dtype=bool)]
+        if off.size == 0:
+            return 0.0
+        return float(off[0]) if (off == off[0]).all() else None
 
     def to_dict(self) -> dict:
         return {"stock": self.stock.tolist(), "move_cost": self.move_cost.tolist(),
@@ -230,107 +252,193 @@ class RelocationSolveError(RuntimeError):
 CERT_TOL = 1e-6  # largest certificate residual per unit of max(1, |objective|)
 
 
+def _check_certificate(worst: float, objective: float,
+                       program: str = "relocation program") -> None:
+    if not worst <= CERT_TOL * max(1.0, abs(objective)):
+        raise RelocationSolveError(
+            f"{program} failed its optimality certificate: "
+            f"residual {worst:.3g} at objective {objective:.6g}")
+
+
 def require_certified(res: SolveResult) -> SolveResult:
     """Return `res` if it is optimal with certificate residuals within
     CERT_TOL; raise RelocationSolveError otherwise."""
     if res.status != "optimal":
         raise RelocationSolveError(
             f"relocation program not solved to optimality: {res.status}")
-    worst = max(res.residuals.values(), default=0.0)
-    if not worst <= CERT_TOL * max(1.0, abs(res.objective)):
-        raise RelocationSolveError(
-            f"relocation program failed its optimality certificate: "
-            f"residual {worst:.3g} at objective {res.objective:.6g}")
+    # np.max, unlike max(), keeps a NaN residual wherever it sits
+    _check_certificate(float(np.max(list(res.residuals.values()), initial=0.0)),
+                       res.objective)
     return res
 
 
-def _uniform_move_cost(instance: RelocationInstance) -> float | None:
-    """The common off-diagonal move cost, or None if the costs differ."""
-    off = instance.move_cost[~np.eye(instance.n_zones, dtype=bool)]
-    if off.size == 0:
-        return 0.0
-    return float(off[0]) if (off == off[0]).all() else None
+def _segments(length):
+    """Start and end offsets of segments laid end to end along the last axis."""
+    end = length.cumsum(axis=-1)
+    start = np.zeros_like(end)
+    start[..., 1:] = end[..., :-1]
+    return start, end
 
 
 def _greedy_post_stock(stock, demand, value: float, cost: float) -> np.ndarray:
-    """Optimal post-move stock by greedy marginal allocation.
+    """Optimal post-move stock of each day by greedy marginal allocation.
 
-    Zone z is worth value * sum_w min(s'_z, d_wz); with D the zone's
-    ascending demands (D[-1] = 0, D[N] = inf), that is linear between
+    `demand` is a (D, N, Z) stack of scenario demands; returns (D, Z).
+    Zone z is worth value * sum_w min(s'_z, d_wz); with S the zone's
+    ascending demands (S[-1] = 0, S[N] = inf), that is linear between
     breakpoints.
-    Receiver segment k runs up from max(s_z, D[k-1]) to D[k] and gains
+    Receiver segment k runs up from max(s_z, S[k-1]) to S[k] and gains
     value*(N-k) - cost per vehicle; donor segment j runs down from
-    min(s_z, D[j]) to D[j-1] and loses value*(N-j). Both lists are walked
+    min(s_z, S[j]) to S[j-1] and loses value*(N-j). Both lists are walked
     in merged order (gains falling, losses rising, ties by zone index
     because a segment's rate depends only on k or j) and vehicles move
     while the gain is strictly above the loss.
     """
-    n, z = demand.shape
-    srt = np.sort(demand, axis=0)
+    days, n, z = demand.shape
+    srt = np.sort(demand, axis=1)
     rank = np.arange(n + 1)
-    r_lo = np.maximum(np.vstack([np.zeros((1, z)), srt[:-1]]), stock)
+    zeros, infs = np.zeros((days, 1, z)), np.full((days, 1, z), np.inf)
+    r_lo = np.maximum(np.concatenate([zeros, srt[:, :-1]], axis=1), stock)
     r_hi = srt
     gain = np.repeat(value * (n - rank[:n]) - cost, z)
-    d_lo = np.vstack([np.zeros((1, z)), srt])[::-1]
-    d_hi = np.minimum(np.vstack([srt, np.full((1, z), np.inf)]), stock)[::-1]
+    d_lo = np.concatenate([zeros, srt], axis=1)[:, ::-1]
+    d_hi = np.minimum(np.concatenate([srt, infs], axis=1), stock)[:, ::-1]
     loss = np.repeat(value * (n - rank[::-1]), z)
 
-    def walk(length):
-        end = np.cumsum(length.ravel())
-        return np.concatenate([[0.0], end[:-1]]).reshape(length.shape), end
-
     r_len, d_len = np.maximum(r_hi - r_lo, 0.0), np.maximum(d_hi - d_lo, 0.0)
-    (r_start, r_end), (d_start, d_end) = walk(r_len), walk(d_len)
+    r_start, r_end = _segments(r_len.reshape(days, -1))
+    d_start, d_end = _segments(d_len.reshape(days, -1))
     # donor volume cheaper than each receiver segment's gain
-    reach = np.concatenate([[0.0], d_end])[np.searchsorted(loss, gain, side="left")]
+    reach = np.concatenate([np.zeros((days, 1)), d_end], axis=1)[
+        :, np.searchsorted(loss, gain, side="left")]
     stop = np.minimum(r_end, reach)
-    moved = float(np.max(stop[stop > r_start.ravel()], initial=0.0))
-    r_end, d_end = r_end.reshape(r_len.shape), d_end.reshape(d_len.shape)
+    moved = np.where(stop > r_start, stop, 0.0).max(axis=1)[:, None, None]
+    r_start, r_end = r_start.reshape(r_len.shape), r_end.reshape(r_len.shape)
+    d_start, d_end = d_start.reshape(d_len.shape), d_end.reshape(d_len.shape)
 
     up = np.where(r_end <= moved, r_hi, np.minimum(r_lo + (moved - r_start), r_hi))
-    up = np.where((r_len > 0) & (r_start < moved), up, -np.inf).max(axis=0)
+    up = np.where((r_len > 0) & (r_start < moved), up, -np.inf).max(axis=1)
     down = np.where(d_end <= moved, d_lo, np.maximum(d_hi - (moved - d_start), d_lo))
-    down = np.where((d_len > 0) & (d_start < moved), down, np.inf).min(axis=0)
+    down = np.where((d_len > 0) & (d_start < moved), down, np.inf).min(axis=1)
     # the strict rule never lets a zone both give and take
     return np.where(up > stock, up, np.minimum(down, stock))
 
 
 def _fill_flows(stock, post) -> np.ndarray:
-    """Flows that move donors' surplus (stock above post) into receivers'
-    deficits, both sides taken in zone-index order."""
-    give = np.maximum(stock - post, 0.0)
-    take = np.maximum(post - stock, 0.0)
-    give_end, take_end = np.cumsum(give), np.cumsum(take)
-    give_start = np.concatenate([[0.0], give_end[:-1]])
-    take_start = np.concatenate([[0.0], take_end[:-1]])
-    flows = (np.minimum(give_end[:, None], take_end[None, :])
-             - np.maximum(give_start[:, None], take_start[None, :]))
+    """(D, Z, Z) flows that move donors' surplus (stock above post) into
+    receivers' deficits, both sides taken in zone-index order."""
+    give_start, give_end = _segments(np.maximum(stock - post, 0.0))
+    take_start, take_end = _segments(np.maximum(post - stock, 0.0))
+    flows = (np.minimum(give_end[..., :, None], take_end[..., None, :])
+             - np.maximum(give_start[..., :, None], take_start[..., None, :]))
     return np.maximum(flows, 0.0)
 
 
-def _dual_certificate(stock, demand, post, value: float, cost: float) -> np.ndarray:
-    """Closed-form duals of `build_two_stage`'s rows at the greedy optimum.
+def _dual_certificate(stock, demand, post, value: float, cost: float):
+    """Closed-form duals of `build_two_stage`'s rows at each day's greedy optimum.
 
+    Returns (alpha, beta, gamma): the stock rows (D, Z), the link rows
+    y_wz <= s'_z (D, N, Z) and the demand rows y_wz <= d_wz (D, N, Z).
     pi_z, the value of one more vehicle in zone z, lies in the zone's
     subgradient interval: donors get pi = L and receivers L + cost, with
     L the largest marginal gain left; untouched zones take the lowest
-    value of [L, L + cost] inside their interval. Each scenario row y_wz <= s'_z carries
+    value of [L, L + cost] inside their interval. Each link row carries
     beta = value where demand exceeds post-stock and a share of what is
-    left of pi where it ties; the stock row s'_z >= 0 absorbs the rest
-    (only at zero stock); y_wz <= d_wz carries gamma = value - beta.
+    left of pi where it ties; the stock row absorbs the rest (only at
+    zero stock); gamma = value - beta.
     """
-    above = demand > post
-    tied = demand == post
-    right = value * above.sum(axis=0)
-    lam = np.max(right - cost * (post >= stock))
+    above = demand > post[:, None, :]
+    tied = demand == post[:, None, :]
+    right = value * above.sum(axis=1)
+    lam = np.max(right - cost * (post >= stock), axis=1, keepdims=True)
     pi = np.where(post < stock, lam,
                   np.where(post > stock, lam + cost, np.maximum(lam, right)))
     spare = pi - right
-    n_tied = tied.sum(axis=0)
+    n_tied = tied.sum(axis=1)
     tie_share = np.minimum(value, spare / np.maximum(n_tied, 1))
     alpha = spare - n_tied * tie_share
-    beta = value * above + tie_share * tied
-    return np.concatenate([alpha, beta.ravel(), (value - beta).ravel()])
+    beta = value * above + tie_share[:, None, :] * tied
+    return alpha, beta, value - beta
+
+
+def _greedy_days(instance: RelocationInstance, demand, cost: float):
+    """Greedy optimum of each day's program over a (D, N, Z) demand stack:
+    (flows (D, Z, Z), served (D, N, Z), duals as `_dual_certificate`)."""
+    value = (instance.price + instance.penalty) / demand.shape[1]
+    post = _greedy_post_stock(instance.stock, demand, value, cost)
+    served = np.minimum(post[:, None, :], demand)
+    return (_fill_flows(instance.stock, post), served,
+            _dual_certificate(instance.stock, demand, post, value, cost))
+
+
+def structural_certificate(instance: RelocationInstance, demand, flows, served,
+                           duals) -> tuple[np.ndarray, dict]:
+    """Objective and `simplex.certify` residuals of each day's program,
+    from the structure of `build_two_stage` rather than its matrix.
+
+    `demand` (D, N, Z), `flows` (D, Z, Z) and `served` (D, N, Z) give each
+    day's primal point; `duals` is (alpha, beta, gamma) as returned by
+    `_dual_certificate`. Every row is <= and every variable is >= 0, so:
+      - primal: the slacks -s'_z (stock rows), y_wz - s'_z (link rows) and
+        y_wz - d_wz (demand rows), and -x, are <= 0, where s'_z is the
+        post-move stock of the flows;
+      - dual: the duals are >= 0, and the reduced costs
+        -c_ij - (pi_i - pi_j) of flow r_ij, with pi_z = alpha_z +
+        sum_w beta_wz, and v - beta_wz - gamma_wz of recourse y_wz are <= 0
+        at a zero variable and 0 elsewhere;
+      - cs: each dual times its row's slack, and each variable times the
+        wrong-signed part of its reduced cost, is 0.
+    Returns (objective (D,), {"primal", "dual", "cs"} -> (D,)).
+    """
+    alpha, beta, gamma = duals
+    days, n, _ = demand.shape
+    value = (instance.price + instance.penalty) / n
+    post = instance.stock - flows.sum(axis=2) + flows.sum(axis=1)
+    pi = alpha + beta.sum(axis=1)
+    reduced = np.concatenate([
+        (-instance.move_cost - (pi[:, :, None] - pi[:, None, :])).reshape(days, -1),
+        (value - beta - gamma).reshape(days, -1)], axis=1)
+    x = np.concatenate([flows.reshape(days, -1), served.reshape(days, -1)], axis=1)
+    y = np.concatenate([alpha, beta.reshape(days, -1), gamma.reshape(days, -1)], axis=1)
+    slack = np.concatenate([-post, (served - post[:, None, :]).reshape(days, -1),
+                            (served - demand).reshape(days, -1)], axis=1)
+
+    objective = np.concatenate([-instance.move_cost.ravel(),
+                                np.full(served[0].size, value)])
+    offset = -instance.penalty * demand.reshape(days, -1).sum(axis=1) / n
+    wrong_sign = np.where(x <= AT_BOUND_TOL, reduced, np.abs(reduced))
+    residuals = {
+        "primal": np.maximum(np.maximum(slack.max(axis=1), (-x).max(axis=1)), 0.0),
+        "dual": np.maximum(np.maximum((-y).max(axis=1), wrong_sign.max(axis=1)), 0.0),
+        "cs": np.maximum(np.abs(y * slack).max(axis=1),
+                         np.abs(np.maximum(-reduced, 0.0) * x).max(axis=1)),
+    }
+    return x @ objective + offset, residuals
+
+
+def solve_relocation_days(instance: RelocationInstance, scenario_sets, labels=None):
+    """Solve one scenario program per day, all on `instance`, in one pass.
+
+    Every day needs the same scenario count, and the off-diagonal move
+    costs must be uniform. Each day's answer is the one `solve_relocation`
+    gives for that day alone, checked by `structural_certificate` against
+    CERT_TOL. Returns (plans, objectives (D,), residuals {name: (D,)}).
+    Raises RelocationSolveError naming the first day that fails, by its
+    entry in `labels` (default: its index).
+    """
+    cost = instance.uniform_move_cost
+    if cost is None:
+        raise ValueError("solve_relocation_days needs uniform off-diagonal move costs")
+    demand = np.stack([s.demand for s in scenario_sets])
+    if demand.shape[2] != instance.n_zones:
+        raise ValueError("zone count mismatch between instance and scenarios")
+    flows, served, duals = _greedy_days(instance, demand, cost)
+    objective, residuals = structural_certificate(instance, demand, flows, served, duals)
+    worst = np.maximum.reduce(list(residuals.values()))
+    labels = range(len(demand)) if labels is None else labels
+    for label, w, obj in zip(labels, worst, objective):
+        _check_certificate(float(w), float(obj), f"relocation program for {label}")
+    return [PlanDecision(f) for f in flows], objective, residuals
 
 
 def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
@@ -338,23 +446,21 @@ def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
     """Solve the scenario program; returns (plan, certified SolveResult).
 
     With uniform off-diagonal move costs the exact greedy solver runs and
-    its closed-form dual is checked by `simplex.certify`; other cost
-    matrices go to the simplex (`maxiter` caps its pivots). Raises
-    RelocationSolveError unless the result is a certified optimum.
+    its closed-form dual is checked by `simplex.certify` on the dense
+    program; other cost matrices go to the simplex (`maxiter` caps its
+    pivots). Raises RelocationSolveError unless the result is a certified
+    optimum.
     """
     lp, index_map = build_two_stage(instance, scenarios)
-    cost = _uniform_move_cost(instance)
+    cost = instance.uniform_move_cost
     if cost is None:
         res = require_certified(solve_lp(lp, maxiter=maxiter))
         return extract_plan(res, index_map, instance.n_zones), res
-    demand = scenarios.demand
-    value = (instance.price + instance.penalty) / scenarios.n_scenarios
-    post = _greedy_post_stock(instance.stock, demand, value, cost)
-    flows = _fill_flows(instance.stock, post)
-    x = np.concatenate([flows.ravel(), np.minimum(post, demand).ravel()])
-    duals = _dual_certificate(instance.stock, demand, post, value, cost)
+    flows, served, duals = _greedy_days(instance, scenarios.demand[None], cost)
+    x = np.concatenate([flows[0].ravel(), served[0].ravel()])
+    duals = np.concatenate([part[0].ravel() for part in duals])
     res = require_certified(certified_result(lp, x, duals))
-    return PlanDecision(flows), res
+    return PlanDecision(flows[0]), res
 
 
 def evaluate_decision(instance: RelocationInstance, plan: PlanDecision,

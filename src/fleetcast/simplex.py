@@ -21,6 +21,7 @@ import numpy as np
 ENTER_TOL = 1e-9
 DEGEN_TOL = 1e-10
 FEAS_TOL = 1e-7
+AT_BOUND_TOL = 1e-7  # `certify` treats a variable this close to a bound as at it
 BLAND_AFTER = 60  # consecutive degenerate pivots before switching rule
 
 SENSES = ("<=", "=", ">=")
@@ -122,9 +123,8 @@ def certify(lp: LinearProgram, x, duals) -> dict:
     cs = np.max(np.abs(y * slack)[le | ge], initial=0.0)
 
     g = c - (lp.rows.T @ y if lp.n_rows else 0.0)
-    at_tol = 1e-7
-    at_lo = has_lo & (x <= lo + at_tol)
-    at_hi = has_hi & (x >= hi - at_tol)
+    at_lo = has_lo & (x <= lo + AT_BOUND_TOL)
+    at_hi = has_hi & (x >= hi - AT_BOUND_TOL)
     live = ~(at_lo & at_hi)  # a fixed variable absorbs any reduced cost
     wrong_sign = np.where(at_lo, g, np.where(at_hi, -g, np.abs(g)))
     dual = max(dual, np.max(wrong_sign[live], initial=0.0))

@@ -5,7 +5,9 @@ loops that `rolling_evaluate` and `cmd_forecast` ran before both moved to
 one batched forecaster call: they hand the forecaster one (T, Z) window
 and one day at a time, which the batched protocol still answers.
 `oracle_optimize` is the `optimize` command as it was when it parsed the
-whole demand CSV and every forecast record.
+whole demand CSV and every forecast record. The oracle also solves each
+day's scenario program on its own with `solve_relocation`, where
+`rolling_evaluate` solves them all in one `solve_relocation_days` call.
 """
 
 import datetime as dt
@@ -215,6 +217,53 @@ def test_reports_equal_the_per_day_loop(tag, mode, n_history, replan):
         assert g.keys() == w.keys()
         for key in g:
             np.testing.assert_allclose(g[key], w[key], rtol=1e-9, atol=0)
+
+
+class FrozenAnswers:
+    """Answers every call, batched or per day, with the mixtures of one
+    batched call over all test days, so that the per-day oracle and
+    `rolling_evaluate` plan from bit-identical forecasts."""
+
+    def __init__(self, forecaster, history, test):
+        positions, windows = trailing_windows(history, test, WS)
+        days = [test.days[t] for t in positions]
+        self.answers = dict(zip(days, forecaster.predict_distribution(windows, days)))
+
+    def predict_distribution(self, windows, days):
+        if isinstance(days, dt.date):
+            return self.answers[days]
+        return [self.answers[d] for d in days]
+
+
+def non_uniform_instance():
+    return RelocationInstance(stock=np.array([50.0, 50.0]),
+                              move_cost=np.array([[0.0, 1.0], [1.5, 0.0]]),
+                              price=10.0, penalty=4.0)
+
+
+@pytest.mark.parametrize("tag", ["mdn", "posthoc"])
+@pytest.mark.parametrize("n_history, replan", [(49, True), (49, False), (4, True)])
+def test_stochastic_reports_equal_the_per_day_loop_exactly(tag, n_history, replan):
+    history, test = demand_split(n_history)
+    forecaster = FrozenAnswers(FORECASTERS[tag], history, test)
+    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11, replan=replan)
+    got = rolling_evaluate(forecaster, "stochastic", history, test, instance(), settings)
+    want = oracle_rolling_evaluate(forecaster, "stochastic", history, test, instance(),
+                                   settings)
+    assert got.to_dict() == want.to_dict()
+    assert got.day_count == 91 - max(0, WS - n_history)
+
+
+def test_non_uniform_costs_are_solved_day_by_day():
+    history, test = demand_split(49)
+    test = test.slice_days(0, 12)
+    forecaster = FrozenAnswers(FORECASTERS["mdn"], history, test)
+    settings = EvalSettings(window_size=WS, n_scenarios=8, seed=11)
+    got = rolling_evaluate(forecaster, "stochastic", history, test, non_uniform_instance(),
+                           settings)
+    want = oracle_rolling_evaluate(forecaster, "stochastic", history, test,
+                                   non_uniform_instance(), settings)
+    assert got.to_dict() == want.to_dict() and got.day_count == 12
 
 
 SMALL_CFG = """

@@ -2,12 +2,15 @@
 
 import json
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fleetcast.relocation
 from fleetcast.cli import main
+from fleetcast.data import DemandSeries
 from fleetcast.recurrent import load_model
 
 SMALL_CFG = """
@@ -118,6 +121,39 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: relocation program failed its optimality certificate")
         assert "Traceback" not in err
+
+    def test_failed_evaluation_day_is_named_with_exit_2(self, run_dir, capsys,
+                                                        monkeypatch):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "1")):
+            assert call(cfg, *argv) == 0
+        capsys.readouterr()
+        real = fleetcast.relocation._dual_certificate
+
+        def corrupt_fourth_day(*args):
+            alpha, beta, gamma = real(*args)
+            alpha = alpha.copy()
+            alpha[3, 0] = -2.0
+            return alpha, beta, gamma
+
+        monkeypatch.setattr("fleetcast.relocation._dual_certificate", corrupt_fourth_day)
+        assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster", "mdn") == 2
+        err = capsys.readouterr().err
+        fourth = DemandSeries.from_csv(run / "demand.csv").days[-35 + 3]  # 35 test days
+        assert err.startswith(f"error: relocation program for {fourth.isoformat()} "
+                              "failed its optimality certificate: residual ")
+        assert "Traceback" not in err
+        assert not (run / "report_mdn_stochastic.json").exists()
+
+    @pytest.mark.parametrize("stock", ["inf,50", "nan,50", "-1,50"])
+    def test_bad_stock_is_a_config_error(self, run_dir, capsys, stock):
+        _, cfg = run_dir
+        cfg.write_text(cfg.read_text() + f"stock = {stock}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert call(cfg, "optimize") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.stock: ") and "Traceback" not in err
 
     def test_unknown_flags_fail_fast(self, run_dir):
         _, cfg = run_dir

@@ -59,6 +59,12 @@ def test_out_of_range_names_the_field():
         parse_config_text("val_fraction = 1.5")
 
 
+@pytest.mark.parametrize("stock", ["inf,50", "50,nan", "-1,50", "50,-inf"])
+def test_non_finite_or_negative_stock_names_the_field(stock):
+    with pytest.raises(ValueError, match="config.stock: .*finite and >= 0"):
+        parse_config_text(f"stock = {stock}")
+
+
 def test_overrides_win_and_are_typed():
     cfg = PipelineConfig()
     cfg = apply_overrides(cfg, {"seed": "99", "replan": "false", "epochs": None})

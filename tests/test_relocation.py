@@ -6,23 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fleetcast.relocation
 from fleetcast.mdn import SIGMA_FLOOR, GmmParams
 from fleetcast.relocation import (
+    CERT_TOL,
     PlanDecision,
     RelocationInstance,
     RelocationSolveError,
     ScenarioSet,
+    _greedy_days,
     build_two_stage,
     deterministic_model,
     evaluate_decision,
     expected_objective,
     extract_plan,
+    require_certified,
     round_plan,
     saa_convergence_table,
     sample_scenarios,
     solve_relocation,
+    solve_relocation_days,
+    structural_certificate,
 )
-from fleetcast.simplex import export_lp_text, solve_lp
+from fleetcast.simplex import certified_result, certify, export_lp_text, solve_lp
 
 
 def brute_force_plan(instance, scenarios):
@@ -284,6 +290,18 @@ class TestGreedySolver:
         with pytest.raises(RelocationSolveError, match="certificate"):
             solve_relocation(small_instance(), ScenarioSet(np.array([[1.0, 3.0]])))
 
+    def test_a_nan_residual_fails_the_certificate_wherever_it_sits(self):
+        inst = small_instance()
+        scen = ScenarioSet(np.array([[1.0, 3.0], [3.0, 1.0]]))
+        _, res = solve_relocation(inst, scen)
+        lp, _ = build_two_stage(inst, scen)
+        duals = res.duals.copy()
+        duals[0] = np.nan   # primal stays 0; dual and cs turn NaN
+        bad = certified_result(lp, res.x, duals)
+        assert bad.residuals["primal"] == 0.0 and np.isnan(bad.residuals["dual"])
+        with pytest.raises(RelocationSolveError, match="residual nan"):
+            require_certified(bad)
+
     def test_unsolved_simplex_fallback_raises_named_error(self):
         inst = RelocationInstance(stock=np.array([6.0, 0.0, 2.0]),
                                   move_cost=np.array([[0.0, 1.0, 2.0], [1.5, 0.0, 1.0],
@@ -293,6 +311,108 @@ class TestGreedySolver:
         with pytest.raises(RelocationSolveError, match="iteration_limit"):
             solve_relocation(inst, scen, maxiter=1)
         assert isinstance(RelocationSolveError("x"), RuntimeError)
+
+
+@st.composite
+def day_batches(draw):
+    """D programs on one uniform-cost instance; money is not kept away from
+    zero here, because no simplex takes part."""
+    z = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.integers(1, 40))
+    days = draw(st.integers(1, 6))
+    whole = st.integers(0, 25).map(float)     # integer demands force ties
+    # demands of at least 1e-6 keep every product above the subnormal range,
+    # whose gradual underflow np.errstate(all="raise") would report
+    element = whole if draw(st.booleans()) else st.just(0.0) | st.floats(1e-6, 40.0)
+    demands = [draw(arrays(float, (n, z), elements=element)) for _ in range(days)]
+    money = st.just(0.0) | st.floats(1e-9, 20.0)
+    inst = uniform_instance(draw(arrays(float, z, elements=st.integers(0, 30).map(float))),
+                            draw(st.sampled_from([0.5, 2.0]) | money),
+                            draw(money), draw(money))
+    return inst, [ScenarioSet(d) for d in demands]
+
+
+def dense_check(inst, scen, flows, served, duals):
+    """`simplex.certify` on `build_two_stage` for one day's (x, duals)."""
+    lp, _ = build_two_stage(inst, scen)
+    x = np.concatenate([flows.ravel(), served.ravel()])
+    res = certify(lp, x, np.concatenate([part.ravel() for part in duals]))
+    return float(lp.objective @ x) + lp.offset, res
+
+
+class TestBatchedSolver:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(day_batches())
+    def test_equals_per_day_solves_and_the_dense_certificate(self, batch):
+        inst, scens = batch
+        with np.errstate(all="raise"):
+            plans, objective, residuals = solve_relocation_days(inst, scens)
+            for d, scen in enumerate(scens):
+                plan, res = solve_relocation(inst, scen)
+                np.testing.assert_array_equal(plans[d].flows, plan.flows)
+                tol = 1e-9 * max(1.0, abs(res.objective))
+                assert abs(objective[d] - res.objective) <= tol
+                for name, value in res.residuals.items():
+                    assert abs(residuals[name][d] - value) <= tol, name
+            assert max(float(r.max()) for r in residuals.values()) <= 1e-9 * max(
+                1.0, float(np.abs(objective).max()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(day_batches(), st.data())
+    def test_a_corrupted_dual_fails_both_certificates(self, batch, data):
+        inst, scens = batch
+        demand = np.stack([s.demand for s in scens])
+        flows, served, duals = _greedy_days(inst, demand, inst.uniform_move_cost)
+        d = data.draw(st.integers(0, len(scens) - 1))
+        part = data.draw(st.integers(0, 2))
+        entry = data.draw(st.integers(0, duals[part][d].size - 1))
+        corruptions = [(part, entry, -1.0)]   # a dual of the wrong sign
+        positive = np.flatnonzero(served[d] > 1e-6)
+        if positive.size:   # a served unit whose recourse reduced cost is off by one
+            entry = int(data.draw(st.sampled_from(positive)))
+            corruptions.append((1, entry, duals[1][d].flat[entry] + 1.0))
+        for part, entry, value in corruptions:
+            bad = [p.copy() for p in duals]
+            bad[part][d].flat[entry] = value
+            with np.errstate(all="raise"):
+                objective, residuals = structural_certificate(inst, demand, flows,
+                                                              served, bad)
+                dense_obj, dense = dense_check(inst, scens[d], flows[d], served[d],
+                                               [p[d] for p in bad])
+            bound = CERT_TOL * max(1.0, abs(dense_obj))
+            assert max(r[d] for r in residuals.values()) > bound
+            assert max(dense.values()) > bound
+            for name, value in dense.items():
+                assert abs(residuals[name][d] - value) <= 1e-9 * max(1.0, abs(dense_obj))
+
+    def test_failing_day_is_named_by_its_label(self, monkeypatch):
+        real = fleetcast.relocation._dual_certificate
+
+        def corrupt_day_two(*args):
+            alpha, beta, gamma = real(*args)
+            gamma = gamma.copy()
+            gamma[2, 0, 0] = -0.5
+            return alpha, beta, gamma
+
+        monkeypatch.setattr("fleetcast.relocation._dual_certificate", corrupt_day_two)
+        scens = [ScenarioSet(np.array([[1.0, 3.0], [2.0, 0.0]]) + k) for k in range(4)]
+        with pytest.raises(RelocationSolveError,
+                           match="relocation program for day-c failed its optimality "
+                                 "certificate: residual 1.5 at objective 24$"):
+            solve_relocation_days(small_instance(), scens, labels=["a", "b", "day-c", "d"])
+
+    def test_needs_one_uniform_cost_and_matching_shapes(self):
+        inst = RelocationInstance(stock=np.array([1.0, 2.0, 3.0]),
+                                  move_cost=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                                      [1.0, 1.0, 0.0]]),
+                                  price=1.0, penalty=1.0)
+        with pytest.raises(ValueError, match="uniform"):
+            solve_relocation_days(inst, [ScenarioSet(np.ones((2, 3)))])
+        with pytest.raises(ValueError, match="zone count"):
+            solve_relocation_days(small_instance(), [ScenarioSet(np.ones((2, 3)))])
+        with pytest.raises(ValueError):
+            solve_relocation_days(small_instance(), [ScenarioSet(np.ones((2, 2))),
+                                                     ScenarioSet(np.ones((3, 2)))])
 
 
 class TestEvaluateDecision:
@@ -370,6 +490,18 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         RelocationInstance(stock=np.array([-1.0]), move_cost=np.array([[0.0]]),
                            price=1.0, penalty=1.0)
+
+
+@pytest.mark.parametrize("field, bad", [("stock", [np.inf, 1.0]), ("stock", [np.nan, 1.0]),
+                                        ("move_cost", [[0.0, np.nan], [1.0, 0.0]]),
+                                        ("move_cost", [[0.0, np.inf], [1.0, 0.0]]),
+                                        ("price", np.nan), ("price", np.inf),
+                                        ("penalty", np.nan), ("penalty", np.inf)])
+def test_instance_rejects_non_finite_data(field, bad):
+    fields = {"stock": [1.0, 1.0], "move_cost": [[0.0, 1.0], [1.0, 0.0]],
+              "price": 1.0, "penalty": 1.0, field: bad}
+    with pytest.raises(ValueError, match="must be finite"):
+        RelocationInstance(**fields)
 
 
 GOLDEN_LP = """\
