@@ -203,8 +203,7 @@ def _train_one(cfg: PipelineConfig, which: str) -> Path:
                         target_days=raw_windows.target_days)
     z = series.n_zones
     if which == "mdn":
-        head = HeadSpec("mdn", z, k=cfg.mixture_components,
-                        aux_point=cfg.aux_point_output)
+        head = HeadSpec("mdn", z, k=cfg.mixture_components)
         cell = "gru"
     elif which == "gru-point":
         head = HeadSpec("point", z)
@@ -258,8 +257,7 @@ def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
     base = fc.PointForecaster(model, scaler)
     mixtures, records = fc.fit_residual_mixtures(
         base, val, k=cfg.em_components, seed=cfg.seed,
-        n_restarts=cfg.em_restarts, tol=cfg.em_tol, max_iter=cfg.em_max_iter,
-        threads=cfg.threads)
+        n_restarts=cfg.em_restarts, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
     out_path = _data_dir(cfg) / "em_fit.json"
     with open(out_path, "w") as fh:
         json.dump({"per_zone": [
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data-dir", dest="data_dir", default=None,
                        help="override config data_dir")
         p.add_argument("--seed", dest="seed", default=None, help="override seed")
-        p.add_argument("--threads", dest="threads", default=None,
-                       help="worker threads for the EM restarts of fit-gmm")
         return p
 
     add("synth", cmd_synth, "generate the bundled synthetic benchmark data")
@@ -427,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-OVERRIDE_KEYS = ("data_dir", "seed", "threads", "count_field", "epochs",
-                 "n_scenarios", "replan")
+OVERRIDE_KEYS = ("data_dir", "seed", "count_field", "epochs", "n_scenarios",
+                 "replan")
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,6 @@ class PipelineConfig:
     mixture_components: int = 3
     hidden_size: int = 32
     dense_sizes: tuple = (256, 128)
-    aux_point_output: bool = False
 
     # training
     learning_rate: float = 0.05
@@ -61,7 +60,6 @@ class PipelineConfig:
     # evaluation
     optimizer_mode: str = "stochastic"  # stochastic | deterministic
     replan: bool = True
-    threads: int = 1                    # fit-gmm EM restarts in parallel
 
     # synthetic benchmark
     synth_days: int = 691
@@ -94,7 +92,6 @@ class PipelineConfig:
             ("penalty", self.penalty >= 0, "must be >= 0"),
             ("optimizer_mode", self.optimizer_mode in ("stochastic", "deterministic"),
              "must be stochastic or deterministic"),
-            ("threads", self.threads >= 1, "must be >= 1"),
             ("synth_days", self.synth_days >= 1, "must be >= 1"),
             ("synth_zones", self.synth_zones >= 1, "must be >= 1"),
             ("synth_stay_prob", 0.0 < self.synth_stay_prob < 1.0,

@@ -9,7 +9,6 @@ from several seeds because the likelihood surface is multimodal.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,23 +127,16 @@ def em_fit(data, k: int, init=None, tol: float = 1e-6, max_iter: int = 500,
 
 def em_fit_restarts(data, k: int, n_restarts: int = 5, seed: int | None = 0,
                     tol: float = 1e-6, max_iter: int = 500,
-                    sigma_floor: float = SIGMA_FLOOR, threads: int = 1):
+                    sigma_floor: float = SIGMA_FLOOR):
     """Best-likelihood fit over several seeded restarts.
 
-    Returns (best EmState, fit record dict). Restarts are independent and
-    may run on a thread pool.
+    Restart i starts from seed `seed + i` (or an unseeded draw when `seed`
+    is None); the restarts run one after another. Returns (best EmState,
+    fit record dict).
     """
     seeds = [None if seed is None else seed + i for i in range(n_restarts)]
-
-    def run(s):
-        return em_fit(data, k, init=s, tol=tol, max_iter=max_iter,
-                      sigma_floor=sigma_floor)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            states = list(pool.map(run, seeds))
-    else:
-        states = [run(s) for s in seeds]
+    states = [em_fit(data, k, init=s, tol=tol, max_iter=max_iter,
+                     sigma_floor=sigma_floor) for s in seeds]
     best = max(states, key=lambda s: s.log_likelihood)
     record = {
         "params": best.params.to_dict(),

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DemandSeries, Standardizer, WindowSet
+from .data import Standardizer, WindowSet
 from .em import em_fit_restarts
 from .mdn import GmmParams, mdn_transform
 from .recurrent import RecurrentModel, sequence_forward
@@ -42,7 +42,7 @@ class MixtureForecaster:
         raw = sequence_forward(self.scaler.transform(windows), self.model)
         head = self.model.head
         shaped = raw.reshape(-1, head.n_series, head.per_series)
-        out = [[mdn_transform(row[z, : 3 * head.k], sigma_floor=self.model.sigma_floor)
+        out = [[mdn_transform(row[z], sigma_floor=self.model.sigma_floor)
                 .scale(self.scaler.std[z], self.scaler.mean[z])
                 for z in range(head.n_series)] for row in shaped]
         return out[0] if raw.ndim == 1 else out
@@ -96,31 +96,6 @@ class ResidualMixtureForecaster:
         return out[0] if points.ndim == 1 else out
 
 
-@dataclass
-class PerfectForecaster:
-    """Diagnostic oracle fed the realized series; looks the target days up.
-
-    `days` is a list of target days, or one day for a single answer.
-    """
-
-    truth: DemandSeries
-    sigma: float = 1e-3
-
-    def predict_point(self, windows, days=None) -> np.ndarray:
-        if days is None:
-            raise ValueError("oracle forecaster needs the target day")
-        if isinstance(days, (list, tuple)):
-            positions = [self.truth.day_position(day) for day in days]
-            return self.truth.values[:, positions].T.copy()
-        return self.truth.values[:, self.truth.day_position(days)].copy()
-
-    def predict_distribution(self, windows, days=None) -> list:
-        points = self.predict_point(windows, days)
-        out = [[GmmParams(np.array([1.0]), np.array([v]), np.array([self.sigma]))
-                for v in row] for row in np.atleast_2d(points)]
-        return out[0] if points.ndim == 1 else out
-
-
 def point_residuals(forecaster: PointForecaster, windows: WindowSet) -> np.ndarray:
     """target minus point forecast per window, shape (count, Z); all
     windows go through the network as one batch."""
@@ -131,8 +106,7 @@ def point_residuals(forecaster: PointForecaster, windows: WindowSet) -> np.ndarr
 
 def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,
                           k: int, seed: int = 0, n_restarts: int = 5,
-                          tol: float = 1e-6, max_iter: int = 500,
-                          threads: int = 1):
+                          tol: float = 1e-6, max_iter: int = 500):
     """Per-zone EM fits on point-forecast residuals. Returns
     (mixtures, fit records)."""
     residuals = point_residuals(forecaster, windows)
@@ -141,7 +115,7 @@ def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,
     for z in range(residuals.shape[1]):
         best, record = em_fit_restarts(residuals[:, z], k, n_restarts=n_restarts,
                                        seed=seed + 1000 * z, tol=tol,
-                                       max_iter=max_iter, threads=threads)
+                                       max_iter=max_iter)
         mixtures.append(best.params)
         records.append(record)
     return mixtures, records

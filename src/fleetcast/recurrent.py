@@ -100,18 +100,17 @@ class DenseLayer:
 
 @dataclass
 class HeadSpec:
-    """What the last dense layer's output means."""
+    """What the last dense layer's output means: per series, either the
+    3K raw mixture parameters an MDN head emits (K weight logits, K
+    means, K pre-softplus scales) or one point forecast."""
 
     kind: str  # "mdn" | "point"
     n_series: int
     k: int = 0
-    aux_point: bool = False  # extra per-series scalar alongside the mixture
 
     @property
     def per_series(self) -> int:
-        if self.kind == "mdn":
-            return 3 * self.k + (1 if self.aux_point else 0)
-        return 1
+        return 3 * self.k if self.kind == "mdn" else 1
 
     @property
     def out_dim(self) -> int:
@@ -155,13 +154,6 @@ class RecurrentModel:
             out[f"dense{i}.weight"] = layer.weight
             out[f"dense{i}.bias"] = layer.bias
         return out
-
-    def set_parameter(self, name: str, value: np.ndarray) -> None:
-        scope, attr = name.split(".")
-        if scope == "cell":
-            setattr(self.cell, attr, value)
-        else:
-            setattr(self.dense[int(scope[5:])], attr, value)
 
     def copy(self) -> "RecurrentModel":
         cell = CellWeights(**{k: v.copy() for k, v in self.cell.arrays().items()})
@@ -280,10 +272,11 @@ def sequence_forward(window, model: RecurrentModel):
 
 
 def head_loss_and_grad(model: RecurrentModel, raw, targets, loss: str):
-    """Scalar loss and its gradient with respect to the raw head outputs.
+    """Scalar loss and its gradient with respect to the raw head outputs,
+    both of shape (B, out_dim).
 
-    gmm_nll averages the per-scalar mixture NLL over batch and series
-    (plus a squared-error term for the optional auxiliary point output);
+    gmm_nll averages the per-scalar mixture NLL over the B*S (batch,
+    series) pairs, so its gradient is nll_and_grad_raw's divided by B*S;
     mse averages squared error.
     """
     raw = np.atleast_2d(raw)
@@ -292,25 +285,14 @@ def head_loss_and_grad(model: RecurrentModel, raw, targets, loss: str):
     s = model.head.n_series
     if targets.shape != (b, s):
         raise ValueError(f"targets shape {targets.shape} != ({b}, {s})")
-    grad = np.zeros_like(raw)
     if loss == "mse":
         diff = raw - targets
-        grad[:] = 2.0 * diff / diff.size
-        return float(np.mean(diff**2)), grad
+        return float(np.mean(diff**2)), 2.0 * diff / diff.size
     if loss != "gmm_nll":
         raise ValueError(f"unknown loss {loss}")
-    per = model.head.per_series
-    k3 = 3 * model.head.k
-    shaped = raw.reshape(b, s, per)
-    nll, g = nll_and_grad_raw(shaped[..., :k3], targets, sigma_floor=model.sigma_floor)
-    gshaped = grad.reshape(b, s, per)
-    gshaped[..., :k3] = g / (b * s)
-    total = float(nll.mean())
-    if model.head.aux_point:
-        diff = shaped[..., k3] - targets
-        total += float(np.mean(diff**2))
-        gshaped[..., k3] = 2.0 * diff / diff.size
-    return total, grad
+    shaped = raw.reshape(b, s, model.head.per_series)
+    nll, g = nll_and_grad_raw(shaped, targets, sigma_floor=model.sigma_floor)
+    return float(nll.mean()), (g / (b * s)).reshape(raw.shape)
 
 
 class Scratch:
@@ -518,24 +500,27 @@ def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = N
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_losses = []
-        for b0 in range(0, n, cfg.batch_size):
-            sel = order[b0 : b0 + cfg.batch_size]
-            raw, fwd_cache = forward_pass(model, inputs[sel])
-            value, d_raw = head_loss_and_grad(model, raw, targets[sel], loss)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
-            grads = backward(model, fwd_cache, d_raw, scratch)
-            _clip_global_norm(grads, cfg.clip_norm)
-            if cfg.optimizer == "momentum":
-                for name, p in params.items():
-                    _momentum_step(p, grads[name], state[name]["v"], cfg.learning_rate,
-                                   cfg.momentum)
-            else:
-                adam_t += 1
-                for name, p in params.items():
-                    _adam_step(p, grads[name], state[name], cfg.learning_rate, adam_t)
-            epoch_losses.append(value)
+        # A diverging run overflows on its way to a non-finite loss; the checks
+        # below report it as TrainingDivergedError, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for b0 in range(0, n, cfg.batch_size):
+                sel = order[b0 : b0 + cfg.batch_size]
+                raw, fwd_cache = forward_pass(model, inputs[sel])
+                value, d_raw = head_loss_and_grad(model, raw, targets[sel], loss)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
+                grads = backward(model, fwd_cache, d_raw, scratch)
+                _clip_global_norm(grads, cfg.clip_norm)
+                if cfg.optimizer == "momentum":
+                    for name, p in params.items():
+                        _momentum_step(p, grads[name], state[name]["v"], cfg.learning_rate,
+                                       cfg.momentum)
+                else:
+                    adam_t += 1
+                    for name, p in params.items():
+                        _adam_step(p, grads[name], state[name], cfg.learning_rate, adam_t)
+                epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
         for p in params.values():
             if not np.isfinite(p).all():
@@ -600,7 +585,7 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
         "format": "fleetcast-checkpoint-v1",
         "cell_kind": model.cell_kind,
         "head": {"kind": model.head.kind, "n_series": model.head.n_series,
-                 "k": model.head.k, "aux_point": model.head.aux_point},
+                 "k": model.head.k},
         "dense_activations": [l.activation for l in model.dense],
         "window_size": model.window_size,
         "sigma_floor": model.sigma_floor,
@@ -646,7 +631,11 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
     dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
              for i in range(len(acts))]
     hd = manifest["head"]
-    head = HeadSpec(hd["kind"], hd["n_series"], hd["k"], hd["aux_point"])
+    if hd.get("aux_point", False):
+        raise ValueError(f"{prefix}.json has an auxiliary point output "
+                         "(head.aux_point), which fleetcast no longer reads; "
+                         "retrain the model")
+    head = HeadSpec(hd["kind"], hd["n_series"], hd["k"])
     model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
                            manifest.get("window_size"),
                            manifest.get("sigma_floor", SIGMA_FLOOR))

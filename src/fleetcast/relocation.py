@@ -55,13 +55,13 @@ from .simplex import AT_BOUND_TOL, LinearProgram, SolveResult, certified_result,
 class ScenarioSet:
     """N demand vectors with uniform probability 1/N."""
 
-    demand: np.ndarray  # N x Z, nonnegative
+    demand: np.ndarray  # N x Z, finite and nonnegative
     seed: int | None = None
 
     def __post_init__(self):
         self.demand = np.atleast_2d(np.asarray(self.demand, dtype=float))
-        if (self.demand < 0).any():
-            raise ValueError("scenario demand must be nonnegative")
+        if not (np.isfinite(self.demand) & (self.demand >= 0)).all():
+            raise ValueError("scenario demand must be finite and nonnegative")
 
     @property
     def n_scenarios(self) -> int:
@@ -489,35 +489,6 @@ def expected_objective(instance: RelocationInstance, plan: PlanDecision,
     move_cost = float((instance.move_cost * plan.flows).sum())
     per_scenario = instance.price * served.sum(axis=1) - instance.penalty * lost.sum(axis=1)
     return float(per_scenario.mean() - move_cost)
-
-
-def round_plan(instance: RelocationInstance, plan: PlanDecision,
-               scenarios: ScenarioSet) -> tuple[PlanDecision, dict]:
-    """Optional integer rounding of fractional flows, with the gap it costs.
-
-    Flows are floored; if flooring drove any post-move stock negative
-    (possible when inflows shrink more than outflows), outflows are
-    reduced one vehicle at a time. Requires integral stock.
-    """
-    if not np.allclose(instance.stock, np.round(instance.stock)):
-        raise ValueError("integer rounding needs integral stock")
-    flows = np.floor(plan.flows + 1e-9)
-    rounded = PlanDecision(flows)
-    post = rounded.post_stock(instance.stock)
-    while (post < -1e-9).any():
-        zz = int(np.argmin(post))
-        j = int(np.argmax(flows[zz]))
-        if flows[zz, j] < 1.0:
-            raise RuntimeError("could not repair rounded plan")
-        flows[zz, j] -= 1.0
-        rounded = PlanDecision(flows)
-        post = rounded.post_stock(instance.stock)
-    frac_val = expected_objective(instance, plan, scenarios)
-    int_val = expected_objective(instance, rounded, scenarios)
-    gap = frac_val - int_val
-    rel = gap / abs(frac_val) if abs(frac_val) > 1e-12 else 0.0
-    return rounded, {"fractional_objective": frac_val, "integer_objective": int_val,
-                     "gap": gap, "relative_gap": rel}
 
 
 def saa_convergence_table(instance: RelocationInstance, forecasts,

@@ -22,7 +22,6 @@ from fleetcast.data import DemandSeries, Standardizer, trailing_windows
 from fleetcast.evaluate import EvalSettings, EvaluationReport, rolling_evaluate
 from fleetcast.forecast import (
     MixtureForecaster,
-    PerfectForecaster,
     PointForecaster,
     ResidualMixtureForecaster,
     load_forecast_file,
@@ -42,6 +41,7 @@ from fleetcast.relocation import (
 )
 from fleetcast.simplex import solve_lp
 from fleetcast.synth import SyntheticConfig, generate_demand
+from oracles import PerfectForecaster
 
 WS = 10
 

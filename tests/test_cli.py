@@ -160,6 +160,38 @@ class TestPipeline:
         with pytest.raises(SystemExit):
             call(cfg, "train", "--nonsense")
 
+    @pytest.mark.parametrize("line", ["threads = 2", "aux_point_output = true"])
+    def test_removed_config_keys_are_unknown(self, run_dir, capsys, line):
+        _, cfg = run_dir
+        cfg.write_text(cfg.read_text() + line + "\n")
+        assert call(cfg, "synth") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ")
+        assert f"unknown config key {line.split()[0]!r}" in err
+
+    def test_threads_flag_is_gone(self, run_dir, capsys):
+        _, cfg = run_dir
+        with pytest.raises(SystemExit) as exc:
+            call(cfg, "fit-gmm", "--threads", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_checkpoint_with_an_auxiliary_output_exits_2(self, run_dir, capsys):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "0")):
+            assert call(cfg, *argv) == 0
+        path = run / "checkpoints" / "mdn.json"
+        manifest = json.loads(path.read_text())
+        manifest["head"]["aux_point"] = True
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        for argv in (("forecast", "--model", "mdn"),
+                     ("evaluate", "--mode", "stochastic", "--forecaster", "mdn")):
+            assert call(cfg, *argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path} has an auxiliary point output")
+            assert "retrain the model" in err and "Traceback" not in err
+
     def test_help_lists_all_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -182,10 +182,3 @@ class TestEmFit:
         assert state.params.weights.sum() == pytest.approx(1.0, abs=1e-9)
         masses = state.responsibilities.sum(axis=0)
         assert masses.sum() == pytest.approx(len(data), rel=1e-9)
-
-    def test_threaded_restarts_match_serial(self):
-        data = two_mode_sample(seed=8, n=400)
-        s1, _ = em_fit_restarts(data, k=2, n_restarts=4, seed=2, threads=1)
-        s2, _ = em_fit_restarts(data, k=2, n_restarts=4, seed=2, threads=3)
-        np.testing.assert_allclose(s1.params.means, s2.params.means)
-        assert s1.log_likelihood == pytest.approx(s2.log_likelihood)

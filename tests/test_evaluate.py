@@ -10,10 +10,10 @@ from fleetcast.evaluate import (
     compare,
     rolling_evaluate,
 )
-from fleetcast.forecast import PerfectForecaster
 from fleetcast.mdn import GmmParams
 from fleetcast.relocation import DayOutcome, RelocationInstance, RelocationSolveError
 from fleetcast.simplex import solve_lp
+from oracles import PerfectForecaster
 
 
 def mk_series(values, start=dt.date(2020, 1, 1)):

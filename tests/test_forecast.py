@@ -6,7 +6,6 @@ import pytest
 from fleetcast.data import DemandSeries, Standardizer, WindowSet
 from fleetcast.forecast import (
     MixtureForecaster,
-    PerfectForecaster,
     PointForecaster,
     ResidualMixtureForecaster,
     fit_residual_mixtures,
@@ -16,6 +15,7 @@ from fleetcast.forecast import (
 )
 from fleetcast.mdn import GmmParams, gmm_pdf
 from fleetcast.recurrent import HeadSpec, init_model, sequence_forward
+from oracles import PerfectForecaster
 
 
 def mk_series(values, start=dt.date(2020, 1, 1)):

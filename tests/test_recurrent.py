@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcast.data import WindowSet
+from fleetcast.data import Standardizer, WindowSet
+from fleetcast.forecast import MixtureForecaster
 from fleetcast.recurrent import (
     GATES,
     CellWeights,
@@ -267,7 +269,6 @@ class TestBackward:
         (103, "gru", "mse", HeadSpec("point", 2)),
         (104, "lstm", "mse", HeadSpec("point", 1)),
         (105, "lstm", "gmm_nll", HeadSpec("mdn", 1, k=2)),
-        (106, "gru", "gmm_nll", HeadSpec("mdn", 1, k=2, aux_point=True)),
     ])
     def test_gradients_match_finite_differences(self, seed, cell_kind, loss, head):
         rng = np.random.default_rng(seed)
@@ -340,7 +341,7 @@ def oracle_backward(model, cache, d_raw):
     return grads
 
 
-PRODUCTION_HEADS = {"mdn": HeadSpec("mdn", 2, k=3, aux_point=True),
+PRODUCTION_HEADS = {"mdn": HeadSpec("mdn", 2, k=3),
                     "point": HeadSpec("point", 2)}
 
 
@@ -509,7 +510,6 @@ class TestTrain:
         _, history = train(model, ws, TrainConfig(learning_rate=0.05, epochs=100, seed=0))
         assert history[-1] < history[0] - 0.3
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_location(self):
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=5,
                            head=HeadSpec("point", 1))
@@ -601,6 +601,40 @@ class TestCheckpoint:
         data = (tmp_path / "m.bin").read_bytes()
         (tmp_path / "m.bin").write_bytes(data[:-12])
         with pytest.raises(ValueError, match=re.escape(f"{prefix}.bin")):
+            load_model(prefix)
+
+    @pytest.mark.parametrize("head_extra", [{"aux_point": False}, {}])
+    def test_mdn_manifest_without_an_auxiliary_output_loads(self, tmp_path, head_extra):
+        # every checkpoint written while the auxiliary output existed says
+        # "aux_point": false; checkpoints written since leave the key out
+        model = init_model("gru", 2, 3, dense_sizes=(4,), seed=3,
+                           head=HeadSpec("mdn", 2, k=3), window_size=5)
+        prefix = str(tmp_path / "m")
+        save_model(model, prefix)
+        path = tmp_path / "m.json"
+        manifest = json.loads(path.read_text())
+        assert "aux_point" not in manifest["head"]
+        manifest["head"].update(head_extra)
+        path.write_text(json.dumps(manifest))
+        loaded, _ = load_model(prefix)
+        windows = np.random.default_rng(1).normal(size=(4, 5, 2))
+        scaler = Standardizer.identity(2)
+        want = MixtureForecaster(model, scaler).predict_distribution(windows)
+        got = MixtureForecaster(loaded, scaler).predict_distribution(windows)
+        assert [[p.to_dict() for p in day] for day in got] == \
+            [[p.to_dict() for p in day] for day in want]
+
+    def test_mdn_manifest_with_an_auxiliary_output_is_a_named_error(self, tmp_path):
+        model = init_model("gru", 2, 3, dense_sizes=(4,), seed=3,
+                           head=HeadSpec("mdn", 2, k=3))
+        prefix = str(tmp_path / "m")
+        save_model(model, prefix)
+        path = tmp_path / "m.json"
+        manifest = json.loads(path.read_text())
+        manifest["head"]["aux_point"] = True
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}.json has an auxiliary "
+                                                       "point output") + ".*retrain"):
             load_model(prefix)
 
 

@@ -21,7 +21,6 @@ from fleetcast.relocation import (
     expected_objective,
     extract_plan,
     require_certified,
-    round_plan,
     saa_convergence_table,
     sample_scenarios,
     solve_relocation,
@@ -456,22 +455,6 @@ class TestEvaluateDecision:
             res.objective, abs=1e-7)
 
 
-class TestRounding:
-    def test_rounded_plan_is_integral_and_feasible(self):
-        rng = np.random.default_rng(3)
-        z = 3
-        cmat = rng.uniform(0.1, 1.0, (z, z))
-        np.fill_diagonal(cmat, 0.0)
-        inst = RelocationInstance(stock=np.array([7.0, 1.0, 4.0]),
-                                  move_cost=cmat, price=9.0, penalty=3.0)
-        scen = ScenarioSet(rng.uniform(0, 12, (30, z)))
-        plan, _ = solve_relocation(inst, scen)
-        rounded, report = round_plan(inst, plan, scen)
-        assert np.allclose(rounded.flows, np.round(rounded.flows))
-        assert (rounded.post_stock(inst.stock) >= -1e-9).all()
-        assert report["gap"] >= -1e-9
-
-
 def test_saa_convergence_table_shape():
     inst = small_instance()
     forecasts = [GmmParams([0.5, 0.5], [1.0, 3.0], [0.5, 0.5]),
@@ -490,6 +473,20 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         RelocationInstance(stock=np.array([-1.0]), move_cost=np.array([[0.0]]),
                            price=1.0, penalty=1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_scenario_demand_must_be_finite_and_nonnegative(bad):
+    # the solvers see the bad input named, not a NaN certificate residual
+    demand = np.array([[bad, 1.0], [3.0, 2.0]])
+    message = "scenario demand must be finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        ScenarioSet(demand)
+    with pytest.raises(ValueError, match=message):
+        solve_relocation(small_instance(), ScenarioSet(demand))
+    with pytest.raises(ValueError, match=message):
+        solve_relocation_days(small_instance(),
+                              [ScenarioSet(np.ones((2, 2))), ScenarioSet(demand)])
 
 
 @pytest.mark.parametrize("field, bad", [("stock", [np.inf, 1.0]), ("stock", [np.nan, 1.0]),
