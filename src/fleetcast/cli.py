@@ -18,11 +18,13 @@ in-process `main` calls parse with the same parser into fresh namespaces.
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,23 +95,32 @@ def _write_manifest(path: Path, command: str, cfg: PipelineConfig,
         fh.write("\n")
 
 
-def _split_bounds(cfg: PipelineConfig, series: DemandSeries):
-    if cfg.train_end is not None:
-        test_end = cfg.test_end or series.days[-1]
-        return cfg.train_end, test_end
-    test_len = 91 if series.n_days >= 182 else max(1, series.n_days // 4)
-    return series.days[-test_len - 1], series.days[-1]
+class Split(NamedTuple):
+    """The demand file, its series and the series' chronological partitions."""
+
+    path: Path
+    series: DemandSeries
+    train: DemandSeries
+    test: DemandSeries
+    train_end: dt.date
+    test_end: dt.date
 
 
-def _load_demand(cfg: PipelineConfig) -> DemandSeries:
+def _split_demand(cfg: PipelineConfig) -> Split:
+    """Load the demand series and split it at the config's dates; by
+    default the last 91 days (a quarter of a shorter series) are test."""
     path = _require(_data_dir(cfg) / cfg.demand_file, "demand")
-    return DemandSeries.from_csv(path)
-
-
-def _scaler_for(cfg: PipelineConfig, train_series: DemandSeries) -> Standardizer:
-    if cfg.standardize:
-        return Standardizer.fit(train_series)
-    return Standardizer.identity(train_series.n_zones)
+    series = DemandSeries.from_csv(path)
+    if series.n_days < 2:
+        raise ValueError(f"demand file {path} holds {series.n_days} days; a train/test "
+                         f"split needs at least 2")
+    if cfg.train_end is not None:
+        train_end, test_end = cfg.train_end, cfg.test_end or series.days[-1]
+    else:
+        test_len = 91 if series.n_days >= 182 else max(1, series.n_days // 4)
+        train_end, test_end = series.days[-test_len - 1], series.days[-1]
+    train, test = chronological_split(series, train_end, test_end)
+    return Split(path, series, train, test, train_end, test_end)
 
 
 def _instance(cfg: PipelineConfig, n_zones: int) -> RelocationInstance:
@@ -123,6 +134,19 @@ def _instance(cfg: PipelineConfig, n_zones: int) -> RelocationInstance:
 
 
 MODEL_FILES = {"mdn": "mdn", "gru-point": "gru_point", "lstm": "lstm"}
+DISTRIBUTION_FORECASTERS = ("mdn", "posthoc")
+
+
+def _checkpoint_files(cfg: PipelineConfig, tag: str) -> list[Path]:
+    prefix = _data_dir(cfg) / "checkpoints" / MODEL_FILES[tag]
+    return [prefix.with_suffix(".json"), prefix.with_suffix(".bin")]
+
+
+def _forecaster_files(cfg: PipelineConfig, tag: str) -> list[Path]:
+    """The artifacts `_forecaster(cfg, tag)` reads."""
+    if tag == "posthoc":
+        return _checkpoint_files(cfg, "gru-point") + [_data_dir(cfg) / "em_fit.json"]
+    return _checkpoint_files(cfg, tag)
 
 
 def _load_checkpoint(cfg: PipelineConfig, tag: str):
@@ -180,7 +204,7 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
     trips_path = _require(out / cfg.trips_file, "trips")
     zones = ZoneMap.parse(cfg.zones)
     trips, ingest_report = ingest_trips(trips_path)
-    series, agg_report = aggregate_demand(trips, zones, count=cfg.count_field)
+    series, agg_report = aggregate_demand(trips, zones)
     demand_path = out / cfg.demand_file
     series.to_csv(demand_path)
     report_path = out / "ingest_report.json"
@@ -193,15 +217,13 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def _train_one(cfg: PipelineConfig, which: str) -> Path:
-    series = _load_demand(cfg)
-    train_end, test_end = _split_bounds(cfg, series)
-    train_series, _test_series = chronological_split(series, train_end, test_end)
-    scaler = _scaler_for(cfg, train_series)
-    raw_windows = make_windows(train_series, cfg.window_size)
+    split = _split_demand(cfg)
+    scaler = Standardizer.fit(split.train)
+    raw_windows = make_windows(split.train, cfg.window_size)
     windows = WindowSet(inputs=scaler.transform(raw_windows.inputs),
                         targets=scaler.transform(raw_windows.targets),
                         target_days=raw_windows.target_days)
-    z = series.n_zones
+    z = split.series.n_zones
     if which == "mdn":
         head = HeadSpec("mdn", z, k=cfg.mixture_components)
         cell = "gru"
@@ -216,7 +238,7 @@ def _train_one(cfg: PipelineConfig, which: str) -> Path:
                        head=head, seed=cfg.seed, window_size=cfg.window_size)
     tcfg = TrainConfig(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
                        epochs=cfg.epochs, clip_norm=cfg.clip_norm, seed=cfg.seed,
-                       optimizer=cfg.optimizer, momentum=cfg.momentum)
+                       momentum=cfg.momentum)
     history: list[float] = []
     if cfg.epochs > 0:
         model, history = train(model, windows, tcfg)
@@ -227,8 +249,8 @@ def _train_one(cfg: PipelineConfig, which: str) -> Path:
         "scaler": scaler.to_dict(),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "train_end": train_end.isoformat(),
-        "test_end": test_end.isoformat(),
+        "train_end": split.train_end.isoformat(),
+        "test_end": split.test_end.isoformat(),
         "loss_history": history,
     })
     return prefix
@@ -245,11 +267,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
-    series = _load_demand(cfg)
-    train_end, test_end = _split_bounds(cfg, series)
-    train_series, _ = chronological_split(series, train_end, test_end)
+    split = _split_demand(cfg)
     model, scaler, _ = _load_checkpoint(cfg, "gru-point")
-    windows = make_windows(train_series, cfg.window_size)
+    windows = make_windows(split.train, cfg.window_size)
     n_val = max(1, int(len(windows) * cfg.val_fraction))
     val = type(windows)(inputs=windows.inputs[-n_val:],
                         targets=windows.targets[-n_val:],
@@ -265,37 +285,36 @@ def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
              "log_likelihood": rec["log_likelihood"],
              "ll_trace": rec["ll_trace"], "iterations": rec["iterations"],
              "restarts": rec["restarts"], "seed": rec["seed"]}
-            for zid, mix, rec in zip(series.zone_ids, mixtures, records)]},
+            for zid, mix, rec in zip(split.series.zone_ids, mixtures, records)]},
             fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(_data_dir(cfg) / "fit_gmm.manifest.json", "fit-gmm", cfg,
-                    [], [out_path])
+                    [split.path] + _checkpoint_files(cfg, "gru-point"), [out_path])
     print(f"fitted residual mixtures for {len(mixtures)} zones -> {out_path}")
     return 0
 
 
 def cmd_forecast(cfg: PipelineConfig, args) -> int:
     tag = args.model
-    series = _load_demand(cfg)
-    train_end, test_end = _split_bounds(cfg, series)
-    train_series, test_series = chronological_split(series, train_end, test_end)
+    split = _split_demand(cfg)
     forecaster = _forecaster(cfg, tag)
-    positions, windows = trailing_windows(train_series, test_series, cfg.window_size)
-    days = [test_series.days[t] for t in positions]
+    positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
+    days = [split.test.days[t] for t in positions]
     dists = forecaster.predict_distribution(windows, days) if days else []
     out_path = _data_dir(cfg) / "forecasts.json"
-    fc.save_forecast_file(out_path, days, series.zone_ids, dists)
+    fc.save_forecast_file(out_path, days, split.series.zone_ids, dists)
     _write_manifest(_data_dir(cfg) / "forecast.manifest.json", "forecast", cfg,
-                    [], [out_path])
-    print(f"forecast {len(days)} days x {series.n_zones} zones -> {out_path}")
+                    [split.path] + _forecaster_files(cfg, tag), [out_path])
+    print(f"forecast {len(days)} days x {split.series.n_zones} zones -> {out_path}")
     return 0
 
 
 def cmd_optimize(cfg: PipelineConfig, args) -> int:
     out = _data_dir(cfg)
-    day, forecasts = fc.load_forecast_day(_require(out / "forecasts.json", "forecasts"),
-                                          args.day)
-    zone_ids = read_zone_ids(_require(out / cfg.demand_file, "demand"))
+    forecasts_path = _require(out / "forecasts.json", "forecasts")
+    day, forecasts = fc.load_forecast_day(forecasts_path, args.day)
+    demand_path = _require(out / cfg.demand_file, "demand")
+    zone_ids = read_zone_ids(demand_path)
     missing = [zid for zid in zone_ids if zid not in forecasts]
     if missing:
         raise ValueError(f"forecasts for {day} lack zones {missing} of {cfg.demand_file}")
@@ -318,24 +337,24 @@ def cmd_optimize(cfg: PipelineConfig, args) -> int:
         lp_path.write_text(export_lp_text(lp))
         print(f"exported program -> {lp_path}")
     _write_manifest(out / "optimize.manifest.json", "optimize", cfg,
-                    [out / "forecasts.json"], [plan_path])
+                    [demand_path, forecasts_path], [plan_path])
     print(f"plan for {day}: moving {plan.moving:.2f} vehicles, "
           f"objective {res.objective:.2f} -> {plan_path}")
     return 0
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
-    mode = args.mode or cfg.optimizer_mode
+    mode = args.mode
     tag = args.forecaster or ("mdn" if mode == "stochastic" else "lstm")
-    series = _load_demand(cfg)
-    train_end, test_end = _split_bounds(cfg, series)
-    train_series, test_series = chronological_split(series, train_end, test_end)
+    if mode == "stochastic" and tag not in DISTRIBUTION_FORECASTERS:
+        raise ValueError(f"forecaster {tag!r} gives point forecasts only; stochastic "
+                         f"evaluation needs one of {', '.join(DISTRIBUTION_FORECASTERS)}")
+    split = _split_demand(cfg)
     forecaster = _forecaster(cfg, tag)
     settings = EvalSettings(window_size=cfg.window_size,
-                            n_scenarios=cfg.n_scenarios, seed=cfg.seed,
-                            replan=cfg.replan)
-    instance = _instance(cfg, series.n_zones)
-    report = rolling_evaluate(forecaster, mode, train_series, test_series,
+                            n_scenarios=cfg.n_scenarios, seed=cfg.seed)
+    instance = _instance(cfg, split.series.n_zones)
+    report = rolling_evaluate(forecaster, mode, split.train, split.test,
                               instance, settings)
     report.method = f"{tag}-{mode}"
     out = _data_dir(cfg) / cfg.reports_dir
@@ -345,7 +364,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     if args.per_day_csv:
         report.per_day_csv(out / f"report_{tag}_{mode}_days.csv")
     _write_manifest(out / f"evaluate_{tag}_{mode}.manifest.json", "evaluate",
-                    cfg, [], [report_path])
+                    cfg, [split.path] + _forecaster_files(cfg, tag), [report_path])
     print(f"{report.method}: {report.day_count} days, "
           f"avg revenue {report.average('revenue'):.2f}, "
           f"avg cost {report.average('cost'):.2f}, "
@@ -391,16 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("synth", cmd_synth, "generate the bundled synthetic benchmark data")
-    p = add("ingest", cmd_ingest, "parse trips and build the demand series")
-    p.add_argument("--count-field", dest="count_field", default=None,
-                   help="trips or passengers")
+    add("ingest", cmd_ingest, "parse trips and build the demand series")
     p = add("train", cmd_train, "train a forecaster")
     p.add_argument("--model", choices=list(MODEL_FILES), default="mdn")
     p.add_argument("--epochs", dest="epochs", default=None, help="override epochs")
     add("fit-gmm", cmd_fit_gmm,
         "fit residual mixtures for the extraction route (needs gru-point)")
     p = add("forecast", cmd_forecast, "write per-day per-zone mixture forecasts")
-    p.add_argument("--model", choices=["mdn", "posthoc"], default="mdn")
+    p.add_argument("--model", choices=DISTRIBUTION_FORECASTERS, default="mdn")
     p = add("optimize", cmd_optimize, "solve the scenario program for one day")
     p.add_argument("--day", default=None, help="ISO date (default: first forecast day)")
     p.add_argument("--export-lp", action="store_true",
@@ -409,11 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the scenario-count convergence diagnostic")
     p.add_argument("--n-scenarios", dest="n_scenarios", default=None)
     p = add("evaluate", cmd_evaluate, "rolling out-of-sample evaluation")
-    p.add_argument("--mode", choices=["stochastic", "deterministic"], default=None)
+    p.add_argument("--mode", choices=["stochastic", "deterministic"],
+                   default="stochastic")
     p.add_argument("--forecaster", choices=["mdn", "posthoc", "gru-point", "lstm"],
                    default=None)
-    p.add_argument("--replan", dest="replan", default=None,
-                   help="true for daily replanning, false for one frozen plan")
     p.add_argument("--n-scenarios", dest="n_scenarios", default=None)
     p.add_argument("--per-day-csv", action="store_true",
                    help="also write per-day outcomes as CSV")
@@ -423,8 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-OVERRIDE_KEYS = ("data_dir", "seed", "count_field", "epochs", "n_scenarios",
-                 "replan")
+OVERRIDE_KEYS = ("data_dir", "seed", "epochs", "n_scenarios")
 
 
 def main(argv=None) -> int:

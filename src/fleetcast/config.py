@@ -23,8 +23,6 @@ class PipelineConfig:
 
     # data
     zones: str = "A:40.70,40.75,-74.00,-73.95;B:40.75,40.80,-74.00,-73.95"
-    count_field: str = "trips"          # trips | passengers
-    standardize: bool = True
     train_end: dt.date | None = None    # default: all but the last 91 days
     test_end: dt.date | None = None
 
@@ -39,7 +37,6 @@ class PipelineConfig:
     batch_size: int = 32
     epochs: int = 120
     clip_norm: float = 5.0
-    optimizer: str = "momentum"
     momentum: float = 0.9
     seed: int = 7
 
@@ -57,10 +54,6 @@ class PipelineConfig:
     price: float = 10.0
     penalty: float = 4.0
 
-    # evaluation
-    optimizer_mode: str = "stochastic"  # stochastic | deterministic
-    replan: bool = True
-
     # synthetic benchmark
     synth_days: int = 691
     synth_zones: int = 2
@@ -72,8 +65,6 @@ class PipelineConfig:
 
     def validate(self) -> None:
         checks = [
-            ("count_field", self.count_field in ("trips", "passengers"),
-             "must be trips or passengers"),
             ("window_size", self.window_size >= 1, "must be >= 1"),
             ("mixture_components", self.mixture_components >= 1, "must be >= 1"),
             ("hidden_size", self.hidden_size >= 1, "must be >= 1"),
@@ -81,8 +72,6 @@ class PipelineConfig:
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("epochs", self.epochs >= 0, "must be >= 0"),
             ("clip_norm", self.clip_norm > 0, "must be > 0"),
-            ("optimizer", self.optimizer in ("momentum", "adam"),
-             "must be momentum or adam"),
             ("val_fraction", 0.0 < self.val_fraction < 1.0, "must be in (0, 1)"),
             ("em_components", self.em_components >= 1, "must be >= 1"),
             ("em_restarts", self.em_restarts >= 1, "must be >= 1"),
@@ -90,8 +79,6 @@ class PipelineConfig:
             ("move_cost", self.move_cost >= 0, "must be >= 0"),
             ("price", self.price >= 0, "must be >= 0"),
             ("penalty", self.penalty >= 0, "must be >= 0"),
-            ("optimizer_mode", self.optimizer_mode in ("stochastic", "deterministic"),
-             "must be stochastic or deterministic"),
             ("synth_days", self.synth_days >= 1, "must be >= 1"),
             ("synth_zones", self.synth_zones >= 1, "must be >= 1"),
             ("synth_stay_prob", 0.0 < self.synth_stay_prob < 1.0,
@@ -113,12 +100,6 @@ def _parse_value(name: str, text: str):
     text = text.strip()
     ftype = _FIELD_TYPES[name]
     try:
-        if ftype == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError("expected true/false")
         if ftype == "int":
             return int(text)
         if ftype == "float":
@@ -174,8 +155,6 @@ def dump_config(cfg: PipelineConfig) -> str:
         value = getattr(cfg, f.name)
         if isinstance(value, tuple):
             value = ",".join(format(v, "g") for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
         elif value is None:
             value = ""
         lines.append(f"{f.name} = {value}")

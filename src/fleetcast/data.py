@@ -9,7 +9,7 @@ aggregates into a gap-free Z x D demand matrix: first-match zone boxes
 (one mask per box) and UTC pickup dates from epoch-day arithmetic that
 agrees with `datetime.fromtimestamp`. The series splits chronologically
 and slices into sliding windows for the sequence models. Demand counts
-trips by default; passengers is a config choice.
+trips; the passenger column is parsed and checked but not summed.
 """
 
 from __future__ import annotations
@@ -367,15 +367,12 @@ class AggregationReport:
                 "zero_filled_days": [d.isoformat() for d in self.zero_filled_days]}
 
 
-def aggregate_demand(trips: TripTable, zones: ZoneMap, count: str = "trips"):
-    """Count trips (or passengers) per zone per UTC pickup date.
+def aggregate_demand(trips: TripTable, zones: ZoneMap):
+    """Count trips per zone per UTC pickup date.
 
     Trips matching no zone are dropped and counted; calendar gaps between
-    the first and last matched day are zero-filled and flagged. Each
-    zone-day sum adds its trips in table order, as a row-by-row loop would.
+    the first and last matched day are zero-filled and flagged.
     """
-    if count not in ("trips", "passengers"):
-        raise ValueError("count must be 'trips' or 'passengers'")
     report = AggregationReport()
     zone = zones.locate(trips.pickup_lat, trips.pickup_lon)
     hit = zone >= 0
@@ -391,8 +388,7 @@ def aggregate_demand(trips: TripTable, zones: ZoneMap, count: str = "trips"):
     first = int(days.min())
     n_days = int(days.max()) - first + 1
     offset = days - first
-    weights = None if count == "trips" else trips.passengers[hit].astype(float)
-    values = np.bincount(zone * n_days + offset, weights=weights,
+    values = np.bincount(zone * n_days + offset,
                          minlength=n_zones * n_days).astype(float)
     start = EPOCH + dt.timedelta(days=first)
     day_list = [start + dt.timedelta(days=i) for i in range(n_days)]
@@ -485,10 +481,6 @@ class Standardizer:
         mean = train.values.mean(axis=1)
         std = np.maximum(train.values.std(axis=1), 1e-8)
         return cls(mean, std)
-
-    @classmethod
-    def identity(cls, n_zones: int) -> "Standardizer":
-        return cls(np.zeros(n_zones), np.ones(n_zones))
 
     def transform(self, zone_last):
         """Standardize arrays whose last axis is the zone axis."""

@@ -97,7 +97,6 @@ class EvalSettings:
     window_size: int
     n_scenarios: int = 200
     seed: int = 0
-    replan: bool = True   # re-forecast and re-plan each day; False = one plan
 
 
 def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
@@ -110,19 +109,15 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
     `settings.seed + t` on test day t) and solves the scenario programs,
     all days in one `solve_relocation_days` call when the move cost is
     uniform; "deterministic" solves the single point-forecast program.
-    One batched forecaster call covers every planned day: all days with a
-    full trailing window, or only the first day when `settings.replan` is
-    off, whose plan then serves every day. Days without a full trailing
-    window are skipped and reported.
+    One batched forecaster call covers every day with a full trailing
+    window, and each such day is re-planned from its own forecast. Days
+    without a full trailing window are skipped and reported.
     """
     if mode not in ("stochastic", "deterministic"):
         raise ValueError("mode must be stochastic or deterministic")
     if test.n_days == 0:
         raise ValueError("empty test partition")
     positions, windows = trailing_windows(history, test, settings.window_size)
-    if not settings.replan:  # the first day's plan, if it has one, serves every day
-        n = 1 if positions[:1] == [0] else 0
-        positions, windows = positions[:n], windows[:n]
     days = [test.days[t] for t in positions]
 
     plans = {}
@@ -144,7 +139,7 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
 
     days, outcomes, skipped = [], [], []
     for t in range(test.n_days):
-        plan = plans.get(t if settings.replan else 0)
+        plan = plans.get(t)
         if plan is None:
             skipped.append(test.days[t])
             continue

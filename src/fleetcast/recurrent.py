@@ -5,8 +5,9 @@ hidden state runs through a small dense stack whose last layer emits the
 raw head vector, either mixture parameters (3K per series) or a point
 forecast (1 per series). Backpropagation through time is hand-derived
 and float64 throughout; training is plain minibatch descent with
-momentum or adaptive moments, a global gradient-norm clip, and seeded
-shuffling so runs are bit-reproducible.
+momentum, a global gradient-norm clip, and seeded shuffling so runs are
+bit-reproducible. The loss follows from the head: mixture NLL for an MDN
+head, squared error for a point head.
 
 Update gate z and reset gate r use the logistic sigmoid, the candidate
 state uses tanh, and the new state is the convex combination
@@ -170,7 +171,6 @@ class TrainConfig:
     epochs: int = 100
     clip_norm: float = 5.0
     seed: int = 0
-    optimizer: str = "momentum"  # momentum | adam
     momentum: float = 0.9
 
     def validate(self) -> None:
@@ -183,8 +183,6 @@ class TrainConfig:
             raise ValueError("batch size must be positive")
         if self.clip_norm <= 0:
             raise ValueError("clip norm must be positive")
-        if self.optimizer not in ("momentum", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer}")
 
 
 def gru_cell_forward(x_t, h_prev, w: CellWeights):
@@ -271,13 +269,13 @@ def sequence_forward(window, model: RecurrentModel):
     return raw
 
 
-def head_loss_and_grad(model: RecurrentModel, raw, targets, loss: str):
+def head_loss_and_grad(model: RecurrentModel, raw, targets):
     """Scalar loss and its gradient with respect to the raw head outputs,
     both of shape (B, out_dim).
 
-    gmm_nll averages the per-scalar mixture NLL over the B*S (batch,
-    series) pairs, so its gradient is nll_and_grad_raw's divided by B*S;
-    mse averages squared error.
+    An MDN head's loss averages the per-scalar mixture NLL over the B*S
+    (batch, series) pairs, so its gradient is nll_and_grad_raw's divided
+    by B*S; a point head's loss averages squared error.
     """
     raw = np.atleast_2d(raw)
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -285,11 +283,9 @@ def head_loss_and_grad(model: RecurrentModel, raw, targets, loss: str):
     s = model.head.n_series
     if targets.shape != (b, s):
         raise ValueError(f"targets shape {targets.shape} != ({b}, {s})")
-    if loss == "mse":
+    if model.head.kind == "point":
         diff = raw - targets
         return float(np.mean(diff**2)), 2.0 * diff / diff.size
-    if loss != "gmm_nll":
-        raise ValueError(f"unknown loss {loss}")
     shaped = raw.reshape(b, s, model.head.per_series)
     nll, g = nll_and_grad_raw(shaped, targets, sigma_floor=model.sigma_floor)
     return float(nll.mean()), (g / (b * s)).reshape(raw.shape)
@@ -420,17 +416,17 @@ def backward(model: RecurrentModel, cache, d_raw, scratch=_fresh):
     return grads
 
 
-def loss_and_grads(model: RecurrentModel, inputs, targets, loss: str):
+def loss_and_grads(model: RecurrentModel, inputs, targets):
     """Forward, head loss, and full backward in one call."""
     raw, cache = forward_pass(model, inputs)
-    value, d_raw = head_loss_and_grad(model, raw, targets, loss)
+    value, d_raw = head_loss_and_grad(model, raw, targets)
     return value, backward(model, cache, d_raw)
 
 
-def compute_loss(model: RecurrentModel, inputs, targets, loss: str) -> float:
+def compute_loss(model: RecurrentModel, inputs, targets) -> float:
     """Forward-only loss; the quantity finite differences differentiate."""
     raw, _ = forward_pass(model, inputs)
-    value, _ = head_loss_and_grad(model, raw, targets, loss)
+    value, _ = head_loss_and_grad(model, raw, targets)
     return value
 
 
@@ -451,29 +447,7 @@ def _momentum_step(p, g, v, lr, momentum):
     p -= g
 
 
-def _adam_step(p, g, st, lr, t):
-    """One Adam update in place, with the bits of the textbook formulas
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-    p -= lr * (m/(1-b1**t)) / (sqrt(v/(1-b2**t)) + eps); g is overwritten."""
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    m, v, tmp = st["m"], st["v"], st["tmp"]
-    m *= b1
-    np.multiply(g, 1 - b1, out=tmp)
-    m += tmp
-    v *= b2
-    np.square(g, out=g)
-    g *= 1 - b2
-    v += g
-    np.divide(v, 1 - b2**t, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    np.divide(m, 1 - b1**t, out=tmp)
-    tmp *= lr
-    tmp /= g
-    p -= tmp
-
-
-def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = None):
+def train(model: RecurrentModel, windows, cfg: TrainConfig):
     """Minibatch training over a window set; mutates and returns the model.
 
     History has one mean-loss entry per epoch. Identical (model init,
@@ -486,15 +460,11 @@ def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = N
     targets = np.asarray(windows.targets, dtype=float)
     if inputs.shape[0] == 0:
         raise ValueError("empty window set")
-    if loss is None:
-        loss = "gmm_nll" if model.head.kind == "mdn" else "mse"
 
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
-    slots = ("v",) if cfg.optimizer == "momentum" else ("m", "v", "tmp")
-    state = {name: {k: np.zeros_like(p) for k in slots} for name, p in params.items()}
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
     scratch = Scratch()
-    adam_t = 0
     history = []
     n = inputs.shape[0]
     for epoch in range(cfg.epochs):
@@ -506,20 +476,15 @@ def train(model: RecurrentModel, windows, cfg: TrainConfig, loss: str | None = N
             for b0 in range(0, n, cfg.batch_size):
                 sel = order[b0 : b0 + cfg.batch_size]
                 raw, fwd_cache = forward_pass(model, inputs[sel])
-                value, d_raw = head_loss_and_grad(model, raw, targets[sel], loss)
+                value, d_raw = head_loss_and_grad(model, raw, targets[sel])
                 if not np.isfinite(value):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
                 grads = backward(model, fwd_cache, d_raw, scratch)
                 _clip_global_norm(grads, cfg.clip_norm)
-                if cfg.optimizer == "momentum":
-                    for name, p in params.items():
-                        _momentum_step(p, grads[name], state[name]["v"], cfg.learning_rate,
-                                       cfg.momentum)
-                else:
-                    adam_t += 1
-                    for name, p in params.items():
-                        _adam_step(p, grads[name], state[name], cfg.learning_rate, adam_t)
+                for name, p in params.items():
+                    _momentum_step(p, grads[name], velocity[name], cfg.learning_rate,
+                                   cfg.momentum)
                 epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
         for p in params.values():

@@ -69,17 +69,13 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings)
             plan = extract_plan(res, index_map, instance.n_zones)
         return plan
 
-    indices = list(range(test.n_days))
-    if settings.replan:
-        plans = [plan_for(t) for t in indices]
-    else:
-        plans = [plan_for(0)] * test.n_days
     days, outcomes, skipped = [], [], []
-    for t in indices:
-        if plans[t] is None:
+    for t in range(test.n_days):
+        plan = plan_for(t)
+        if plan is None:
             skipped.append(test.days[t])
             continue
-        outcomes.append(evaluate_decision(instance, plans[t], test.values[:, t]))
+        outcomes.append(evaluate_decision(instance, plan, test.values[:, t]))
         days.append(test.days[t])
     return EvaluationReport(method=f"{mode}", days=days, outcomes=outcomes,
                             skipped_days=skipped)
@@ -201,11 +197,10 @@ def instance():
 @pytest.mark.parametrize("tag, mode", [("mdn", "stochastic"), ("posthoc", "stochastic"),
                                        ("gru-point", "deterministic"),
                                        ("lstm", "deterministic")])
-@pytest.mark.parametrize("n_history, replan", [(49, True), (49, False), (4, True),
-                                               (10, False)])
-def test_reports_equal_the_per_day_loop(tag, mode, n_history, replan):
+@pytest.mark.parametrize("n_history", [49, 4])
+def test_reports_equal_the_per_day_loop(tag, mode, n_history):
     history, test = demand_split(n_history)
-    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11, replan=replan)
+    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11)
     got = rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
                            settings).to_dict()
     want = oracle_rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
@@ -242,11 +237,11 @@ def non_uniform_instance():
 
 
 @pytest.mark.parametrize("tag", ["mdn", "posthoc"])
-@pytest.mark.parametrize("n_history, replan", [(49, True), (49, False), (4, True)])
-def test_stochastic_reports_equal_the_per_day_loop_exactly(tag, n_history, replan):
+@pytest.mark.parametrize("n_history", [49, 4])
+def test_stochastic_reports_equal_the_per_day_loop_exactly(tag, n_history):
     history, test = demand_split(n_history)
     forecaster = FrozenAnswers(FORECASTERS[tag], history, test)
-    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11, replan=replan)
+    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11)
     got = rolling_evaluate(forecaster, "stochastic", history, test, instance(), settings)
     want = oracle_rolling_evaluate(forecaster, "stochastic", history, test, instance(),
                                    settings)

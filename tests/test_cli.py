@@ -76,6 +76,41 @@ class TestPipeline:
         assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster",
                     "posthoc") == 0
 
+        def inputs(name):
+            doc = json.loads((run / f"{name}.manifest.json").read_text())
+            return [Path(p).relative_to(run).as_posix() for p in doc["inputs"]]
+
+        mdn = ["checkpoints/mdn.json", "checkpoints/mdn.bin"]
+        gru_point = ["checkpoints/gru_point.json", "checkpoints/gru_point.bin"]
+        assert inputs("train_mdn") == ["demand.csv"]
+        assert inputs("fit_gmm") == ["demand.csv"] + gru_point
+        assert inputs("forecast") == ["demand.csv"] + mdn
+        assert inputs("optimize") == ["demand.csv", "forecasts.json"]
+        assert inputs("evaluate_mdn_stochastic") == ["demand.csv"] + mdn
+        assert inputs("evaluate_lstm_deterministic") == \
+            ["demand.csv", "checkpoints/lstm.json", "checkpoints/lstm.bin"]
+        assert inputs("evaluate_posthoc_stochastic") == \
+            ["demand.csv"] + gru_point + ["em_fit.json"]
+
+    def test_evaluate_mode_defaults_to_stochastic(self, run_dir):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "0")):
+            assert call(cfg, *argv) == 0
+        reports = []
+        for argv in ((), ("--mode", "stochastic")):
+            assert call(cfg, "evaluate", "--forecaster", "mdn", *argv) == 0
+            reports.append((run / "report_mdn_stochastic.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("tag", ["lstm", "gru-point"])
+    def test_stochastic_evaluation_of_a_point_forecaster_exits_2(self, run_dir, capsys,
+                                                                 tag):
+        _, cfg = run_dir
+        assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster", tag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: forecaster {tag!r} gives point forecasts only")
+        assert "mdn, posthoc" in err and "Traceback" not in err
+
     def test_missing_upstream_artifact_names_producer(self, run_dir, capsys):
         run, cfg = run_dir
         assert call(cfg, "ingest") == 2
@@ -160,7 +195,11 @@ class TestPipeline:
         with pytest.raises(SystemExit):
             call(cfg, "train", "--nonsense")
 
-    @pytest.mark.parametrize("line", ["threads = 2", "aux_point_output = true"])
+    @pytest.mark.parametrize("line", ["threads = 2", "aux_point_output = true",
+                                      "optimizer = adam", "standardize = false",
+                                      "count_field = passengers",
+                                      "optimizer_mode = deterministic",
+                                      "replan = false"])
     def test_removed_config_keys_are_unknown(self, run_dir, capsys, line):
         _, cfg = run_dir
         cfg.write_text(cfg.read_text() + line + "\n")
@@ -169,12 +208,16 @@ class TestPipeline:
         assert err.startswith("error: line ")
         assert f"unknown config key {line.split()[0]!r}" in err
 
-    def test_threads_flag_is_gone(self, run_dir, capsys):
+    @pytest.mark.parametrize("argv", [("fit-gmm", "--threads", "2"),
+                                      ("ingest", "--count-field", "trips"),
+                                      ("evaluate", "--replan", "false")])
+    def test_removed_flags_are_gone(self, run_dir, capsys, argv):
         _, cfg = run_dir
         with pytest.raises(SystemExit) as exc:
-            call(cfg, "fit-gmm", "--threads", "2")
+            call(cfg, *argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        flags = " ".join(argv[1:])
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
     def test_checkpoint_with_an_auxiliary_output_exits_2(self, run_dir, capsys):
         run, cfg = run_dir
@@ -333,6 +376,19 @@ class TestOptimize:
             err = capsys.readouterr().err
             assert err.startswith(f"error: demand file {run / 'demand.csv'} ")
             assert "'date,<zone ids>'" in err
+
+    @pytest.mark.parametrize("body", ["date,A,B\n", "date,A,B\n2018-08-01,1,2\n"])
+    @pytest.mark.parametrize("argv", [("train", "--model", "lstm", "--epochs", "0"),
+                                      ("fit-gmm",), ("forecast",), ("evaluate",)])
+    def test_demand_too_short_to_split_exits_2(self, plan_dir, capsys, body, argv):
+        run, cfg = plan_dir
+        (run / "demand.csv").write_text(body)
+        assert call(cfg, *argv) == 2
+        err = capsys.readouterr().err
+        n_days = body.count("\n") - 1
+        assert err.startswith(f"error: demand file {run / 'demand.csv'} holds "
+                              f"{n_days} days; a train/test split needs at least 2")
+        assert "Traceback" not in err
 
     def test_overrides_do_not_leak_into_the_next_call(self, plan_dir):
         from fleetcast.cli import build_parser

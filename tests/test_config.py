@@ -25,14 +25,12 @@ def test_parse_key_value_text():
     # comment line
     seed = 42
     window_size = 12
-    standardize = false
     dense_sizes = 64,32
     train_end = 2019-03-31
     price = 9.5
     """)
     assert cfg.seed == 42
     assert cfg.window_size == 12
-    assert cfg.standardize is False
     assert cfg.dense_sizes == (64.0, 32.0)
     assert cfg.train_end == dt.date(2019, 3, 31)
     assert cfg.price == 9.5
@@ -46,15 +44,11 @@ def test_unknown_key_names_the_line():
 def test_bad_value_names_the_field():
     with pytest.raises(ValueError, match="config.epochs"):
         parse_config_text("epochs = ten")
-    with pytest.raises(ValueError, match="config.standardize"):
-        parse_config_text("standardize = maybe")
 
 
 def test_out_of_range_names_the_field():
     with pytest.raises(ValueError, match="config.window_size"):
         parse_config_text("window_size = 0")
-    with pytest.raises(ValueError, match="config.optimizer_mode"):
-        parse_config_text("optimizer_mode = both")
     with pytest.raises(ValueError, match="config.val_fraction"):
         parse_config_text("val_fraction = 1.5")
 
@@ -67,9 +61,9 @@ def test_non_finite_or_negative_stock_names_the_field(stock):
 
 def test_overrides_win_and_are_typed():
     cfg = PipelineConfig()
-    cfg = apply_overrides(cfg, {"seed": "99", "replan": "false", "epochs": None})
+    cfg = apply_overrides(cfg, {"seed": "99", "n_scenarios": "17", "epochs": None})
     assert cfg.seed == 99
-    assert cfg.replan is False
+    assert cfg.n_scenarios == 17
     assert cfg.epochs == PipelineConfig().epochs  # None means untouched
     with pytest.raises(ValueError, match="unknown config key"):
         apply_overrides(cfg, {"nope": "1"})

@@ -234,11 +234,6 @@ class TestAggregate:
         series, _ = aggregate_demand(table_of([trip(1, 8, 40.5, -74.0)]), overlapping)
         assert series.values[0, 0] == 1.0 and series.values[1, 0] == 0.0
 
-    def test_passenger_counting_mode(self):
-        trips = [trip(1, 8, 40.72, -73.97, pax=3), trip(1, 9, 40.72, -73.97, pax=2)]
-        series, _ = aggregate_demand(table_of(trips), TWO_ZONES, count="passengers")
-        assert series.values[0, 0] == 5.0
-
     def test_empty_input_gives_empty_series(self):
         series, report = aggregate_demand(table_of([]), TWO_ZONES)
         assert series.n_days == 0 and report.matched == 0
@@ -451,6 +446,6 @@ class TestStandardizer:
         np.testing.assert_allclose(sc.inverse(z), x, atol=1e-10)
 
     def test_identity(self):
-        sc = Standardizer.identity(3)
+        sc = Standardizer(np.zeros(3), np.ones(3))
         x = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(sc.transform(x), x)

@@ -150,31 +150,6 @@ class TestRolling:
                    for _ in range(2)]
         assert reports[0].to_dict() == reports[1].to_dict()
 
-    def test_single_plan_mode_reuses_first_day_plan(self):
-        rng = np.random.default_rng(2)
-        series = mk_series(rng.integers(0, 10, size=(2, 40)).astype(float))
-        history, test = split(series, 25)
-        settings = EvalSettings(window_size=10, n_scenarios=30, seed=4,
-                                replan=False)
-        fc = constant_forecaster()
-        report = rolling_evaluate(fc, "stochastic", history, test, toy_instance(),
-                                  settings)
-        movings = {o.moving for o in report.outcomes}
-        assert len(movings) == 1  # one frozen first-stage plan
-        assert report.day_count == test.n_days
-        assert [day for _, day in fc.seen] == [test.days[0]]  # only day one is forecast
-
-    def test_single_plan_mode_without_a_first_day_window_skips_every_day(self):
-        series = mk_series([[2.0] * 12])
-        history, test = split(series, 4)  # ws = 6: test day 0 has no full window
-        fc = constant_forecaster(z=1)
-        report = rolling_evaluate(fc, "stochastic", history, test, toy_instance(z=1),
-                                  EvalSettings(window_size=6, n_scenarios=10,
-                                               replan=False))
-        assert report.day_count == 0
-        assert report.skipped_days == test.days
-        assert fc.calls == 0
-
     def test_unsolved_deterministic_day_raises_named_error(self, monkeypatch):
         series = mk_series(np.full((2, 20), 5.0))
         history, test = split(series, 12)

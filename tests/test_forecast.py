@@ -46,7 +46,7 @@ class TestMixtureForecaster:
     def test_point_is_mixture_mean(self):
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=1,
                            head=HeadSpec("mdn", 1, k=2))
-        f = MixtureForecaster(model, Standardizer.identity(1))
+        f = MixtureForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         history = np.ones((4, 1))
         point = f.predict_point(history)
         dist = f.predict_distribution(history)[0]
@@ -56,7 +56,7 @@ class TestMixtureForecaster:
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=0,
                            head=HeadSpec("point", 1))
         with pytest.raises(ValueError):
-            MixtureForecaster(model, Standardizer.identity(1))
+            MixtureForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
 
 
 class TestPointForecaster:
@@ -72,7 +72,7 @@ class TestPointForecaster:
     def test_no_distribution_without_residual_fit(self):
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=0,
                            head=HeadSpec("point", 1))
-        f = PointForecaster(model, Standardizer.identity(1))
+        f = PointForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         with pytest.raises(NotImplementedError):
             f.predict_distribution(np.ones((4, 1)))
 
@@ -81,7 +81,7 @@ class TestResidualMixtureRoute:
     def test_residuals_and_shifted_mixture(self):
         model = init_model("gru", 1, 3, dense_sizes=(4,), seed=3,
                            head=HeadSpec("point", 1))
-        base = PointForecaster(model, Standardizer.identity(1))
+        base = PointForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         rng = np.random.default_rng(0)
         windows = WindowSet(inputs=rng.normal(size=(12, 4, 1)),
                             targets=rng.normal(size=(12, 1)), target_days=None)
@@ -118,7 +118,7 @@ class TestResidualMixtureRoute:
                            head=HeadSpec("point", 1))
         for arr in model.parameters().values():
             arr[:] = 0.0
-        base = PointForecaster(model, Standardizer.identity(1))
+        base = PointForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         rng = np.random.default_rng(1)
         targets = rng.normal(3.0, 0.5, size=(200, 1))
         windows = WindowSet(inputs=np.zeros((200, 4, 1)), targets=targets,

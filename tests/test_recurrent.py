@@ -50,7 +50,7 @@ def zero_lstm(input_size=2, hidden=3):
     return fused([z(input_size, hidden)] * 4, [z(hidden, hidden)] * 4, [z(hidden)] * 4)
 
 
-def fd_gradients(model, inputs, targets, loss):
+def fd_gradients(model, inputs, targets):
     """Oracle: central finite differences of the forward-only loss."""
     grads = {}
     for name, arr in model.parameters().items():
@@ -60,9 +60,9 @@ def fd_gradients(model, inputs, targets, loss):
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + FD_STEP
-            up = compute_loss(model, inputs, targets, loss)
+            up = compute_loss(model, inputs, targets)
             flat[idx] = keep - FD_STEP
-            dn = compute_loss(model, inputs, targets, loss)
+            dn = compute_loss(model, inputs, targets)
             flat[idx] = keep
             gflat[idx] = (up - dn) / (2 * FD_STEP)
         grads[name] = g
@@ -263,21 +263,21 @@ class TestBackward:
         for g in grads.values():
             np.testing.assert_allclose(g, 0.0)
 
-    @pytest.mark.parametrize("seed,cell_kind,loss,head", [
-        (101, "gru", "gmm_nll", HeadSpec("mdn", 1, k=3)),
-        (102, "gru", "gmm_nll", HeadSpec("mdn", 2, k=2)),
-        (103, "gru", "mse", HeadSpec("point", 2)),
-        (104, "lstm", "mse", HeadSpec("point", 1)),
-        (105, "lstm", "gmm_nll", HeadSpec("mdn", 1, k=2)),
+    @pytest.mark.parametrize("seed,cell_kind,head", [
+        (101, "gru", HeadSpec("mdn", 1, k=3)),
+        (102, "gru", HeadSpec("mdn", 2, k=2)),
+        (103, "gru", HeadSpec("point", 2)),
+        (104, "lstm", HeadSpec("point", 1)),
+        (105, "lstm", HeadSpec("mdn", 1, k=2)),
     ])
-    def test_gradients_match_finite_differences(self, seed, cell_kind, loss, head):
+    def test_gradients_match_finite_differences(self, seed, cell_kind, head):
         rng = np.random.default_rng(seed)
         model = init_model(cell_kind, head.n_series, 3, dense_sizes=(4, 3),
                            seed=int(rng.integers(1e6)), head=head)
         inputs = rng.normal(size=(2, 4, head.n_series))
         targets = rng.normal(size=(2, head.n_series))
-        _, analytic = loss_and_grads(model, inputs, targets, loss)
-        numeric = fd_gradients(model, inputs, targets, loss)
+        _, analytic = loss_and_grads(model, inputs, targets)
+        numeric = fd_gradients(model, inputs, targets)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
     def test_end_to_end_nll_gradient_single_sample(self):
@@ -286,8 +286,8 @@ class TestBackward:
         rng = np.random.default_rng(1)
         inputs = rng.normal(size=(1, 5, 1))
         targets = rng.normal(size=(1, 1))
-        _, analytic = loss_and_grads(model, inputs, targets, "gmm_nll")
-        numeric = fd_gradients(model, inputs, targets, "gmm_nll")
+        _, analytic = loss_and_grads(model, inputs, targets)
+        numeric = fd_gradients(model, inputs, targets)
         assert max_rel_error(analytic, numeric) <= 1e-4
 
 
@@ -357,14 +357,13 @@ class TestBackwardAtProductionShapes:
     @pytest.mark.parametrize("t", [1, 10])
     def test_matches_per_step_oracle(self, cell_kind, head, t):
         model = production_model(cell_kind, head, seed=t)
-        loss = "gmm_nll" if head == "mdn" else "mse"
         rng = np.random.default_rng(t)
         scratch = Scratch()
         for b in (32, 14, 1):  # the short batches reuse the front of the scratch arrays
             inputs = rng.normal(size=(b, t, 2))
             targets = rng.normal(size=(b, 2))
             raw, cache = forward_pass(model, inputs)
-            _, d_raw = head_loss_and_grad(model, raw, targets, loss)
+            _, d_raw = head_loss_and_grad(model, raw, targets)
             want = oracle_backward(model, cache, d_raw)
             fresh = backward(model, cache, d_raw)
             reused = backward(model, cache, d_raw, scratch)
@@ -378,14 +377,12 @@ class TestBackwardAtProductionShapes:
                 np.testing.assert_array_equal(reused[name], fresh[name])
 
 
-def reference_train(model, windows, cfg, loss, backward_fn):
+def reference_train(model, windows, cfg, backward_fn):
     """Training loop with out-of-place updates and a (g*g).sum() clip norm."""
     inputs, targets = windows.inputs, windows.targets
     rng = np.random.default_rng(cfg.seed)
     params = model.parameters()
     vel = {k: np.zeros_like(p) for k, p in params.items()}
-    mom = {k: np.zeros_like(p) for k, p in params.items()}
-    step = 0
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(inputs))
@@ -393,25 +390,15 @@ def reference_train(model, windows, cfg, loss, backward_fn):
         for b0 in range(0, len(inputs), cfg.batch_size):
             sel = order[b0:b0 + cfg.batch_size]
             raw, cache = forward_pass(model, inputs[sel])
-            value, d_raw = head_loss_and_grad(model, raw, targets[sel], loss)
+            value, d_raw = head_loss_and_grad(model, raw, targets[sel])
             grads = backward_fn(model, cache, d_raw)
             norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
             if norm > cfg.clip_norm:
                 for g in grads.values():
                     g *= cfg.clip_norm / norm
-            step += 1
             for k, p in params.items():
-                g = grads[k]
-                if cfg.optimizer == "momentum":
-                    vel[k] = cfg.momentum * vel[k] + g
-                    p -= cfg.learning_rate * vel[k]
-                else:
-                    b1, b2, eps = 0.9, 0.999, 1e-8
-                    mom[k] = b1 * mom[k] + (1 - b1) * g
-                    vel[k] = b2 * vel[k] + (1 - b2) * g**2
-                    mhat = mom[k] / (1 - b1**step)
-                    vhat = vel[k] / (1 - b2**step)
-                    p -= cfg.learning_rate * mhat / (np.sqrt(vhat) + eps)
+                vel[k] = cfg.momentum * vel[k] + grads[k]
+                p -= cfg.learning_rate * vel[k]
             losses.append(value)
         history.append(float(np.mean(losses)))
     return history
@@ -425,36 +412,28 @@ def production_windows(n=46, t=10, seed=0):
 
 
 class TestTrainAgainstReference:
-    @pytest.mark.parametrize("optimizer,lr", [("momentum", 0.05), ("adam", 0.01)])
     @pytest.mark.parametrize("cell_kind,head", [("gru", "mdn"), ("gru", "point"),
                                                 ("lstm", "point")])
-    def test_updates_match_out_of_place_formulas_bit_for_bit(self, optimizer, lr,
-                                                              cell_kind, head):
+    def test_updates_match_out_of_place_formulas_bit_for_bit(self, cell_kind, head):
         # no clipping, same backward: only the in-place updates differ
-        cfg = TrainConfig(learning_rate=lr, epochs=2, seed=4, optimizer=optimizer,
-                          clip_norm=1e300)
-        loss = "gmm_nll" if head == "mdn" else "mse"
+        cfg = TrainConfig(learning_rate=0.05, epochs=2, seed=4, clip_norm=1e300)
         ws = production_windows()
         model = production_model(cell_kind, head, seed=2)
         ref = model.copy()
         _, history = train(model, ws, cfg)
-        want = reference_train(ref, ws, cfg, loss, backward)
+        want = reference_train(ref, ws, cfg, backward)
         assert history == want
         for name, arr in ref.parameters().items():
             np.testing.assert_array_equal(model.parameters()[name], arr, err_msg=name)
 
-    @pytest.mark.parametrize("optimizer,lr", [("momentum", 0.05), ("adam", 0.01)])
     @pytest.mark.parametrize("cell_kind,head", [("gru", "mdn"), ("lstm", "point")])
-    def test_three_epochs_match_the_per_step_oracle(self, optimizer, lr, cell_kind,
-                                                    head):
-        cfg = TrainConfig(learning_rate=lr, epochs=3, seed=5, optimizer=optimizer,
-                          clip_norm=1.0)
-        loss = "gmm_nll" if head == "mdn" else "mse"
+    def test_three_epochs_match_the_per_step_oracle(self, cell_kind, head):
+        cfg = TrainConfig(learning_rate=0.05, epochs=3, seed=5, clip_norm=1.0)
         ws = production_windows(seed=1)
         model = production_model(cell_kind, head, seed=3)
         ref = model.copy()
         _, history = train(model, ws, cfg)
-        want = reference_train(ref, ws, cfg, loss, oracle_backward)
+        want = reference_train(ref, ws, cfg, oracle_backward)
         np.testing.assert_allclose(history, want, rtol=1e-9)
         for name, arr in ref.parameters().items():
             np.testing.assert_allclose(model.parameters()[name], arr, rtol=1e-9,
@@ -518,24 +497,11 @@ class TestTrain:
             train(model, toy_windows(),
                   TrainConfig(learning_rate=0.1, epochs=1, seed=0))
 
-    def test_adam_optimizer_runs_and_is_deterministic(self):
-        runs = []
-        for _ in range(2):
-            model = init_model("gru", 1, 3, dense_sizes=(4,), seed=5,
-                               head=HeadSpec("point", 1))
-            _, history = train(model, toy_windows(),
-                               TrainConfig(learning_rate=0.01, epochs=3, seed=1,
-                                           optimizer="adam"))
-            runs.append(history)
-        assert runs[0] == runs[1]
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0).validate()
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0).validate()
-        with pytest.raises(ValueError):
-            TrainConfig(optimizer="sgdx").validate()
 
 
 class TestCheckpoint:
@@ -618,7 +584,7 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         loaded, _ = load_model(prefix)
         windows = np.random.default_rng(1).normal(size=(4, 5, 2))
-        scaler = Standardizer.identity(2)
+        scaler = Standardizer(np.zeros(2), np.ones(2))
         want = MixtureForecaster(model, scaler).predict_distribution(windows)
         got = MixtureForecaster(loaded, scaler).predict_distribution(windows)
         assert [[p.to_dict() for p in day] for day in got] == \

@@ -118,7 +118,7 @@ def reference_locate(zones: ZoneMap, lat: float, lon: float):
     return None
 
 
-def reference_aggregate(trips, zones: ZoneMap, count: str = "trips"):
+def reference_aggregate(trips, zones: ZoneMap):
     report = AggregationReport()
     zone_pos = {zid: i for i, zid in enumerate(zones.zone_ids)}
     counts: dict = {}
@@ -132,7 +132,7 @@ def reference_aggregate(trips, zones: ZoneMap, count: str = "trips"):
         day = trip.pickup_date()
         seen_days.add(day)
         key = (zone_pos[zid], day)
-        counts[key] = counts.get(key, 0.0) + (1.0 if count == "trips" else trip.passengers)
+        counts[key] = counts.get(key, 0.0) + 1.0
     if not seen_days:
         return (DemandSeries([], zones.zone_ids, np.zeros((len(zones.zones), 0))),
                 report)
@@ -255,20 +255,20 @@ def trip_files(draw):
             out.write("\r\n")
         else:
             writer.writerow(line)
-    return out.getvalue(), zones, draw(st.sampled_from(["trips", "passengers"]))
+    return out.getvalue(), zones
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(trip_files())
 def test_columnar_ingest_and_aggregation_match_row_reference(tmp_path_factory, case):
-    text, zones, count = case
+    text, zones = case
     path = tmp_path_factory.getbasetemp() / "oracle_trips.csv"
     path.write_text(text, newline="")
     want_records, want_ingest = reference_ingest(path)
-    want_series, want_agg = reference_aggregate(want_records, zones, count)
+    want_series, want_agg = reference_aggregate(want_records, zones)
     with mock.patch.object(data, "CHUNK_ROWS", 3):
         table, ingest = ingest_trips(path)
-    series, agg = aggregate_demand(table, zones, count)
+    series, agg = aggregate_demand(table, zones)
 
     assert ingest == want_ingest
     want_columns = list(zip(*[(r.pickup_time, r.pickup_lat, r.pickup_lon,
