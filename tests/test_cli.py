@@ -390,6 +390,19 @@ class TestOptimize:
                               f"{n_days} days; a train/test split needs at least 2")
         assert "Traceback" not in err
 
+    def test_two_days_split_into_one_train_and_one_test_day(self, plan_dir):
+        import datetime as dt
+
+        from fleetcast.cli import _split_demand
+        from fleetcast.config import load_config
+
+        run, cfg = plan_dir
+        (run / "demand.csv").write_text("date,A,B\n2018-08-01,1,2\n2018-08-02,3,4\n")
+        split = _split_demand(load_config(cfg))
+        assert split.train.days == [dt.date(2018, 8, 1)]
+        assert split.test.days == [dt.date(2018, 8, 2)]
+        np.testing.assert_array_equal(split.test.values, [[3.0], [4.0]])
+
     def test_overrides_do_not_leak_into_the_next_call(self, plan_dir):
         from fleetcast.cli import build_parser
 

@@ -234,6 +234,11 @@ class TestAggregate:
         series, _ = aggregate_demand(table_of([trip(1, 8, 40.5, -74.0)]), overlapping)
         assert series.values[0, 0] == 1.0 and series.values[1, 0] == 0.0
 
+    def test_passengers_are_not_summed(self):
+        trips = [trip(1, 8, 40.72, -73.97, pax=3), trip(1, 9, 40.72, -73.97, pax=2)]
+        series, _ = aggregate_demand(table_of(trips), TWO_ZONES)
+        assert series.values[0, 0] == 2.0
+
     def test_empty_input_gives_empty_series(self):
         series, report = aggregate_demand(table_of([]), TWO_ZONES)
         assert series.n_days == 0 and report.matched == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fleetcast.data import Standardizer, WindowSet
 from fleetcast.forecast import MixtureForecaster
+from fleetcast.mdn import gmm_nll, mdn_transform
 from fleetcast.recurrent import (
     GATES,
     CellWeights,
@@ -289,6 +290,29 @@ class TestBackward:
         _, analytic = loss_and_grads(model, inputs, targets)
         numeric = fd_gradients(model, inputs, targets)
         assert max_rel_error(analytic, numeric) <= 1e-4
+
+
+class TestHeadLoss:
+    def test_mdn_head_averages_the_mixture_nll(self):
+        model = init_model("gru", 2, 3, dense_sizes=(4,), seed=7,
+                           head=HeadSpec("mdn", 2, k=3))
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(4, 2 * 9))
+        targets = rng.normal(size=(4, 2))
+        value, _ = head_loss_and_grad(model, raw, targets)
+        params = [mdn_transform(raw[b, 9 * s:9 * (s + 1)], model.sigma_floor)
+                  for b in range(4) for s in range(2)]
+        assert value == pytest.approx(gmm_nll(targets.ravel(), params), rel=1e-12)
+
+    def test_point_head_averages_squared_error(self):
+        model = init_model("lstm", 3, 3, dense_sizes=(4,), seed=8,
+                           head=HeadSpec("point", 3))
+        rng = np.random.default_rng(8)
+        raw = rng.normal(size=(5, 3))
+        targets = rng.normal(size=(5, 3))
+        value, grad = head_loss_and_grad(model, raw, targets)
+        assert value == pytest.approx(((raw - targets) ** 2).sum() / 15, rel=1e-12)
+        np.testing.assert_allclose(grad, 2 * (raw - targets) / 15, rtol=1e-12)
 
 
 def oracle_backward(model, cache, d_raw):
