@@ -3,6 +3,9 @@
 One file per experiment; command-line flags override file values, and
 the FLEETCAST_CONFIG environment variable overrides the default path.
 Unknown keys and out-of-range values fail fast naming the field.
+A relative `data_dir` set in a config file resolves against that file's
+directory; the default and a `--data-dir` flag resolve against the
+working directory.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ import datetime as dt
 import hashlib
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 
 @dataclass
 class PipelineConfig:
-    # paths (relative paths resolve against the config file's directory)
+    # paths; the three file names are relative to data_dir, and a relative
+    # data_dir set in a config file to that file's directory
     data_dir: str = "runs/demo"
     trips_file: str = "trips.csv"
     demand_file: str = "demand.csv"
@@ -113,7 +118,9 @@ def _parse_value(name: str, text: str):
         raise ValueError(f"config.{name}: cannot parse {text!r} ({exc})") from exc
 
 
-def parse_config_text(text: str) -> PipelineConfig:
+def parse_config_text(text: str, base_dir=None) -> PipelineConfig:
+    """Parse key = value lines over the defaults; a relative `data_dir`
+    the text sets is joined onto `base_dir` when one is given."""
     cfg = PipelineConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -125,14 +132,17 @@ def parse_config_text(text: str) -> PipelineConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-        setattr(cfg, key, _parse_value(key, value))
+        value = _parse_value(key, value)
+        if key == "data_dir" and base_dir is not None:
+            value = str(Path(base_dir) / value)
+        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
 
 def load_config(path) -> PipelineConfig:
     with open(path) as fh:
-        return parse_config_text(fh.read())
+        return parse_config_text(fh.read(), base_dir=Path(path).parent)
 
 
 def apply_overrides(cfg: PipelineConfig, overrides: dict) -> PipelineConfig:

@@ -5,11 +5,13 @@ realized demand, the chosen program (scenario-based or point-based) is
 solved, and the committed plan is scored against that day's realized
 demand. Day plans never see the day's own demand or anything after it.
 The forecaster is called once, with every planned day's window stacked
-into one batch. Stochastic mode then samples each day's scenarios and,
-with a uniform move cost, solves every day's program in one batched pass
-of the greedy solver, each day checked by its own certificate; other
-cost matrices, and the point-forecast programs, are solved day by day.
-Scoring runs day by day.
+into one batch. Stochastic mode gets its forecasts as one (D, Z, K)
+mixture batch and samples every day's scenarios in one
+`sample_scenarios` call, each day from its own seed. With a uniform move
+cost it then solves every day's program in one batched pass of the
+greedy solver, each day checked by its own certificate; other cost
+matrices, and the point-forecast programs, are solved day by day.
+Every planned day is then scored in one `evaluate_decision` call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from .data import DemandSeries, trailing_windows
 from .relocation import (
     DayOutcome,
+    PlanDecision,
     RelocationInstance,
     deterministic_model,
     evaluate_decision,
@@ -120,31 +123,29 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
     positions, windows = trailing_windows(history, test, settings.window_size)
     days = [test.days[t] for t in positions]
 
-    plans = {}
+    day_plans = []
     if positions and mode == "stochastic":
         dists = forecaster.predict_distribution(windows, days)
-        scens = [sample_scenarios(per_zone, settings.n_scenarios, seed=settings.seed + t)
-                 for t, per_zone in zip(positions, dists)]
+        scens = sample_scenarios(dists, settings.n_scenarios,
+                                 seed=[settings.seed + t for t in positions])
         if instance.uniform_move_cost is None:
             day_plans = [solve_relocation(instance, scen)[0] for scen in scens]
         else:
             day_plans, _, _ = solve_relocation_days(instance, scens, labels=days)
-        plans = dict(zip(positions, day_plans))
     elif positions:
         points = np.maximum(forecaster.predict_point(windows, days), 0.0)
-        for t, point in zip(positions, points):
+        for point in points:
             lp, index_map = deterministic_model(instance, point)
             res = require_certified(solve_lp(lp))
-            plans[t] = extract_plan(res, index_map, instance.n_zones)
+            day_plans.append(extract_plan(res, index_map, instance.n_zones))
 
-    days, outcomes, skipped = [], [], []
-    for t in range(test.n_days):
-        plan = plans.get(t)
-        if plan is None:
-            skipped.append(test.days[t])
-            continue
-        outcomes.append(evaluate_decision(instance, plan, test.values[:, t]))
-        days.append(test.days[t])
+    outcomes = []
+    if positions:
+        stacked = PlanDecision(np.stack([plan.flows for plan in day_plans]))
+        realized = np.ascontiguousarray(test.values[:, positions].T)
+        outcomes = evaluate_decision(instance, stacked, realized)
+    planned = set(positions)
+    skipped = [day for t, day in enumerate(test.days) if t not in planned]
     return EvaluationReport(method=f"{mode}", days=days, outcomes=outcomes,
                             skipped_days=skipped)
 

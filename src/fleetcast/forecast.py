@@ -4,10 +4,11 @@ All forecasters consume raw (unstandardized) trailing windows and answer
 in demand units; standardization is applied and inverted internally.
 The protocol is batched: `predict_distribution(windows, days)` takes a
 (D, T, Z) stack of windows with the list of their D target days and
-returns D per-zone lists of mixtures, and `predict_point(windows, days)`
-returns a (D, Z) array. The whole stack goes through the network as one
-forward pass. A single (T, Z) window with a single day answers as one
-day: one per-zone list, or a (Z,) array.
+returns a MixtureBatch of (D, Z, K) arrays, and `predict_point(windows,
+days)` returns a (D, Z) array. The whole stack goes through the network
+as one forward pass, and the mixture head's outputs become mixtures in
+one array transform. A single (T, Z) window with a single day answers as
+one day: a (Z, K) MixtureBatch, or a (Z,) array.
 
 Two distribution routes exist: the mixture head trained end-to-end, and
 the extraction route where a point model's validation residuals are
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import Standardizer, WindowSet
 from .em import em_fit_restarts
-from .mdn import GmmParams, mdn_transform
+from .mdn import GmmParams, MixtureBatch, mdn_transform
 from .recurrent import RecurrentModel, sequence_forward
 
 
@@ -38,20 +39,16 @@ class MixtureForecaster:
         if self.model.head.kind != "mdn":
             raise ValueError("mixture forecaster needs a mixture head")
 
-    def predict_distribution(self, windows, days=None) -> list:
+    def predict_distribution(self, windows, days=None) -> MixtureBatch:
         raw = sequence_forward(self.scaler.transform(windows), self.model)
         head = self.model.head
         shaped = raw.reshape(-1, head.n_series, head.per_series)
-        out = [[mdn_transform(row[z], sigma_floor=self.model.sigma_floor)
-                .scale(self.scaler.std[z], self.scaler.mean[z])
-                for z in range(head.n_series)] for row in shaped]
-        return out[0] if raw.ndim == 1 else out
+        batch = mdn_transform(shaped, sigma_floor=self.model.sigma_floor).scale(
+            self.scaler.std, self.scaler.mean)
+        return batch[0] if raw.ndim == 1 else batch
 
     def predict_point(self, windows, days=None) -> np.ndarray:
-        dists = self.predict_distribution(windows, days)
-        if np.ndim(windows) == 2:
-            return np.array([p.mean() for p in dists])
-        return np.array([[p.mean() for p in per_zone] for per_zone in dists])
+        return self.predict_distribution(windows, days).mean()
 
 
 @dataclass
@@ -80,7 +77,8 @@ class ResidualMixtureForecaster:
 
     The per-zone residual mixture is fitted once on held-out residuals;
     each day's predictive distribution is that mixture shifted by the
-    day's point forecast.
+    day's point forecast. Zones whose mixtures have fewer components than
+    the largest get zero-weight ones appended (`MixtureBatch.stack`).
     """
 
     base: PointForecaster
@@ -89,11 +87,12 @@ class ResidualMixtureForecaster:
     def predict_point(self, windows, days=None) -> np.ndarray:
         return self.base.predict_point(windows)
 
-    def predict_distribution(self, windows, days=None) -> list:
+    def predict_distribution(self, windows, days=None) -> MixtureBatch:
         points = self.base.predict_point(windows)
-        out = [[mix.shift(float(row[z])) for z, mix in enumerate(self.residual_mixtures)]
-               for row in np.atleast_2d(points)]
-        return out[0] if points.ndim == 1 else out
+        residual = MixtureBatch.stack(self.residual_mixtures)
+        means = residual.means + points[..., None]
+        return MixtureBatch(np.broadcast_to(residual.weights, means.shape), means,
+                            np.broadcast_to(residual.stds, means.shape))
 
 
 def point_residuals(forecaster: PointForecaster, windows: WindowSet) -> np.ndarray:

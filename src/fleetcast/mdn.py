@@ -5,6 +5,9 @@ simplex, unconstrained means, floored standard deviations), evaluates the
 mixture density and the mean negative log-likelihood used as the training
 loss. All log-domain sums go through log-sum-exp so far-tail targets stay
 finite.
+
+`MixtureBatch` holds many mixtures as (..., K) arrays, e.g. (D, Z, K) for
+D days of Z zones; `GmmParams` is the view of one mixture.
 """
 
 from __future__ import annotations
@@ -54,17 +57,9 @@ class GmmParams:
 
     def validate(self, sigma_floor: float = SIGMA_FLOOR) -> None:
         k = self.n_components
-        if self.means.shape != (k,) or self.stds.shape != (k,):
+        if self.weights.shape != (k,) or self.means.shape != (k,) or self.stds.shape != (k,):
             raise ValueError("mismatched component counts")
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.means).all()
-                and np.isfinite(self.stds).all()):
-            raise ValueError("non-finite mixture parameters")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
-        if (self.weights < 0).any():
-            raise ValueError("negative mixture weight")
-        if (self.stds < sigma_floor - 1e-12).any():
-            raise ValueError(f"std below floor {sigma_floor}")
+        MixtureBatch(self.weights, self.means, self.stds).validate(sigma_floor)
 
     def mean(self) -> float:
         return float(self.weights @ self.means)
@@ -99,22 +94,124 @@ class GmmParams:
         return p
 
 
-def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None) -> GmmParams:
-    """Turn a raw 3K head vector into valid mixture parameters.
+@dataclass
+class MixtureBatch:
+    """Univariate Gaussian mixtures stacked on leading axes.
 
-    First K entries are weight logits (softmax), next K are means
-    (identity), last K are std pre-activations (softplus plus the floor).
+    `weights`, `means` and `stds` share one shape (..., K); a forecast of
+    D days for Z zones is (D, Z, K). Indexing the leading axes gives a
+    smaller batch, or a GmmParams view once one mixture is left, so a
+    (D, Z, K) batch iterates as days and each day as per-zone mixtures.
     """
-    raw = np.asarray(raw, dtype=float).ravel()
-    if raw.size % 3 != 0 or raw.size == 0:
-        raise ValueError(f"raw head output length {raw.size} is not 3K")
-    kk = raw.size // 3
+
+    weights: np.ndarray
+    means: np.ndarray
+    stds: np.ndarray
+
+    def __post_init__(self):
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.means = np.asarray(self.means, dtype=float)
+        self.stds = np.asarray(self.stds, dtype=float)
+        if not (self.weights.ndim >= 1
+                and self.weights.shape == self.means.shape == self.stds.shape):
+            raise ValueError("weights, means and stds need one shape (..., K)")
+
+    @classmethod
+    def stack(cls, mixtures) -> "MixtureBatch":
+        """Mixtures as one (len(mixtures), K) batch, K the largest component
+        count. A mixture with fewer components gets zero-weight ones
+        appended, which leaves its distribution and its samples unchanged."""
+        mixtures = list(mixtures)
+        if not mixtures:
+            raise ValueError("no mixtures to stack")
+        out = np.zeros((3, len(mixtures), max(p.weights.size for p in mixtures)))
+        out[2] = 1.0
+        for i, p in enumerate(mixtures):
+            k = p.weights.size
+            if not (p.weights.ndim == 1 and p.means.shape == p.stds.shape == (k,)):
+                raise ValueError(f"mixture {i}: mismatched component counts")
+            out[0, i, :k] = p.weights
+            out[1, i, :k] = p.means
+            out[2, i, :k] = p.stds
+        return cls(*out)
+
+    @property
+    def shape(self) -> tuple:
+        """The leading shape: one entry per mixture."""
+        return self.weights.shape[:-1]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        w, m, s = self.weights[index], self.means[index], self.stds[index]
+        return GmmParams(w, m, s) if w.ndim == 1 else MixtureBatch(w, m, s)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def mean(self) -> np.ndarray:
+        """Each mixture's mean, shaped like the leading axes."""
+        return (self.weights * self.means).sum(axis=-1)
+
+    def scale(self, factor, offset=0.0) -> "MixtureBatch":
+        """Parameters of factor * X + offset for each X of the batch;
+        `factor` (> 0) and `offset` broadcast against the leading axes."""
+        factor = np.asarray(factor, dtype=float)
+        if (factor <= 0).any():
+            raise ValueError("scale factor must be positive")
+        offset = np.asarray(offset, dtype=float)[..., None]
+        return MixtureBatch(self.weights, self.means * factor[..., None] + offset,
+                            self.stds * factor[..., None])
+
+    def validate(self, sigma_floor: float = SIGMA_FLOOR) -> None:
+        """Raise ValueError naming the first invalid mixture: by day and
+        zone in a (D, Z, K) batch, by its index in other batches.
+
+        Invalid means a non-finite parameter, weights that do not sum to 1
+        within 1e-9, a negative weight, or a std below `sigma_floor`
+        (less 1e-12, and never below 0).
+        """
+        w, m, s = self.weights, self.means, self.stds
+        total = w.sum(axis=-1)
+        lowest = max(sigma_floor - 1e-12, 0.0)
+        # NaN fails every comparison, so any invalid entry fails this gate
+        if (np.abs(total - 1.0).max() <= 1e-9 and w.min() >= 0 and s.min() >= lowest
+                and np.isfinite(m).all() and np.isfinite(s).all()):
+            return
+        for bad, why in (
+                ((~(np.isfinite(w) & np.isfinite(m) & np.isfinite(s))).any(axis=-1),
+                 "non-finite mixture parameters"),
+                (np.abs(total - 1.0) > 1e-9, "weights sum to {total}, not 1"),
+                ((w < 0).any(axis=-1), "negative mixture weight"),
+                ((s < lowest).any(axis=-1), f"std below floor {sigma_floor}")):
+            if bad.any():
+                index = tuple(int(i) for i in np.argwhere(bad)[0])
+                where = (f"day {index[0]}, zone {index[1]}: " if len(index) == 2
+                         else f"mixture {index}: " if index else "")
+                raise ValueError(where + why.format(total=total[index]))
+
+
+def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
+    """Turn raw head outputs into valid mixture parameters.
+
+    The last axis holds 3K entries: K weight logits (softmax), K means
+    (identity) and K std pre-activations (softplus plus the floor). A 3K
+    vector gives one GmmParams; a (..., 3K) array gives a MixtureBatch of
+    shape (...), each mixture equal to the transform of its own row.
+    """
+    raw = np.asarray(raw, dtype=float)
+    size = raw.shape[-1] if raw.ndim else raw.size
+    if raw.ndim == 0 or size % 3 != 0 or size == 0:
+        raise ValueError(f"raw head output length {size} is not 3K")
+    kk = size // 3
     if k is not None and k != kk:
-        raise ValueError(f"expected 3*{k} raw outputs, got {raw.size}")
-    return GmmParams(
-        weights=softmax(raw[:kk]),
-        means=raw[kk : 2 * kk].copy(),
-        stds=softplus(raw[2 * kk :]) + sigma_floor,
+        raise ValueError(f"expected 3*{k} raw outputs, got {size}")
+    mixture = GmmParams if raw.ndim == 1 else MixtureBatch
+    return mixture(
+        weights=softmax(raw[..., :kk]),
+        means=raw[..., kk : 2 * kk].copy(),
+        stds=softplus(raw[..., 2 * kk :]) + sigma_floor,
     )
 
 

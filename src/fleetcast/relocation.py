@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdn import GmmParams
+from .mdn import MixtureBatch
 from .simplex import AT_BOUND_TOL, LinearProgram, SolveResult, certified_result, solve_lp
 
 
@@ -127,7 +127,8 @@ class RelocationInstance:
 
 @dataclass
 class PlanDecision:
-    """First-stage relocation flows, committed before demand realizes."""
+    """First-stage relocation flows, committed before demand realizes;
+    the flows of D days' plans stack as (D, Z, Z)."""
 
     flows: np.ndarray  # Z x Z, flows[i, j] vehicles moved i -> j
 
@@ -135,15 +136,18 @@ class PlanDecision:
         self.flows = np.asarray(self.flows, dtype=float)
 
     def post_stock(self, stock) -> np.ndarray:
-        out = self.flows.sum(axis=1)
-        inflow = self.flows.sum(axis=0)
+        out = self.flows.sum(axis=-1)
+        inflow = self.flows.sum(axis=-2)
         return np.asarray(stock, dtype=float) - out + inflow
 
     @property
-    def moving(self) -> float:
+    def moving(self):
+        """Vehicles moved between zones: a float, or (D,) for a stack."""
+        z = self.flows.shape[-1]
         off = self.flows.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(off.sum())
+        off[..., range(z), range(z)] = 0.0
+        moved = off.reshape(off.shape[:-2] + (-1,)).sum(axis=-1)
+        return float(moved) if moved.ndim == 0 else moved
 
     def to_dict(self) -> dict:
         return {"flows": self.flows.tolist()}
@@ -165,23 +169,52 @@ class DayOutcome:
                 "moving": self.moving, "lost_sales": self.lost_sales}
 
 
-def sample_scenarios(forecasts, n: int, seed: int | None) -> ScenarioSet:
-    """Draw N demand vectors from per-zone mixtures.
+def _draw_days(mixtures: MixtureBatch, n: int, seeds) -> np.ndarray:
+    """(D, N, Z) scenario demand from a (D, Z, K) batch, one seed per day."""
+    mixtures.validate(sigma_floor=0.0)
+    days, zones, k = mixtures.weights.shape
+    cdf = mixtures.weights.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    uniform, normal = np.empty((2, days, zones, n))
+    for d, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for z in range(zones):
+            rng.random(out=uniform[d, z])
+            rng.standard_normal(out=normal[d, z])
+    # each draw's component, as an index into the flattened (D, Z, K) parameters
+    pick = ((cdf[:, :, None, :] <= uniform[..., None]).sum(axis=-1)
+            + k * np.arange(days * zones).reshape(days, zones, 1))
+    draws = mixtures.means.ravel()[pick] + mixtures.stds.ravel()[pick] * normal
+    return np.ascontiguousarray(np.maximum(draws, 0.0).transpose(0, 2, 1))
 
-    Per zone: pick a component by its weight, then draw a normal variate
-    from it; negative draws clip to zero since demand is a count.
-    Deterministic for a fixed (forecasts, n, seed).
+
+def sample_scenarios(forecasts, n: int, seed):
+    """Draw N demand vectors per day from per-zone mixtures.
+
+    One day: `forecasts` holds the day's Z mixtures, as a sequence of
+    GmmParams or a (Z, K) MixtureBatch, and `seed` is an int or None;
+    returns a ScenarioSet. Many days: `forecasts` is a (D, Z, K)
+    MixtureBatch and `seed` holds D seeds; returns D ScenarioSets, day t's
+    the one the one-day form gives for day t's mixtures and `seed[t]`.
+
+    Every mixture is validated first; an invalid one raises ValueError
+    naming its day and zone. Each day draws from its own
+    `numpy.random.default_rng(seed)`: zone by zone, N uniforms u, then N
+    standard normals e. Draw w comes from component k = the number of
+    entries of the cumulative weights (divided by their last entry) at
+    or below u_w, and is max(mean_k + std_k * e_w, 0), since demand is a
+    count. These are the variates `Generator.choice(K, N, p=weights)`
+    and `Generator.normal(means[k], stds[k])` take from the same stream,
+    so the draws are theirs.
     """
     if n < 1:
         raise ValueError("need at least one scenario")
-    rng = np.random.default_rng(seed)
-    cols = []
-    for params in forecasts:
-        params.validate(sigma_floor=1e-300)
-        comp = rng.choice(params.n_components, size=n, p=params.weights)
-        draws = rng.normal(params.means[comp], params.stds[comp])
-        cols.append(np.maximum(draws, 0.0))
-    return ScenarioSet(np.column_stack(cols), seed=seed)
+    batch = forecasts if isinstance(forecasts, MixtureBatch) else MixtureBatch.stack(forecasts)
+    if len(batch.shape) == 1:
+        return ScenarioSet(_draw_days(batch[None], n, [seed])[0], seed=seed)
+    if len(batch.shape) != 2 or np.shape(seed) != (len(batch),):
+        raise ValueError("a (D, Z, K) batch of mixtures needs D seeds")
+    return [ScenarioSet(demand, seed=s) for demand, s in zip(_draw_days(batch, n, seed), seed)]
 
 
 def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
@@ -463,20 +496,23 @@ def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
     return PlanDecision(flows[0]), res
 
 
-def evaluate_decision(instance: RelocationInstance, plan: PlanDecision,
-                      realized) -> DayOutcome:
-    """Account one day: serve realized demand up to post-move stock."""
+def evaluate_decision(instance: RelocationInstance, plan: PlanDecision, realized):
+    """Account a day: serve realized demand up to post-move stock.
+
+    (Z, Z) flows and (Z,) realized demand give one DayOutcome; a (D, Z, Z)
+    stack of flows and (D, Z) demand give D of them, each the one its day
+    gives alone.
+    """
     realized = np.asarray(realized, dtype=float)
     post = plan.post_stock(instance.stock)
-    served = np.minimum(post, realized)
-    lost = float(np.maximum(realized - post, 0.0).sum())
-    move_cost = float((instance.move_cost * plan.flows).sum())
-    return DayOutcome(
-        revenue=instance.price * float(served.sum()),
-        cost=move_cost + instance.penalty * lost,
-        moving=plan.moving,
-        lost_sales=lost,
-    )
+    served = np.minimum(post, realized).sum(axis=-1)
+    lost = np.maximum(realized - post, 0.0).sum(axis=-1)
+    costs = instance.move_cost * plan.flows
+    move_cost = costs.reshape(costs.shape[:-2] + (-1,)).sum(axis=-1)
+    columns = (instance.price * served, move_cost + instance.penalty * lost,
+               plan.moving, lost)
+    outcomes = [DayOutcome(*day) for day in zip(*(np.atleast_1d(c).tolist() for c in columns))]
+    return outcomes[0] if plan.flows.ndim == 2 else outcomes
 
 
 def expected_objective(instance: RelocationInstance, plan: PlanDecision,

@@ -5,8 +5,10 @@ loops that `rolling_evaluate` and `cmd_forecast` ran before both moved to
 one batched forecaster call: they hand the forecaster one (T, Z) window
 and one day at a time, which the batched protocol still answers.
 `oracle_optimize` is the `optimize` command as it was when it parsed the
-whole demand CSV and every forecast record. The oracle also solves each
-day's scenario program on its own with `solve_relocation`, where
+whole demand CSV and every forecast record. The oracles draw each day's
+scenarios zone by zone with `oracles.per_zone_sample`, where
+`sample_scenarios` draws every day in one call, and solve each day's
+scenario program on its own with `solve_relocation`, where
 `rolling_evaluate` solves them all in one `solve_relocation_days` call.
 """
 
@@ -16,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fleetcast.cli import _forecaster, main
+from fleetcast.cli import _forecaster, _instance, _split_demand, main
 from fleetcast.config import PipelineConfig, load_config
 from fleetcast.data import DemandSeries, Standardizer, trailing_windows
 from fleetcast.evaluate import EvalSettings, EvaluationReport, rolling_evaluate
@@ -35,13 +37,12 @@ from fleetcast.relocation import (
     evaluate_decision,
     extract_plan,
     require_certified,
-    sample_scenarios,
     save_plan,
     solve_relocation,
 )
 from fleetcast.simplex import solve_lp
-from fleetcast.synth import SyntheticConfig, generate_demand
-from oracles import PerfectForecaster
+from fleetcast.synth import SyntheticConfig, default_zone_map, generate_demand
+from oracles import PerfectForecaster, per_zone_sample, row_by_row_distribution
 
 WS = 10
 
@@ -59,8 +60,7 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings)
         day = test.days[t]
         if mode == "stochastic":
             dists = forecaster.predict_distribution(window, day)
-            scen = sample_scenarios(dists, settings.n_scenarios,
-                                    seed=settings.seed + t)
+            scen = per_zone_sample(dists, settings.n_scenarios, seed=settings.seed + t)
             plan, _ = solve_relocation(instance, scen)
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
@@ -107,7 +107,7 @@ def oracle_optimize(cfg: PipelineConfig, day, plan_path):
     np.fill_diagonal(cost, 0.0)
     instance = RelocationInstance(stock=stock, move_cost=cost, price=cfg.price,
                                   penalty=cfg.penalty)
-    scen = sample_scenarios(per_zone, cfg.n_scenarios, seed=cfg.seed)
+    scen = per_zone_sample(per_zone, cfg.n_scenarios, seed=cfg.seed)
     plan, res = solve_relocation(instance, scen)
     save_plan(plan_path, plan, instance,
               extra={"day": day, "objective": res.objective,
@@ -162,6 +162,33 @@ def test_batched_distributions_equal_per_day_calls(tag):
     loop_days, loop = oracle_forecast_days(f, history, test, WS)
     assert loop_days == days and len(days) == 91
     assert_mixtures_close(batched, loop, rtol=1e-12)
+
+
+@pytest.mark.parametrize("tag", ["mdn", "posthoc"])
+def test_distributions_equal_the_row_by_row_transform_exactly(tag):
+    f = FORECASTERS[tag]
+    history, test = demand_split(49)
+    _, windows = trailing_windows(history, test, WS)
+    got = f.predict_distribution(windows)
+    want = row_by_row_distribution(f, windows)
+    assert got.shape == (91, 2) and len(want) == 91
+    for got_day, want_day in zip(got, want):
+        for g, w in zip(got_day, want_day):
+            # a zone with fewer residual components than another gets
+            # zero-weight ones appended, as `MixtureBatch.stack` pads them
+            k = w.n_components
+            for name in ("weights", "means", "stds"):
+                assert np.array_equal(getattr(g, name)[:k], getattr(w, name))
+            assert (g.weights[k:] == 0).all()
+
+
+def test_mixture_point_is_the_weighted_mean_of_the_batch():
+    f = FORECASTERS["mdn"]
+    history, test = demand_split(49)
+    _, windows = trailing_windows(history, test, WS)
+    batch = f.predict_distribution(windows)
+    np.testing.assert_array_equal(f.predict_point(windows),
+                                  (batch.weights * batch.means).sum(axis=-1))
 
 
 @pytest.mark.parametrize("tag", ["mdn", "gru-point", "lstm", "posthoc"])
@@ -222,12 +249,13 @@ class FrozenAnswers:
     def __init__(self, forecaster, history, test):
         positions, windows = trailing_windows(history, test, WS)
         days = [test.days[t] for t in positions]
-        self.answers = dict(zip(days, forecaster.predict_distribution(windows, days)))
+        self.batch = forecaster.predict_distribution(windows, days)
+        self.index = {day: i for i, day in enumerate(days)}
 
     def predict_distribution(self, windows, days):
         if isinstance(days, dt.date):
-            return self.answers[days]
-        return [self.answers[d] for d in days]
+            return self.batch[self.index[days]]
+        return self.batch[[self.index[d] for d in days]]
 
 
 def non_uniform_instance():
@@ -313,3 +341,67 @@ def test_optimize_plans_are_byte_identical_to_the_whole_file_reader(tmp_path):
         oracle_path = tmp_path / "oracle_plan.json"
         planned = oracle_optimize(cfg, day, oracle_path)
         assert (run / f"plan_{planned}.json").read_bytes() == oracle_path.read_bytes()
+
+
+class RowByRowAnswers:
+    """Answers per day from mixtures built one (day, zone) at a time."""
+
+    def __init__(self, forecaster, days, windows):
+        self.answers = dict(zip(days, row_by_row_distribution(forecaster, windows)))
+
+    def predict_distribution(self, window, day):
+        return self.answers[day]
+
+
+Z3_CFG = """
+data_dir = {run}
+seed = 5
+synth_days = 120
+synth_zones = 3
+zones = {zones}
+stock = 40,50,30
+window_size = 6
+hidden_size = 6
+dense_sizes = 12
+epochs = 3
+n_scenarios = 30
+em_restarts = 2
+em_max_iter = 50
+"""
+
+
+@pytest.mark.parametrize("tag", ["mdn", "posthoc"])
+def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path, tag):
+    run = tmp_path / "run"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(Z3_CFG.format(run=run, zones=default_zone_map(3).spec()))
+    models = [("train", "--model", "mdn")] if tag == "mdn" else \
+        [("train", "--model", "gru-point"), ("fit-gmm",)]
+    for argv in (("synth",), ("ingest",), *models, ("forecast", "--model", tag),
+                 ("evaluate", "--mode", "stochastic", "--forecaster", tag),
+                 ("optimize",)):
+        assert main(["--config", str(cfg_path), *argv]) == 0
+    cfg = load_config(str(cfg_path))
+    split = _split_demand(cfg)
+    assert split.series.n_zones == 3
+    positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
+    days = [split.test.days[t] for t in positions]
+    oracle = RowByRowAnswers(_forecaster(cfg, tag), days, windows)
+
+    save_forecast_file(tmp_path / "forecasts.json", days, split.series.zone_ids,
+                       [oracle.answers[d] for d in days])
+    assert (run / "forecasts.json").read_bytes() == \
+        (tmp_path / "forecasts.json").read_bytes()
+
+    settings = EvalSettings(window_size=cfg.window_size, n_scenarios=cfg.n_scenarios,
+                            seed=cfg.seed)
+    report = oracle_rolling_evaluate(oracle, "stochastic", split.train, split.test,
+                                     _instance(cfg, 3), settings)
+    report.method = f"{tag}-stochastic"
+    report.save(tmp_path / "report.json")
+    assert report.day_count == len(days) > 0
+    assert (run / f"report_{tag}_stochastic.json").read_bytes() == \
+        (tmp_path / "report.json").read_bytes()
+
+    day = oracle_optimize(cfg, None, tmp_path / "plan.json")
+    assert (run / f"plan_{day}.json").read_bytes() == (tmp_path / "plan.json").read_bytes()

@@ -1,4 +1,5 @@
 import datetime as dt
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +91,30 @@ def test_load_from_file(tmp_path):
     path.write_text("seed = 3\nn_scenarios = 17\n")
     cfg = load_config(path)
     assert cfg.seed == 3 and cfg.n_scenarios == 17
+
+
+def test_relative_data_dir_in_a_file_resolves_against_the_file_directory(tmp_path,
+                                                                        monkeypatch):
+    from fleetcast.cli import main
+
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "cfgdir" / "exp.cfg").write_text("data_dir = rundir\nsynth_days = 30\n")
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert load_config("../cfgdir/exp.cfg").data_dir == str(Path("../cfgdir/rundir"))
+    assert main(["--config", "../cfgdir/exp.cfg", "synth"]) == 0
+    assert (tmp_path / "cfgdir" / "rundir" / "trips.csv").exists()
+    assert not (tmp_path / "cwd" / "rundir").exists()
+    # a --data-dir flag and the defaults stay relative to the working directory
+    assert main(["--config", "../cfgdir/exp.cfg", "synth", "--data-dir", "flagdir"]) == 0
+    assert (tmp_path / "cwd" / "flagdir" / "trips.csv").exists()
+    assert load_config(tmp_path / "cfgdir" / "exp.cfg").data_dir == \
+        str(tmp_path / "cfgdir" / "rundir")
+    assert PipelineConfig().data_dir == "runs/demo"
+    assert parse_config_text("data_dir = rundir").data_dir == "rundir"
+
+
+def test_absolute_data_dir_in_a_file_is_kept(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"data_dir = {tmp_path / 'elsewhere'}\n")
+    assert load_config(path).data_dir == str(tmp_path / "elsewhere")

@@ -10,7 +10,7 @@ from fleetcast.evaluate import (
     compare,
     rolling_evaluate,
 )
-from fleetcast.mdn import GmmParams
+from fleetcast.mdn import GmmParams, MixtureBatch
 from fleetcast.relocation import DayOutcome, RelocationInstance, RelocationSolveError
 from fleetcast.simplex import solve_lp
 from oracles import PerfectForecaster
@@ -49,7 +49,9 @@ class ConstantMixtureForecaster:
         return len(days)
 
     def predict_distribution(self, windows, days=None):
-        return [self.dists] * self._record(windows, days)
+        day = MixtureBatch.stack(self.dists)
+        return MixtureBatch(*(np.repeat(a[None], self._record(windows, days), axis=0)
+                              for a in (day.weights, day.means, day.stds)))
 
     def predict_point(self, windows, days=None):
         return np.tile([d.mean() for d in self.dists], (self._record(windows, days), 1))

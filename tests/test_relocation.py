@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 import fleetcast.relocation
 from fleetcast.mdn import SIGMA_FLOOR, GmmParams
 from fleetcast.relocation import (
+    DayOutcome,
     CERT_TOL,
     PlanDecision,
     RelocationInstance,
@@ -446,6 +447,29 @@ class TestEvaluateDecision:
         assert out.cost == pytest.approx(1.0 * 1 + 3.0 * lost)
         assert out.moving == pytest.approx(1.0)
         assert out.profit == pytest.approx(out.revenue - out.cost)
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 9, 12])
+    def test_a_stack_of_days_scores_each_day_as_the_one_day_arithmetic(self, z):
+        rng = np.random.default_rng(z)
+        cost = rng.uniform(0.0, 3.0, (z, z))
+        np.fill_diagonal(cost, 0.0)
+        inst = RelocationInstance(stock=rng.uniform(0, 40, z), move_cost=cost,
+                                  price=9.5, penalty=3.25)
+        flows = rng.uniform(0.0, 5.0, (6, z, z))  # diagonal self-moves count nothing
+        realized = rng.uniform(0.0, 60.0, (6, z))
+        stacked = evaluate_decision(inst, PlanDecision(flows), realized)
+        assert len(stacked) == 6
+        for d in range(6):
+            # the per-day accounting as it read before days were stacked
+            post = inst.stock - flows[d].sum(axis=1) + flows[d].sum(axis=0)
+            off = flows[d].copy()
+            np.fill_diagonal(off, 0.0)
+            lost = float(np.maximum(realized[d] - post, 0.0).sum())
+            want = DayOutcome(revenue=inst.price * float(np.minimum(post, realized[d]).sum()),
+                              cost=float((cost * flows[d]).sum()) + inst.penalty * lost,
+                              moving=float(off.sum()), lost_sales=lost)
+            assert stacked[d] == want
+            assert evaluate_decision(inst, PlanDecision(flows[d]), realized[d]) == want
 
     def test_expected_objective_matches_lp_optimum(self):
         inst = small_instance()
