@@ -28,7 +28,7 @@ from .evaluate import (
     compare,
     rolling_evaluate,
 )
-from .mdn import SIGMA_FLOOR, GmmParams, MixtureBatch, gmm_nll, gmm_pdf, mdn_transform
+from .mdn import SIGMA_FLOOR, MixtureBatch, gmm_nll, gmm_pdf, mdn_transform
 from .recurrent import (
     CellWeights,
     HeadSpec,

@@ -44,6 +44,7 @@ from .data import (
     trailing_windows,
 )
 from .evaluate import EvalSettings, EvaluationReport, compare, rolling_evaluate
+from .mdn import MixtureBatch
 from .recurrent import HeadSpec, TrainConfig, init_model, load_model, save_model, train
 from .relocation import (
     RelocationInstance,
@@ -170,7 +171,8 @@ def _forecaster(cfg: PipelineConfig, tag: str):
         em_path = _require(_data_dir(cfg) / "em_fit.json", "em_fit")
         with open(em_path) as fh:
             doc = json.load(fh)
-        mixtures = [fc.GmmParams.from_dict(rec["params"]) for rec in doc["per_zone"]]
+        mixtures = MixtureBatch.stack(MixtureBatch.from_dict(rec["params"])
+                                      for rec in doc["per_zone"])
         return fc.ResidualMixtureForecaster(base, mixtures)
     raise ValueError(f"unknown forecaster {tag!r}")
 

@@ -13,27 +13,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdn import SIGMA_FLOOR, GmmParams, gmm_logpdf
+from .mdn import SIGMA_FLOOR, MixtureBatch, gmm_logpdf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass
 class EmState:
-    params: GmmParams
+    params: MixtureBatch
     responsibilities: np.ndarray  # N x K, rows sum to 1
     log_likelihood: float
     iteration: int
     ll_trace: list[float] = field(default_factory=list)
 
 
-def log_likelihood(data, params: GmmParams) -> float:
+def log_likelihood(data, params: MixtureBatch) -> float:
     """sum_n log sum_k pi_k N(x_n | mu_k, sigma_k^2), via log-sum-exp."""
     data = np.asarray(data, dtype=float)
     return float(np.sum(gmm_logpdf(data, params)))
 
 
-def e_step(data, params: GmmParams) -> np.ndarray:
+def e_step(data, params: MixtureBatch) -> np.ndarray:
     """Responsibility of each component for each point, rows on the simplex."""
     data = np.asarray(data, dtype=float)
     log_w = np.log(np.maximum(params.weights, 1e-300))
@@ -44,7 +44,7 @@ def e_step(data, params: GmmParams) -> np.ndarray:
     return np.exp(log_joint - log_norm)
 
 
-def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> GmmParams:
+def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
     """Weighted-moment re-estimation with empty-component rescue.
 
     A component whose responsibility mass N_j falls below 1e-8 * N is
@@ -75,14 +75,14 @@ def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> GmmParams:
         stds[j] = math.sqrt(max(var, sigma_floor**2))
     weights = np.maximum(weights, 0.0)
     weights /= weights.sum()
-    return GmmParams(weights, means, stds)
+    return MixtureBatch(weights, means, stds)
 
 
-def _init_params(data, k, rng, sigma_floor) -> GmmParams:
+def _init_params(data, k, rng, sigma_floor) -> MixtureBatch:
     idx = rng.choice(data.size, size=k, replace=False)
     std = max(float(np.std(data)), sigma_floor)
-    return GmmParams(np.full(k, 1.0 / k), data[np.sort(idx)].astype(float),
-                     np.full(k, std))
+    return MixtureBatch(np.full(k, 1.0 / k), data[np.sort(idx)].astype(float),
+                        np.full(k, std))
 
 
 def em_fit(data, k: int, init=None, tol: float = 1e-6, max_iter: int = 500,
@@ -90,8 +90,8 @@ def em_fit(data, k: int, init=None, tol: float = 1e-6, max_iter: int = 500,
     """Alternate E and M steps until |delta log-likelihood| < tol.
 
     `init` is either a seed (int or None) for the random initializer, or
-    explicit GmmParams. The returned trace starts at the initial
-    parameters and is non-decreasing up to float slack.
+    one mixture (a MixtureBatch of shape ()). The returned trace starts at
+    the initial parameters and is non-decreasing up to float slack.
     """
     data = np.asarray(data, dtype=float).ravel()
     if not np.isfinite(data).all():
@@ -101,8 +101,10 @@ def em_fit(data, k: int, init=None, tol: float = 1e-6, max_iter: int = 500,
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    if isinstance(init, GmmParams):
+    if isinstance(init, MixtureBatch):
         params = init
+        if params.shape:
+            raise ValueError(f"init is a batch of shape {params.shape}, not one mixture")
         if params.n_components != k:
             raise ValueError("init has wrong component count")
         params.validate(sigma_floor=1e-300)

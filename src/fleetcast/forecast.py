@@ -13,6 +13,9 @@ one day: a (Z, K) MixtureBatch, or a (Z,) array.
 Two distribution routes exist: the mixture head trained end-to-end, and
 the extraction route where a point model's validation residuals are
 fitted by EM and the residual mixture rides on each day's point forecast.
+
+A forecast file holds one `MixtureBatch.to_dict` record per (day, zone),
+read back as a one-mixture batch; a (day, zone) given twice is an error.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .data import Standardizer, WindowSet
 from .em import em_fit_restarts
-from .mdn import GmmParams, MixtureBatch, mdn_transform
+from .mdn import MixtureBatch, mdn_transform
 from .recurrent import RecurrentModel, sequence_forward
 
 
@@ -75,21 +78,21 @@ class PointForecaster:
 class ResidualMixtureForecaster:
     """Extraction route: point forecast plus an EM-fitted residual mixture.
 
-    The per-zone residual mixture is fitted once on held-out residuals;
-    each day's predictive distribution is that mixture shifted by the
-    day's point forecast. Zones whose mixtures have fewer components than
-    the largest get zero-weight ones appended (`MixtureBatch.stack`).
+    The per-zone residual mixtures are fitted once on held-out residuals
+    and held as one (Z, K) batch, stacked with `MixtureBatch.stack`; each
+    day's predictive distribution is that batch shifted by the day's point
+    forecast.
     """
 
     base: PointForecaster
-    residual_mixtures: list[GmmParams]
+    residual_mixtures: MixtureBatch
 
     def predict_point(self, windows, days=None) -> np.ndarray:
         return self.base.predict_point(windows)
 
     def predict_distribution(self, windows, days=None) -> MixtureBatch:
         points = self.base.predict_point(windows)
-        residual = MixtureBatch.stack(self.residual_mixtures)
+        residual = self.residual_mixtures
         means = residual.means + points[..., None]
         return MixtureBatch(np.broadcast_to(residual.weights, means.shape), means,
                             np.broadcast_to(residual.stds, means.shape))
@@ -107,7 +110,7 @@ def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,
                           k: int, seed: int = 0, n_restarts: int = 5,
                           tol: float = 1e-6, max_iter: int = 500):
     """Per-zone EM fits on point-forecast residuals. Returns
-    (mixtures, fit records)."""
+    (one mixture per zone, fit records)."""
     residuals = point_residuals(forecaster, windows)
     mixtures = []
     records = []
@@ -137,15 +140,26 @@ def _forecast_records(path) -> list[dict]:
         return json.load(fh)["records"]
 
 
+def _mixtures(path, records, key) -> dict:
+    """{key(record): one-mixture MixtureBatch}, rejecting a repeated key."""
+    out = {}
+    for r in records:
+        if (k := key(r)) in out:
+            raise ValueError(f"{path} holds two forecasts for day {r['day']}, "
+                             f"zone {r['zone']!r}")
+        out[k] = MixtureBatch.from_dict(r)
+    return out
+
+
 def load_forecast_file(path):
-    """Returns {(day iso, zone): GmmParams}."""
-    return {(r["day"], r["zone"]): GmmParams.from_dict(r) for r in _forecast_records(path)}
+    """Returns {(day iso, zone): one-mixture MixtureBatch}."""
+    return _mixtures(path, _forecast_records(path), lambda r: (r["day"], r["zone"]))
 
 
 def load_forecast_day(path, day: str | None = None) -> tuple[str, dict]:
-    """One day's forecasts as (day iso, {zone: GmmParams}).
+    """One day's forecasts as (day iso, {zone: one-mixture MixtureBatch}).
 
-    Only that day's records become GmmParams. Without `day`, the earliest
+    Only that day's records become mixtures. Without `day`, the earliest
     forecast day is used. A day with no forecast raises ValueError naming
     the first and last forecast days.
     """
@@ -154,7 +168,7 @@ def load_forecast_day(path, day: str | None = None) -> tuple[str, dict]:
         raise ValueError(f"forecast file {path} holds no forecasts")
     first = min(r["day"] for r in records)
     day = first if day is None else day
-    per_zone = {r["zone"]: GmmParams.from_dict(r) for r in records if r["day"] == day}
+    per_zone = _mixtures(path, [r for r in records if r["day"] == day], lambda r: r["zone"])
     if not per_zone:
         last = max(r["day"] for r in records)
         raise ValueError(f"no forecast for day {day!r} in {path}; forecasts cover "

@@ -6,8 +6,8 @@ mixture density and the mean negative log-likelihood used as the training
 loss. All log-domain sums go through log-sum-exp so far-tail targets stay
 finite.
 
-`MixtureBatch` holds many mixtures as (..., K) arrays, e.g. (D, Z, K) for
-D days of Z zones; `GmmParams` is the view of one mixture.
+`MixtureBatch` holds mixtures as (..., K) arrays: (D, Z, K) for D days
+of Z zones, and (K,) for one mixture.
 """
 
 from __future__ import annotations
@@ -39,68 +39,12 @@ def _logsumexp(a, axis=-1):
 
 
 @dataclass
-class GmmParams:
-    """A univariate Gaussian mixture: weights sum to 1, stds are floored."""
-
-    weights: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.means = np.asarray(self.means, dtype=float)
-        self.stds = np.asarray(self.stds, dtype=float)
-
-    @property
-    def n_components(self) -> int:
-        return self.weights.shape[0]
-
-    def validate(self, sigma_floor: float = SIGMA_FLOOR) -> None:
-        k = self.n_components
-        if self.weights.shape != (k,) or self.means.shape != (k,) or self.stds.shape != (k,):
-            raise ValueError("mismatched component counts")
-        MixtureBatch(self.weights, self.means, self.stds).validate(sigma_floor)
-
-    def mean(self) -> float:
-        return float(self.weights @ self.means)
-
-    def variance(self) -> float:
-        second = self.weights @ (self.stds**2 + self.means**2)
-        return float(second - self.mean() ** 2)
-
-    def shift(self, offset: float) -> "GmmParams":
-        return GmmParams(self.weights.copy(), self.means + offset, self.stds.copy())
-
-    def scale(self, factor: float, offset: float = 0.0) -> "GmmParams":
-        """Parameters of factor * X + offset for X ~ this mixture (factor > 0)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return GmmParams(self.weights.copy(), self.means * factor + offset,
-                         self.stds * factor)
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.n_components,
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "stds": self.stds.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GmmParams":
-        p = cls(np.array(d["weights"]), np.array(d["means"]), np.array(d["stds"]))
-        if p.n_components != d.get("K", p.n_components):
-            raise ValueError("K does not match weights length")
-        return p
-
-
-@dataclass
 class MixtureBatch:
     """Univariate Gaussian mixtures stacked on leading axes.
 
     `weights`, `means` and `stds` share one shape (..., K); a forecast of
-    D days for Z zones is (D, Z, K). Indexing the leading axes gives a
-    smaller batch, or a GmmParams view once one mixture is left, so a
+    D days for Z zones is (D, Z, K), and one mixture is (K,), a batch of
+    leading shape (). Indexing the leading axes gives a smaller batch, so a
     (D, Z, K) batch iterates as days and each day as per-zone mixtures.
     """
 
@@ -118,21 +62,16 @@ class MixtureBatch:
 
     @classmethod
     def stack(cls, mixtures) -> "MixtureBatch":
-        """Mixtures as one (len(mixtures), K) batch, K the largest component
-        count. A mixture with fewer components gets zero-weight ones
+        """One-mixture batches as one (len(mixtures), K) batch, K the largest
+        component count. A mixture with fewer components gets zero-weight ones
         appended, which leaves its distribution and its samples unchanged."""
         mixtures = list(mixtures)
         if not mixtures:
             raise ValueError("no mixtures to stack")
-        out = np.zeros((3, len(mixtures), max(p.weights.size for p in mixtures)))
+        out = np.zeros((3, len(mixtures), max(p.n_components for p in mixtures)))
         out[2] = 1.0
         for i, p in enumerate(mixtures):
-            k = p.weights.size
-            if not (p.weights.ndim == 1 and p.means.shape == p.stds.shape == (k,)):
-                raise ValueError(f"mixture {i}: mismatched component counts")
-            out[0, i, :k] = p.weights
-            out[1, i, :k] = p.means
-            out[2, i, :k] = p.stds
+            out[:, i, : p.n_components] = p.weights, p.means, p.stds
         return cls(*out)
 
     @property
@@ -140,12 +79,18 @@ class MixtureBatch:
         """The leading shape: one entry per mixture."""
         return self.weights.shape[:-1]
 
+    @property
+    def n_components(self) -> int:
+        """K, the component count of each mixture."""
+        return self.weights.shape[-1]
+
     def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("len() of a single mixture")
         return self.shape[0]
 
     def __getitem__(self, index):
-        w, m, s = self.weights[index], self.means[index], self.stds[index]
-        return GmmParams(w, m, s) if w.ndim == 1 else MixtureBatch(w, m, s)
+        return MixtureBatch(self.weights[index], self.means[index], self.stds[index])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -163,6 +108,26 @@ class MixtureBatch:
         offset = np.asarray(offset, dtype=float)[..., None]
         return MixtureBatch(self.weights, self.means * factor[..., None] + offset,
                             self.stds * factor[..., None])
+
+    def to_dict(self) -> dict:
+        """The record of one mixture: `K`, `weights`, `means` and `stds`."""
+        return {
+            "K": self.n_components,
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "stds": self.stds.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "MixtureBatch":
+        """One mixture from its `to_dict` record; ValueError unless the
+        record holds exactly one mixture of `K` components."""
+        p = cls(d["weights"], d["means"], d["stds"])
+        if p.shape:
+            raise ValueError(f"a mixture record needs shape (K,), not {p.weights.shape}")
+        if p.n_components != d.get("K", p.n_components):
+            raise ValueError("K does not match weights length")
+        return p
 
     def validate(self, sigma_floor: float = SIGMA_FLOOR) -> None:
         """Raise ValueError naming the first invalid mixture: by day and
@@ -196,9 +161,9 @@ def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
     """Turn raw head outputs into valid mixture parameters.
 
     The last axis holds 3K entries: K weight logits (softmax), K means
-    (identity) and K std pre-activations (softplus plus the floor). A 3K
-    vector gives one GmmParams; a (..., 3K) array gives a MixtureBatch of
-    shape (...), each mixture equal to the transform of its own row.
+    (identity) and K std pre-activations (softplus plus the floor). A
+    (..., 3K) array gives a MixtureBatch of shape (...), each mixture equal
+    to the transform of its own row; a 3K vector gives one mixture.
     """
     raw = np.asarray(raw, dtype=float)
     size = raw.shape[-1] if raw.ndim else raw.size
@@ -207,27 +172,29 @@ def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
     kk = size // 3
     if k is not None and k != kk:
         raise ValueError(f"expected 3*{k} raw outputs, got {size}")
-    mixture = GmmParams if raw.ndim == 1 else MixtureBatch
-    return mixture(
+    return MixtureBatch(
         weights=softmax(raw[..., :kk]),
         means=raw[..., kk : 2 * kk].copy(),
         stds=softplus(raw[..., 2 * kk :]) + sigma_floor,
     )
 
 
-def _component_logpdf(x, params: GmmParams):
-    """log N(x | mu_i, sigma_i^2) for each component; x broadcasts on the left."""
+def _component_logpdf(x, params: MixtureBatch):
+    """log N(x | mu_i, sigma_i^2) for each component; x broadcasts on the leading shape."""
     x = np.asarray(x, dtype=float)[..., None]
     z = (x - params.means) / params.stds
     return -0.5 * _LOG_2PI - np.log(params.stds) - 0.5 * z * z
 
 
-def gmm_logpdf(x, params: GmmParams):
-    terms = np.log(np.maximum(params.weights, 1e-300)) + _component_logpdf(x, params)
-    return _logsumexp(terms, axis=-1)
+def gmm_logpdf(x, params: MixtureBatch):
+    """Mixture log-density; a zero-weight component adds nothing, so a
+    mixture padded by `MixtureBatch.stack` scores as the unpadded one."""
+    with np.errstate(divide="ignore"):
+        log_w = np.log(params.weights)
+    return _logsumexp(log_w + _component_logpdf(x, params), axis=-1)
 
 
-def gmm_pdf(x, params: GmmParams):
+def gmm_pdf(x, params: MixtureBatch):
     """Mixture density sum_i w_i N(x | mu_i, sigma_i^2), evaluated in log space."""
     return np.exp(gmm_logpdf(x, params))
 
@@ -235,17 +202,19 @@ def gmm_pdf(x, params: GmmParams):
 def gmm_nll(targets, params) -> float:
     """Mean negative log-likelihood of aligned (target, mixture) pairs.
 
-    `params` may be a single GmmParams applied to every target or a
-    sequence aligned with `targets`.
+    `params` is one mixture for every target, a batch shaped like `targets`
+    or a sequence of one-mixture batches aligned with them; all pairs are
+    scored in one `gmm_logpdf` call and summed left to right.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
-    if isinstance(params, GmmParams):
-        params = [params] * targets.size
-    if len(params) != targets.size:
-        raise ValueError(f"{targets.size} targets but {len(params)} parameter sets")
+    if not isinstance(params, MixtureBatch):
+        params = MixtureBatch.stack(params)
+    if params.shape not in ((), targets.shape):
+        raise ValueError(f"targets of shape {targets.shape} but mixtures of "
+                         f"shape {params.shape}")
     total = 0.0
-    for x, p in zip(targets, params):
-        total -= float(gmm_logpdf(x, p))
+    for v in gmm_logpdf(targets, params).ravel():
+        total -= float(v)
     return total / targets.size
 
 

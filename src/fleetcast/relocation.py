@@ -192,7 +192,7 @@ def sample_scenarios(forecasts, n: int, seed):
     """Draw N demand vectors per day from per-zone mixtures.
 
     One day: `forecasts` holds the day's Z mixtures, as a sequence of
-    GmmParams or a (Z, K) MixtureBatch, and `seed` is an int or None;
+    one-mixture MixtureBatches or a (Z, K) MixtureBatch, and `seed` is an int or None;
     returns a ScenarioSet. Many days: `forecasts` is a (D, Z, K)
     MixtureBatch and `seed` holds D seeds; returns D ScenarioSets, day t's
     the one the one-day form gives for day t's mixtures and `seed[t]`.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EPOCH, REQUIRED_FIELDS, DemandSeries, ZoneBox, ZoneMap
+from .mdn import MixtureBatch
 
 WRITE_CHUNK_ROWS = 8192  # rows formatted per write of `write_trips_csv`
 # a trip row as the csv module writes it: comma-separated, CRLF-terminated
@@ -134,11 +135,11 @@ def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int,
 def ideal_predictive_mixture(cfg: SyntheticConfig, current_regime: int, zone: int):
     """The true one-step-ahead mixture for a zone, given today's regime.
 
-    Reference for diagnostics: weights (stay, switch) over the hot/cold
-    means. The trained mixture head should approach this.
+    Reference for diagnostics: one mixture with weights (stay, switch)
+    over the hot/cold means. The trained mixture head should approach this.
     """
     hot_now = (zone % 2 == 0) == (current_regime == 0)
     mean_now = cfg.mean_high if hot_now else cfg.mean_low
     mean_other = cfg.mean_low if hot_now else cfg.mean_high
-    return ((cfg.stay_prob, mean_now, cfg.noise_sd),
-            (1.0 - cfg.stay_prob, mean_other, cfg.noise_sd))
+    return MixtureBatch([cfg.stay_prob, 1.0 - cfg.stay_prob], [mean_now, mean_other],
+                        [cfg.noise_sd, cfg.noise_sd])

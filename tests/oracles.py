@@ -5,7 +5,8 @@ runs them.
 and `row_by_row_distribution` are the one-mixture-at-a-time code that
 `sample_scenarios` and the forecasters' array transforms replaced: a
 `Generator.choice` and `Generator.normal` call per (day, zone), and an
-`mdn_transform(...).scale(...)` (or `.shift(...)`) per (day, zone).
+`mdn_transform(...).scale(...)` per (day, zone), each a one-mixture
+`MixtureBatch`.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ def per_zone_sample(forecasts, n: int, seed) -> ScenarioSet:
 
 
 def row_by_row_distribution(forecaster, windows) -> list:
-    """Per-day lists of per-zone GmmParams for a (D, T, Z) window stack,
-    one mixture at a time."""
+    """Per-day lists of per-zone mixtures (one-mixture MixtureBatches) for
+    a (D, T, Z) window stack, one mixture at a time."""
     if isinstance(forecaster, ResidualMixtureForecaster):
         points = forecaster.base.predict_point(windows)
-        return [[mix.shift(float(row[z])) for z, mix in
+        return [[mix.scale(1.0, float(row[z])) for z, mix in
                  enumerate(forecaster.residual_mixtures)] for row in points]
     assert isinstance(forecaster, MixtureForecaster)
     raw = sequence_forward(forecaster.scaler.transform(windows), forecaster.model)

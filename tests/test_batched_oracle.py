@@ -29,7 +29,7 @@ from fleetcast.forecast import (
     load_forecast_file,
     save_forecast_file,
 )
-from fleetcast.mdn import GmmParams
+from fleetcast.mdn import MixtureBatch
 from fleetcast.recurrent import HeadSpec, init_model
 from fleetcast.relocation import (
     RelocationInstance,
@@ -133,8 +133,9 @@ def build_forecasters():
     mdn = MixtureForecaster(model("gru", HeadSpec("mdn", 2, k=3), 5), scaler)
     gru_point = PointForecaster(model("gru", HeadSpec("point", 2), 6), scaler)
     lstm = PointForecaster(model("lstm", HeadSpec("point", 2), 7), scaler)
-    residuals = [GmmParams([0.3, 0.7], [-9.0, 4.0], [3.0, 5.0]),
-                 GmmParams([0.5, 0.2, 0.3], [-12.0, 0.0, 8.0], [2.0, 4.0, 6.0])]
+    residuals = MixtureBatch.stack([
+        MixtureBatch([0.3, 0.7], [-9.0, 4.0], [3.0, 5.0]),
+        MixtureBatch([0.5, 0.2, 0.3], [-12.0, 0.0, 8.0], [2.0, 4.0, 6.0])])
     posthoc = ResidualMixtureForecaster(gru_point, residuals)
     return {"mdn": mdn, "gru-point": gru_point, "lstm": lstm, "posthoc": posthoc}
 
@@ -329,8 +330,8 @@ def test_optimize_plans_are_byte_identical_to_the_whole_file_reader(tmp_path):
     rng = np.random.default_rng(5)
     DemandSeries(days, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
         run / "demand.csv")
-    dists = [[GmmParams(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
-                        rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[28:]]
+    dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
+                           rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[28:]]
     save_forecast_file(run / "forecasts.json", days[28:], ["A", "B"], dists)
     cfg_path = tmp_path / "plan.cfg"
     cfg_path.write_text(f"data_dir = {run}\nseed = 7\nn_scenarios = 80\n")

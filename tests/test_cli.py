@@ -332,7 +332,7 @@ def plan_dir(tmp_path):
 
     from fleetcast.data import DemandSeries
     from fleetcast.forecast import save_forecast_file
-    from fleetcast.mdn import GmmParams
+    from fleetcast.mdn import MixtureBatch
 
     run = tmp_path / "run"
     run.mkdir()
@@ -341,8 +341,8 @@ def plan_dir(tmp_path):
     rng = np.random.default_rng(3)
     DemandSeries(days, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
         run / "demand.csv")
-    dists = [[GmmParams(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
-                        rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[30:]]
+    dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
+                           rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[30:]]
     save_forecast_file(run / "forecasts.json", days[30:], ["A", "B"], dists)
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(f"data_dir = {run}\nseed = 7\nn_scenarios = 25\n")
@@ -357,6 +357,16 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert err.startswith(f"error: no forecast for day '{day}'")
         assert "2018-08-31 to 2018-09-09" in err
+        assert "Traceback" not in err
+
+    def test_two_forecasts_for_one_day_and_zone_exit_2(self, plan_dir, capsys):
+        run, cfg = plan_dir
+        doc = json.loads((run / "forecasts.json").read_text())
+        doc["records"].append(dict(doc["records"][1], means=[50.0, 50.0, 50.0]))
+        (run / "forecasts.json").write_text(json.dumps(doc))
+        assert call(cfg, "optimize") == 2
+        err = capsys.readouterr().err
+        assert "two forecasts for day 2018-08-31, zone 'B'" in err
         assert "Traceback" not in err
 
     def test_forecasts_missing_a_demand_zone_is_a_named_error(self, plan_dir, capsys):

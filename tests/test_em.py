@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from fleetcast.em import e_step, em_fit, em_fit_restarts, log_likelihood, m_step
-from fleetcast.mdn import SIGMA_FLOOR, GmmParams, gmm_nll
+from fleetcast.mdn import SIGMA_FLOOR, MixtureBatch, gmm_nll
 
 
 def two_mode_sample(n=2000, seed=42):
@@ -18,17 +18,17 @@ def two_mode_sample(n=2000, seed=42):
 
 class TestEStep:
     def test_single_component_all_ones(self):
-        g = e_step(np.array([0.0, 2.0, -3.0]), GmmParams([1.0], [0.0], [1.0]))
+        g = e_step(np.array([0.0, 2.0, -3.0]), MixtureBatch([1.0], [0.0], [1.0]))
         np.testing.assert_allclose(g, 1.0)
 
     def test_identical_components_give_prior_weights(self):
-        p = GmmParams([0.2, 0.8], [1.0, 1.0], [2.0, 2.0])
+        p = MixtureBatch([0.2, 0.8], [1.0, 1.0], [2.0, 2.0])
         g = e_step(np.array([0.0, 5.0, -1.0]), p)
         np.testing.assert_allclose(g, np.tile([0.2, 0.8], (3, 1)), atol=1e-12)
 
     def test_hand_case_matches_direct_formula(self):
         data = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        p = GmmParams([0.3, 0.7], [-1.0, 1.5], [0.8, 1.2])
+        p = MixtureBatch([0.3, 0.7], [-1.0, 1.5], [0.8, 1.2])
         g = e_step(data, p)
         # independent per-term evaluation via scipy
         num = np.column_stack([
@@ -43,8 +43,8 @@ class TestEStep:
         rng = np.random.default_rng(seed)
         data = rng.normal(size=20) * 5
         k = int(rng.integers(1, 5))
-        p = GmmParams(np.full(k, 1.0 / k), rng.normal(size=k),
-                      rng.uniform(0.1, 3.0, k))
+        p = MixtureBatch(np.full(k, 1.0 / k), rng.normal(size=k),
+                         rng.uniform(0.1, 3.0, k))
         g = e_step(data, p)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
 
@@ -100,19 +100,19 @@ class TestMStep:
 
 class TestLogLikelihood:
     def test_standard_normal_single_point(self):
-        p = GmmParams([1.0], [0.0], [1.0])
+        p = MixtureBatch([1.0], [0.0], [1.0])
         assert log_likelihood(np.array([0.0]), p) == pytest.approx(
             -0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_consistent_with_mixture_nll(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=17)
-        p = GmmParams([0.5, 0.5], [-1.0, 2.0], [1.0, 0.5])
+        p = MixtureBatch([0.5, 0.5], [-1.0, 2.0], [1.0, 0.5])
         assert log_likelihood(data, p) == pytest.approx(-17 * gmm_nll(data, p), rel=1e-12)
 
     def test_hand_case_direct_sum(self):
         data = np.array([-1.0, 0.0, 0.5, 2.0, 3.0])
-        p = GmmParams([0.6, 0.4], [0.0, 2.5], [1.0, 0.7])
+        p = MixtureBatch([0.6, 0.4], [0.0, 2.5], [1.0, 0.7])
         want = sum(math.log(0.6 * norm.pdf(x, 0, 1.0) + 0.4 * norm.pdf(x, 2.5, 0.7))
                    for x in data)
         assert log_likelihood(data, p) == pytest.approx(want, rel=1e-10)
@@ -130,7 +130,7 @@ class TestEmFit:
 
     def test_zero_iteration_budget_returns_init(self):
         data = np.arange(10.0)
-        init = GmmParams([0.5, 0.5], [2.0, 7.0], [1.0, 1.0])
+        init = MixtureBatch([0.5, 0.5], [2.0, 7.0], [1.0, 1.0])
         state = em_fit(data, k=2, init=init, max_iter=0)
         assert state.iteration == 0
         np.testing.assert_allclose(state.params.means, [2.0, 7.0])
@@ -160,8 +160,8 @@ class TestEmFit:
 
     def test_label_permutation_invariance(self):
         data = two_mode_sample(seed=5, n=800)
-        a = em_fit(data, k=2, init=GmmParams([0.5, 0.5], [-4.0, 4.0], [1.0, 1.0]))
-        b = em_fit(data, k=2, init=GmmParams([0.5, 0.5], [4.0, -4.0], [1.0, 1.0]))
+        a = em_fit(data, k=2, init=MixtureBatch([0.5, 0.5], [-4.0, 4.0], [1.0, 1.0]))
+        b = em_fit(data, k=2, init=MixtureBatch([0.5, 0.5], [4.0, -4.0], [1.0, 1.0]))
         np.testing.assert_allclose(np.sort(a.params.means), np.sort(b.params.means),
                                    atol=1e-6)
         np.testing.assert_allclose(np.sort(a.params.weights), np.sort(b.params.weights),
@@ -174,6 +174,14 @@ class TestEmFit:
             em_fit(np.array([1.0, np.nan, 2.0]), k=1)
         with pytest.raises(ValueError):
             em_fit(np.arange(5.0), k=1, tol=0.0)
+
+    def test_init_must_be_one_mixture(self):
+        init = MixtureBatch([[0.5, 0.5], [0.5, 0.5]], [[-4.0, 4.0], [4.0, -4.0]],
+                            np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"init is a batch of shape \(2,\)"):
+            em_fit(np.arange(10.0), k=2, init=init)
+        state = em_fit(np.arange(10.0), k=2, init=init[1], max_iter=0)
+        np.testing.assert_array_equal(state.params.means, [4.0, -4.0])
 
     def test_responsibility_rows_and_weights_stay_normalized(self):
         data = two_mode_sample(seed=3, n=300)

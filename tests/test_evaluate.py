@@ -10,7 +10,7 @@ from fleetcast.evaluate import (
     compare,
     rolling_evaluate,
 )
-from fleetcast.mdn import GmmParams, MixtureBatch
+from fleetcast.mdn import MixtureBatch
 from fleetcast.relocation import DayOutcome, RelocationInstance, RelocationSolveError
 from fleetcast.simplex import solve_lp
 from oracles import PerfectForecaster
@@ -59,7 +59,7 @@ class ConstantMixtureForecaster:
 
 def constant_forecaster(z=2, mean=5.0):
     return ConstantMixtureForecaster(
-        [GmmParams([1.0], [mean], [0.5]) for _ in range(z)])
+        [MixtureBatch([1.0], [mean], [0.5]) for _ in range(z)])
 
 
 class TestRolling:

@@ -9,11 +9,12 @@ from fleetcast.forecast import (
     PointForecaster,
     ResidualMixtureForecaster,
     fit_residual_mixtures,
+    load_forecast_day,
     load_forecast_file,
     point_residuals,
     save_forecast_file,
 )
-from fleetcast.mdn import GmmParams, gmm_pdf
+from fleetcast.mdn import MixtureBatch, gmm_pdf
 from fleetcast.recurrent import HeadSpec, init_model, sequence_forward
 from oracles import PerfectForecaster
 
@@ -89,9 +90,9 @@ class TestResidualMixtureRoute:
         for i in range(3):
             want = windows.targets[i, 0] - base.predict_point(windows.inputs[i])[0]
             assert res[i, 0] == pytest.approx(want)
-        mix = GmmParams(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
-                        np.array([0.3, 0.3]))
-        f = ResidualMixtureForecaster(base, [mix])
+        mix = MixtureBatch(np.array([0.5, 0.5]), np.array([-1.0, 1.0]),
+                           np.array([0.3, 0.3]))
+        f = ResidualMixtureForecaster(base, MixtureBatch.stack([mix]))
         history = windows.inputs[0]
         point = f.predict_point(history)[0]
         dist = f.predict_distribution(history)[0]
@@ -149,8 +150,8 @@ def test_forecast_file_round_trip(tmp_path):
     days = [dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
     zone_ids = ["A", "B"]
     dists = [
-        [GmmParams([1.0], [5.0], [1.0]), GmmParams([0.4, 0.6], [1.0, 2.0], [0.5, 0.5])],
-        [GmmParams([1.0], [6.0], [1.5]), GmmParams([1.0], [2.0], [0.7])],
+        [MixtureBatch([1.0], [5.0], [1.0]), MixtureBatch([0.4, 0.6], [1.0, 2.0], [0.5, 0.5])],
+        [MixtureBatch([1.0], [6.0], [1.5]), MixtureBatch([1.0], [2.0], [0.7])],
     ]
     path = tmp_path / "forecasts.json"
     save_forecast_file(path, days, zone_ids, dists)
@@ -159,3 +160,14 @@ def test_forecast_file_round_trip(tmp_path):
     got = back[("2020-01-02", "B")]
     np.testing.assert_allclose(got.weights, [0.4, 0.6])
     np.testing.assert_allclose(got.means, [1.0, 2.0])
+
+
+def test_two_records_for_one_day_and_zone_are_rejected(tmp_path):
+    day = dt.date(2020, 1, 2)
+    path = tmp_path / "forecasts.json"
+    save_forecast_file(path, [day, day], ["A"], [[MixtureBatch([1.0], [5.0], [1.0])],
+                                                [MixtureBatch([1.0], [50.0], [1.0])]])
+    with pytest.raises(ValueError, match="two forecasts for day 2020-01-02, zone 'A'"):
+        load_forecast_file(path)
+    with pytest.raises(ValueError, match="two forecasts for day 2020-01-02, zone 'A'"):
+        load_forecast_day(path)

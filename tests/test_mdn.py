@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from fleetcast.mdn import (
     SIGMA_FLOOR,
-    GmmParams,
+    MixtureBatch,
     gmm_nll,
     gmm_pdf,
     mdn_transform,
@@ -66,12 +66,12 @@ def test_transform_always_valid(raw_vals):
 
 
 def test_pdf_standard_normal_peak():
-    p = GmmParams([1.0], [0.0], [1.0])
+    p = MixtureBatch([1.0], [0.0], [1.0])
     assert gmm_pdf(0.0, p) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-7)
 
 
 def test_pdf_two_component_matches_direct_sum():
-    p = GmmParams([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
+    p = MixtureBatch([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
     want = 0.5 * norm.pdf(0.0, -1.0, 1.0) + 0.5 * norm.pdf(0.0, 1.0, 1.0)
     assert gmm_pdf(0.0, p) == pytest.approx(want, rel=1e-12)
 
@@ -90,13 +90,13 @@ def test_pdf_integrates_to_one_by_quadrature():
 
 def test_nll_at_peak_single_component():
     sigma = 0.7
-    p = GmmParams([1.0], [2.5], [sigma])
+    p = MixtureBatch([1.0], [2.5], [sigma])
     assert gmm_nll([2.5], [p]) == pytest.approx(math.log(sigma * math.sqrt(2 * math.pi)),
                                                 abs=1e-12)
 
 
 def test_nll_far_tail_is_finite():
-    p = GmmParams([1.0], [0.0], [SIGMA_FLOOR])
+    p = MixtureBatch([1.0], [0.0], [SIGMA_FLOOR])
     val = gmm_nll([1e4], [p])
     assert np.isfinite(val) and val > 1e6
 
@@ -111,13 +111,13 @@ def test_nll_batch_equals_pointwise_mean():
 
 
 def test_nll_rejects_misaligned_batches():
-    p = GmmParams([1.0], [0.0], [1.0])
+    p = MixtureBatch([1.0], [0.0], [1.0])
     with pytest.raises(ValueError):
         gmm_nll([0.0, 1.0], [p, p, p])
 
 
 def test_mixture_moments_match_sampling():
-    p = GmmParams([0.3, 0.5, 0.2], [-4.0, 1.0, 6.0], [0.5, 2.0, 1.0])
+    p = MixtureBatch([0.3, 0.5, 0.2], [-4.0, 1.0, 6.0], [0.5, 2.0, 1.0])
     rng = np.random.default_rng(11)
     n = 10**5
     comp = rng.choice(3, size=n, p=p.weights)
@@ -126,7 +126,7 @@ def test_mixture_moments_match_sampling():
     assert abs(draws.mean() - p.mean()) < 3 * se_mean
     sq = draws**2
     se_second = sq.std(ddof=1) / math.sqrt(n)
-    second = p.variance() + p.mean() ** 2
+    second = p.weights @ (p.stds**2 + p.means**2)
     assert abs(sq.mean() - second) < 3 * se_second
 
 
@@ -156,12 +156,12 @@ def test_nll_with_underflowing_weights_is_finite_and_silent():
 
 
 def test_scale_and_shift_transform_density_correctly():
-    p = GmmParams([0.4, 0.6], [1.0, 3.0], [0.5, 0.8])
+    p = MixtureBatch([0.4, 0.6], [1.0, 3.0], [0.5, 0.8])
     q = p.scale(2.0, offset=10.0)
     # density change of variables: f_Y(y) = f_X((y-10)/2) / 2
     y = 12.34
     assert gmm_pdf(y, q) == pytest.approx(gmm_pdf((y - 10.0) / 2.0, p) / 2.0, rel=1e-12)
-    assert p.shift(-1.5).mean() == pytest.approx(p.mean() - 1.5)
+    assert p.scale(1.0, -1.5).mean() == pytest.approx(p.mean() - 1.5)
 
 
 def test_helpers_agree_with_numpy():

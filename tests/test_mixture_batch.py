@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetcast.mdn import SIGMA_FLOOR, GmmParams, MixtureBatch, mdn_transform
+from fleetcast.mdn import SIGMA_FLOOR, MixtureBatch, gmm_logpdf, gmm_nll, mdn_transform
 from fleetcast.relocation import ScenarioSet, sample_scenarios
 from oracles import per_zone_sample
 
@@ -22,8 +22,8 @@ std = st.one_of(st.just(0.0), st.floats(1e-3, 30.0))
 def mixture(draw, k):
     raw = draw(st.lists(weight, min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
     w = np.array(raw) / sum(raw)
-    return GmmParams(w, draw(st.lists(mean, min_size=k, max_size=k)),
-                     draw(st.lists(std, min_size=k, max_size=k)))
+    return MixtureBatch(w, draw(st.lists(mean, min_size=k, max_size=k)),
+                        draw(st.lists(std, min_size=k, max_size=k)))
 
 
 @st.composite
@@ -77,7 +77,7 @@ def test_a_day_of_the_batch_samples_as_the_one_day_form():
 
 
 def test_a_batch_needs_one_seed_per_day():
-    batch = as_batch([[GmmParams([1.0], [5.0], [1.0])]] * 3)
+    batch = as_batch([[MixtureBatch([1.0], [5.0], [1.0])]] * 3)
     for seed in (7, [7, 8]):
         with pytest.raises(ValueError, match="needs D seeds"):
             sample_scenarios(batch, 10, seed)
@@ -85,8 +85,8 @@ def test_a_batch_needs_one_seed_per_day():
 
 def valid_batch(days=4, zones=3, k=3):
     rng = np.random.default_rng(0)
-    return as_batch([[GmmParams(rng.dirichlet(np.ones(k)), rng.uniform(0, 80, k),
-                                rng.uniform(1, 9, k)) for _ in range(zones)]
+    return as_batch([[MixtureBatch(rng.dirichlet(np.ones(k)), rng.uniform(0, 80, k),
+                                   rng.uniform(1, 9, k)) for _ in range(zones)]
                      for _ in range(days)])
 
 
@@ -131,7 +131,8 @@ def test_the_first_invalid_mixture_is_named_and_the_one_day_form_is_day_0():
     batch.stds[1, 2, 2] = 1e-4
     with pytest.raises(ValueError, match=f"^day 1, zone 2: std below floor {SIGMA_FLOOR}"):
         batch.validate()
-    per_zone = [GmmParams([1.0], [3.0], [1.0]), GmmParams([0.5, 0.6], [1.0, 2.0], [1.0, 1.0])]
+    per_zone = [MixtureBatch([1.0], [3.0], [1.0]),
+                MixtureBatch([0.5, 0.6], [1.0, 2.0], [1.0, 1.0])]
     with pytest.raises(ValueError, match="^day 0, zone 1: weights sum to 1.1"):
         sample_scenarios(per_zone, 10, seed=0)
     with pytest.raises(ValueError, match="^weights sum to 1.1"):
@@ -139,13 +140,13 @@ def test_the_first_invalid_mixture_is_named_and_the_one_day_form_is_day_0():
 
 
 def test_stack_pads_with_zero_weight_components_and_rejects_ragged_mixtures():
-    batch = MixtureBatch.stack([GmmParams([1.0], [3.0], [2.0]),
-                                GmmParams([0.5, 0.5], [1.0, 2.0], [1.0, 1.0])])
+    batch = MixtureBatch.stack([MixtureBatch([1.0], [3.0], [2.0]),
+                                MixtureBatch([0.5, 0.5], [1.0, 2.0], [1.0, 1.0])])
     np.testing.assert_array_equal(batch.weights, [[1.0, 0.0], [0.5, 0.5]])
     np.testing.assert_array_equal(batch.mean(), [3.0, 1.5])
-    with pytest.raises(ValueError, match="mixture 1: mismatched component counts"):
-        MixtureBatch.stack([GmmParams([1.0], [3.0], [2.0]),
-                            GmmParams([0.5, 0.5], [1.0], [1.0, 1.0])])
+    with pytest.raises(ValueError, match=r"one shape \(\.\.\., K\)"):
+        MixtureBatch.stack([MixtureBatch([1.0], [3.0], [2.0]),
+                            MixtureBatch([0.5, 0.5], [1.0], [1.0, 1.0])])
     with pytest.raises(ValueError, match="no mixtures"):
         MixtureBatch.stack([])
 
@@ -158,7 +159,7 @@ def test_transform_of_a_stack_equals_the_transform_of_each_row():
         for z in range(3):
             want = mdn_transform(raw[d, z], sigma_floor=0.01)
             got = batch[d][z]
-            assert isinstance(got, GmmParams)
+            assert isinstance(got, MixtureBatch) and got.shape == want.shape == ()
             for name in ("weights", "means", "stds"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
     with pytest.raises(ValueError, match="expected 3\\*3"):
@@ -176,3 +177,46 @@ def test_scale_matches_the_one_mixture_scale():
                 assert np.array_equal(getattr(batch[d, z], name), getattr(want, name))
     with pytest.raises(ValueError, match="positive"):
         batch.scale(np.array([1.0, 0.0]))
+
+
+def test_one_mixture_is_a_batch_of_shape_empty_and_has_no_len():
+    batch = valid_batch(days=2, zones=3, k=2)
+    one = batch[1, 2]
+    assert isinstance(one, MixtureBatch) and one.shape == () and one.n_components == 2
+    assert all(isinstance(day, MixtureBatch) and day.shape == (3,) for day in batch)
+    with pytest.raises(TypeError, match="len"):
+        len(one)
+
+
+def test_a_record_round_trips_one_mixture_and_rejects_anything_else():
+    one = MixtureBatch([0.25, 0.75], [1.0, 2.0], [0.5, 1.5])
+    record = one.to_dict()
+    assert record == {"K": 2, "weights": [0.25, 0.75], "means": [1.0, 2.0],
+                      "stds": [0.5, 1.5]}
+    back = MixtureBatch.from_dict(record)
+    for name in ("weights", "means", "stds"):
+        assert np.array_equal(getattr(back, name), getattr(one, name))
+    with pytest.raises(ValueError, match="K does not match weights length"):
+        MixtureBatch.from_dict(dict(record, K=3))
+    two = {"K": 2, "weights": [[0.25, 0.75]] * 2, "means": [[1.0, 2.0]] * 2,
+           "stds": [[0.5, 1.5]] * 2}
+    with pytest.raises(ValueError, match=r"shape \(K,\), not \(2, 2\)"):
+        MixtureBatch.from_dict(two)
+
+
+def test_nll_of_a_stack_sums_the_score_of_each_pair_left_to_right():
+    batch = valid_batch(days=3, zones=2, k=3)
+    targets = np.random.default_rng(4).uniform(-300, 400, size=(3, 2))
+    total = 0.0
+    for x, p in zip(targets.ravel(), [mix for day in batch for mix in day]):
+        total -= float(gmm_logpdf(x, p))
+    assert gmm_nll(targets, batch) == total / 6
+    assert gmm_nll(targets.ravel(), [mix for day in batch for mix in day]) == total / 6
+    # zero-weight components, as `stack` pads with, add nothing even where
+    # the real component's density is below 1e-300
+    ragged = [MixtureBatch([1.0], [50.0], [1.0]),
+              MixtureBatch([0.5, 0.5], [1.0, 2.0], [1.0, 1.0])]
+    far = 1250.0 + 0.5 * math.log(2 * math.pi)
+    assert gmm_nll([0.0], ragged[:1]) == pytest.approx(far, rel=1e-15)
+    assert gmm_nll([0.0, 0.0], ragged) == pytest.approx(
+        (far + gmm_nll([0.0], ragged[1:])) / 2, rel=1e-15)

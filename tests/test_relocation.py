@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fleetcast.relocation
-from fleetcast.mdn import SIGMA_FLOOR, GmmParams
+from fleetcast.mdn import SIGMA_FLOOR, MixtureBatch
 from fleetcast.relocation import (
     DayOutcome,
     CERT_TOL,
@@ -64,17 +64,17 @@ def small_instance():
 
 class TestSampling:
     def test_near_degenerate_mixture_concentrates(self):
-        p = GmmParams([1.0], [5.0], [SIGMA_FLOOR])
+        p = MixtureBatch([1.0], [5.0], [SIGMA_FLOOR])
         scen = sample_scenarios([p], n=500, seed=0)
         assert np.abs(scen.demand - 5.0).max() < 4 * SIGMA_FLOOR
 
     def test_zero_weight_components_never_drawn(self):
-        p = GmmParams([1.0, 0.0, 0.0], [10.0, 1000.0, -1000.0], [0.1, 0.1, 0.1])
+        p = MixtureBatch([1.0, 0.0, 0.0], [10.0, 1000.0, -1000.0], [0.1, 0.1, 0.1])
         scen = sample_scenarios([p], n=1000, seed=1)
         assert np.abs(scen.demand - 10.0).max() < 1.0
 
     def test_large_sample_mean_matches_analytic(self):
-        p = GmmParams([0.3, 0.7], [50.0, 80.0], [2.0, 3.0])
+        p = MixtureBatch([0.3, 0.7], [50.0, 80.0], [2.0, 3.0])
         n = 10**5
         scen = sample_scenarios([p], n=n, seed=2)
         draws = scen.demand[:, 0]
@@ -82,13 +82,13 @@ class TestSampling:
         assert abs(draws.mean() - p.mean()) < 3 * se
 
     def test_negatives_clip_to_zero(self):
-        p = GmmParams([1.0], [-5.0], [1.0])
+        p = MixtureBatch([1.0], [-5.0], [1.0])
         scen = sample_scenarios([p], n=100, seed=3)
         assert (scen.demand >= 0).all()
         assert (scen.demand == 0).sum() > 90
 
     def test_reproducible_and_validates(self):
-        p = [GmmParams([0.5, 0.5], [10.0, 20.0], [1.0, 1.0])] * 2
+        p = [MixtureBatch([0.5, 0.5], [10.0, 20.0], [1.0, 1.0])] * 2
         a = sample_scenarios(p, 50, seed=9)
         b = sample_scenarios(p, 50, seed=9)
         np.testing.assert_array_equal(a.demand, b.demand)
@@ -200,9 +200,9 @@ class TestTwoStageModel:
             np.fill_diagonal(cmat, 0.0)
             inst = RelocationInstance(stock=rng.integers(2, 15, z).astype(float),
                                       move_cost=cmat, price=10.0, penalty=4.0)
-            forecasts = [GmmParams([0.5, 0.5],
-                                   np.sort(rng.uniform(1, 25, 2)),
-                                   rng.uniform(0.5, 3.0, 2)) for _ in range(z)]
+            forecasts = [MixtureBatch([0.5, 0.5],
+                                      np.sort(rng.uniform(1, 25, 2)),
+                                      rng.uniform(0.5, 3.0, 2)) for _ in range(z)]
             scen = sample_scenarios(forecasts, 60, seed=int(rng.integers(1e6)))
             sp_plan, sp_res = solve_relocation(inst, scen)
             det_point = scen.demand.mean(axis=0)
@@ -481,8 +481,8 @@ class TestEvaluateDecision:
 
 def test_saa_convergence_table_shape():
     inst = small_instance()
-    forecasts = [GmmParams([0.5, 0.5], [1.0, 3.0], [0.5, 0.5]),
-                 GmmParams([1.0], [2.0], [0.5])]
+    forecasts = [MixtureBatch([0.5, 0.5], [1.0, 3.0], [0.5, 0.5]),
+                 MixtureBatch([1.0], [2.0], [0.5])]
     table = saa_convergence_table(inst, forecasts, counts=(5, 10), seed=1)
     assert [row["n_scenarios"] for row in table] == [5, 10]
     for row in table:

@@ -108,8 +108,8 @@ def test_rows_run_by_day_then_zone_with_times_inside_their_day(tmp_path):
 
 def test_ideal_mixture_reference():
     cfg = SyntheticConfig(stay_prob=0.9)
-    (w_stay, m_stay, _), (w_switch, m_switch, _) = \
-        ideal_predictive_mixture(cfg, current_regime=0, zone=0)
+    ideal = ideal_predictive_mixture(cfg, current_regime=0, zone=0)
+    (w_stay, w_switch), (m_stay, m_switch) = ideal.weights, ideal.means
     assert (w_stay, m_stay) == (0.9, cfg.mean_high)
     assert (w_switch, m_switch) == pytest.approx((0.1, cfg.mean_low))
 
