@@ -10,9 +10,9 @@ produces it.
 Each command does the work of its own days only. `forecast` and
 `evaluate` run the forecaster once over all their day windows.
 `optimize` reads the zone ids from the header of the demand CSV, not its
-body, and turns only the requested day's forecast records into
-mixtures. The argument parser is built once per process, so repeated
-in-process `main` calls parse with the same parser into fresh namespaces.
+body, and takes the requested day's (Z, K) slice of the forecast batch.
+The argument parser is built once per process, so repeated in-process
+`main` calls parse with the same parser into fresh namespaces.
 """
 
 from __future__ import annotations
@@ -302,9 +302,9 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
     forecaster = _forecaster(cfg, tag)
     positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
     days = [split.test.days[t] for t in positions]
-    dists = forecaster.predict_distribution(windows, days) if days else []
+    batch = forecaster.predict_distribution(windows, days)
     out_path = _data_dir(cfg) / "forecasts.json"
-    fc.save_forecast_file(out_path, days, split.series.zone_ids, dists)
+    fc.save_forecast_file(out_path, days, split.series.zone_ids, batch)
     _write_manifest(_data_dir(cfg) / "forecast.manifest.json", "forecast", cfg,
                     [split.path] + _forecaster_files(cfg, tag), [out_path])
     print(f"forecast {len(days)} days x {split.series.n_zones} zones -> {out_path}")
@@ -314,18 +314,14 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
 def cmd_optimize(cfg: PipelineConfig, args) -> int:
     out = _data_dir(cfg)
     forecasts_path = _require(out / "forecasts.json", "forecasts")
-    day, forecasts = fc.load_forecast_day(forecasts_path, args.day)
     demand_path = _require(out / cfg.demand_file, "demand")
     zone_ids = read_zone_ids(demand_path)
-    missing = [zid for zid in zone_ids if zid not in forecasts]
-    if missing:
-        raise ValueError(f"forecasts for {day} lack zones {missing} of {cfg.demand_file}")
-    per_zone = [forecasts[zid] for zid in zone_ids]
+    day, forecasts = fc.load_forecast_day(forecasts_path, args.day, zone_ids)
     instance = _instance(cfg, len(zone_ids))
     if args.saa_table:
-        table = saa_convergence_table(instance, per_zone, seed=cfg.seed)
+        table = saa_convergence_table(instance, forecasts, seed=cfg.seed)
         print(format_saa_table(table))
-    scen = sample_scenarios(per_zone, cfg.n_scenarios, seed=cfg.seed)
+    scen = sample_scenarios(forecasts, cfg.n_scenarios, seed=cfg.seed)
     plan, res = solve_relocation(instance, scen)
     plan_path = out / f"plan_{day}.json"
     save_plan(plan_path, plan, instance,

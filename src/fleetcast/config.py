@@ -92,6 +92,9 @@ class PipelineConfig:
         for name, ok, why in checks:
             if not ok:
                 raise ValueError(f"config.{name}: {why}")
+        if not all(v >= 1 and float(v).is_integer() for v in self.dense_sizes):
+            raise ValueError("config.dense_sizes: every layer size must be a "
+                             "positive integer")
         if len(self.stock) < 1:
             raise ValueError("config.stock: need at least one zone")
         if not all(math.isfinite(v) and v >= 0 for v in self.stock):

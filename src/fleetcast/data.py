@@ -234,31 +234,26 @@ def _parse_chunk(rows: list, positions: list, report: IngestReport) -> list:
     return [col[keep] for col in (times, plat, plon, dlat, dlon, passengers)]
 
 
-def ingest_trips(path, schema: dict | None = None):
+def ingest_trips(path):
     """Parse a trip CSV into a TripTable plus a per-reason rejection report.
 
-    `schema` maps required field names to the file's column names (field
-    names themselves by default; of repeated names the last column
-    counts). Blank lines are skipped; malformed rows are skipped and
-    counted, never fatal; a missing column or unreadable file is fatal.
+    Columns are found by their REQUIRED_FIELDS names; of repeated names the
+    last column counts. Blank lines are skipped; malformed rows are skipped
+    and counted, never fatal; a missing column or unreadable file is fatal.
     A timestamp `datetime` cannot represent is a bad timestamp, and a
     passenger count outside int64 is a bad passenger count. The table is
     sorted by pickup time, stably, so ties keep file order.
     """
-    schema = dict(schema or {})
-    for name in REQUIRED_FIELDS:
-        schema.setdefault(name, name)
     report = IngestReport()
     chunks = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is not None:
-            missing = [schema[f] for f in REQUIRED_FIELDS if schema[f] not in header]
+            missing = [f for f in REQUIRED_FIELDS if f not in header]
             if missing:
                 raise ValueError(f"input is missing required columns: {missing}")
-            positions = [len(header) - 1 - header[::-1].index(schema[f])
-                         for f in REQUIRED_FIELDS]
+            positions = [len(header) - 1 - header[::-1].index(f) for f in REQUIRED_FIELDS]
             while raw := list(islice(reader, CHUNK_ROWS)):
                 rows = [row for row in raw if row]
                 if rows:
@@ -327,12 +322,20 @@ class DemandSeries:
 
     @classmethod
     def from_csv(cls, path) -> "DemandSeries":
+        """Read a `to_csv` file; blank lines are skipped, and a row whose
+        cell count differs from the header's is a ValueError naming its line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             zone_ids = _demand_header(reader, path)
             days = []
             cols = []
             for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(zone_ids) + 1:
+                    raise ValueError(f"demand file {path}, line {reader.line_num}: "
+                                     f"{len(row)} cells, but the header has "
+                                     f"{len(zone_ids) + 1}")
                 days.append(dt.date.fromisoformat(row[0]))
                 cols.append([float(v) for v in row[1:]])
         values = np.array(cols, dtype=float).T if cols else np.zeros((len(zone_ids), 0))

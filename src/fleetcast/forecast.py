@@ -14,8 +14,10 @@ Two distribution routes exist: the mixture head trained end-to-end, and
 the extraction route where a point model's validation residuals are
 fitted by EM and the residual mixture rides on each day's point forecast.
 
-A forecast file holds one `MixtureBatch.to_dict` record per (day, zone),
-read back as a one-mixture batch; a (day, zone) given twice is an error.
+A forecast file is one JSON document: the ISO `days`, the `zones`, and
+the forecast batch's `weights`, `means` and `stds` as nested
+(days, zones, K) lists. A repeated day or zone, arrays of another shape
+or a file without days is an error.
 """
 
 from __future__ import annotations
@@ -123,54 +125,64 @@ def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,
     return mixtures, records
 
 
-def save_forecast_file(path, days, zone_ids, distributions) -> None:
-    """One record per zone per forecast day: the external forecast format."""
-    records = []
-    for day, per_zone in zip(days, distributions):
-        for zid, params in zip(zone_ids, per_zone):
-            records.append({"day": day.isoformat(), "zone": zid,
-                            **params.to_dict()})
+def save_forecast_file(path, days, zone_ids, batch: MixtureBatch) -> None:
+    """Write the (len(days), len(zone_ids), K) forecast batch as one document."""
+    doc = {"days": [day.isoformat() for day in days], "zones": list(zone_ids),
+           "weights": batch.weights.tolist(), "means": batch.means.tolist(),
+           "stds": batch.stds.tolist()}
     with open(path, "w") as fh:
-        json.dump({"records": records}, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _forecast_records(path) -> list[dict]:
+def _read_forecast_file(path) -> tuple[list, list, MixtureBatch]:
+    """(day isos, zone ids, (D, Z, K) batch), checked against each other."""
     with open(path) as fh:
-        return json.load(fh)["records"]
-
-
-def _mixtures(path, records, key) -> dict:
-    """{key(record): one-mixture MixtureBatch}, rejecting a repeated key."""
-    out = {}
-    for r in records:
-        if (k := key(r)) in out:
-            raise ValueError(f"{path} holds two forecasts for day {r['day']}, "
-                             f"zone {r['zone']!r}")
-        out[k] = MixtureBatch.from_dict(r)
-    return out
+        doc = json.load(fh)
+    missing = [key for key in ("days", "zones", "weights", "means", "stds")
+               if key not in doc]
+    if missing:
+        raise ValueError(f"forecast file {path} lacks {missing}; it may predate this "
+                         f"format, so run `fleetcast forecast` again")
+    days, zones = doc["days"], doc["zones"]
+    if not days:
+        raise ValueError(f"forecast file {path} holds no forecasts")
+    for what, ids in (("day", days), ("zone", zones)):
+        repeated = [i for n, i in enumerate(ids) if i in ids[:n]]
+        if repeated:
+            raise ValueError(f"forecast file {path} lists {what} {repeated[0]!r} twice")
+    try:
+        batch = MixtureBatch(doc["weights"], doc["means"], doc["stds"])
+    except ValueError:
+        batch = None
+    if batch is None or batch.shape != (len(days), len(zones)):
+        raise ValueError(f"forecast file {path} needs weights, means and stds of one "
+                         f"shape ({len(days)}, {len(zones)}, K) for its {len(days)} "
+                         f"days and {len(zones)} zones")
+    return days, zones, batch
 
 
 def load_forecast_file(path):
     """Returns {(day iso, zone): one-mixture MixtureBatch}."""
-    return _mixtures(path, _forecast_records(path), lambda r: (r["day"], r["zone"]))
+    days, zones, batch = _read_forecast_file(path)
+    return {(day, zone): batch[d, z] for d, day in enumerate(days)
+            for z, zone in enumerate(zones)}
 
 
-def load_forecast_day(path, day: str | None = None) -> tuple[str, dict]:
-    """One day's forecasts as (day iso, {zone: one-mixture MixtureBatch}).
+def load_forecast_day(path, day: str | None, zone_ids) -> tuple[str, MixtureBatch]:
+    """One day's forecasts as (day iso, (Z, K) batch in `zone_ids` order).
 
-    Only that day's records become mixtures. Without `day`, the earliest
-    forecast day is used. A day with no forecast raises ValueError naming
-    the first and last forecast days.
+    Without `day`, the earliest forecast day is used. A day with no
+    forecast raises ValueError naming the first and last forecast days; a
+    zone of `zone_ids` the file lacks raises one naming the zone.
     """
-    records = _forecast_records(path)
-    if not records:
-        raise ValueError(f"forecast file {path} holds no forecasts")
-    first = min(r["day"] for r in records)
+    days, zones, batch = _read_forecast_file(path)
+    first, last = min(days), max(days)
     day = first if day is None else day
-    per_zone = _mixtures(path, [r for r in records if r["day"] == day], lambda r: r["zone"])
-    if not per_zone:
-        last = max(r["day"] for r in records)
+    if day not in days:
         raise ValueError(f"no forecast for day {day!r} in {path}; forecasts cover "
                          f"{first} to {last} (ISO dates, YYYY-MM-DD)")
-    return day, per_zone
+    missing = [zid for zid in zone_ids if zid not in zones]
+    if missing:
+        raise ValueError(f"forecasts for {day} in {path} lack zones {missing}")
+    return day, batch[days.index(day), [zones.index(zid) for zid in zone_ids]]

@@ -194,11 +194,6 @@ def gmm_logpdf(x, params: MixtureBatch):
     return _logsumexp(log_w + _component_logpdf(x, params), axis=-1)
 
 
-def gmm_pdf(x, params: MixtureBatch):
-    """Mixture density sum_i w_i N(x | mu_i, sigma_i^2), evaluated in log space."""
-    return np.exp(gmm_logpdf(x, params))
-
-
 def gmm_nll(targets, params) -> float:
     """Mean negative log-likelihood of aligned (target, mixture) pairs.
 

@@ -27,8 +27,8 @@ work arrays persist across the batches of a training run (Scratch).
 Each cell stores its gates fused: input weights w (I, G*H), recurrent
 weights u (H, G*H) and bias b (G*H,), with the G gate blocks of width H
 side by side in the order GATES gives (GRU z, r, h; LSTM i, f, o, g).
-Checkpoints keep the per-gate v1 layout: save_model splits the blocks
-into cell.w_z ... cell.b_g and load_model stacks them again.
+Checkpoints (format v2) store these arrays as they are, in parameters()
+order; a v1 checkpoint, written one gate block at a time, is refused.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ def sigmoid(x):
 
 
 GATES = {"gru": "zrh", "lstm": "ifog"}
+CHECKPOINT_FORMAT = "fleetcast-checkpoint-v2"
 
 
 @dataclass
@@ -416,20 +417,6 @@ def backward(model: RecurrentModel, cache, d_raw, scratch=_fresh):
     return grads
 
 
-def loss_and_grads(model: RecurrentModel, inputs, targets):
-    """Forward, head loss, and full backward in one call."""
-    raw, cache = forward_pass(model, inputs)
-    value, d_raw = head_loss_and_grad(model, raw, targets)
-    return value, backward(model, cache, d_raw)
-
-
-def compute_loss(model: RecurrentModel, inputs, targets) -> float:
-    """Forward-only loss; the quantity finite differences differentiate."""
-    raw, _ = forward_pass(model, inputs)
-    value, _ = head_loss_and_grad(model, raw, targets)
-    return value
-
-
 def _clip_global_norm(grads, clip):
     norm = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if norm > clip:
@@ -533,21 +520,10 @@ def init_model(cell_kind: str, input_size: int, hidden_size: int,
 
 
 def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) -> None:
-    """Checkpoint = JSON manifest plus a flat little-endian float64 sidecar.
-
-    The fused cell arrays are written one gate block at a time under the
-    v1 names (cell.w_z, cell.w_r, ... cell.b_h for a GRU).
-    """
-    params = model.parameters()
-    h = model.cell.hidden_size
-    arrays = {}
-    for name in ("w", "u", "b"):
-        fused = params.pop(f"cell.{name}")
-        for j, gate in enumerate(GATES[model.cell_kind]):
-            arrays[f"cell.{name}_{gate}"] = fused[..., j * h : (j + 1) * h]
-    arrays.update(params)
+    """Checkpoint = JSON manifest plus a flat little-endian float64 sidecar
+    holding model.parameters() in order."""
     manifest = {
-        "format": "fleetcast-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "cell_kind": model.cell_kind,
         "head": {"kind": model.head.kind, "n_series": model.head.n_series,
                  "k": model.head.k},
@@ -559,7 +535,7 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
     }
     offset = 0
     payload = bytearray()
-    for name, arr in arrays.items():
+    for name, arr in model.parameters().items():
         flat = np.ascontiguousarray(arr, dtype="<f8")
         manifest["arrays"].append({"name": name, "shape": list(arr.shape),
                                    "offset": offset})
@@ -575,11 +551,11 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
 def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
     with open(f"{prefix}.json") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "fleetcast-checkpoint-v1":
+    if manifest.get("format") == "fleetcast-checkpoint-v1":
+        raise ValueError(f"{prefix}.json is a v1 checkpoint (one array per gate), "
+                         "which fleetcast no longer reads; retrain the model")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("unrecognized checkpoint format")
-    gates = GATES.get(manifest["cell_kind"])
-    if gates is None:
-        raise ValueError(f"unknown cell kind {manifest['cell_kind']}")
     sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
     need = 8 * max((e["offset"] + n for e, n in zip(manifest["arrays"], sizes)), default=0)
     have = os.path.getsize(f"{prefix}.bin")
@@ -590,16 +566,11 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
     for entry, size in zip(manifest["arrays"], sizes):
         arrays[entry["name"]] = raw[entry["offset"] : entry["offset"] + size] \
             .reshape(entry["shape"]).astype(float)
-    cell = CellWeights(*(np.hstack([arrays[f"cell.{name}_{gate}"] for gate in gates])
-                         for name in ("w", "u", "b")))
+    cell = CellWeights(arrays["cell.w"], arrays["cell.u"], arrays["cell.b"])
     acts = manifest["dense_activations"]
     dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
              for i in range(len(acts))]
     hd = manifest["head"]
-    if hd.get("aux_point", False):
-        raise ValueError(f"{prefix}.json has an auxiliary point output "
-                         "(head.aux_point), which fleetcast no longer reads; "
-                         "retrain the model")
     head = HeadSpec(hd["kind"], hd["n_series"], hd["k"])
     model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
                            manifest.get("window_size"),

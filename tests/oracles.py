@@ -6,7 +6,8 @@ and `row_by_row_distribution` are the one-mixture-at-a-time code that
 `sample_scenarios` and the forecasters' array transforms replaced: a
 `Generator.choice` and `Generator.normal` call per (day, zone), and an
 `mdn_transform(...).scale(...)` per (day, zone), each a one-mixture
-`MixtureBatch`.
+`MixtureBatch`. `stack_days` turns such per-day lists into the (D, Z, K)
+batch the program writes.
 """
 
 from __future__ import annotations
@@ -75,3 +76,11 @@ def row_by_row_distribution(forecaster, windows) -> list:
              .scale(scaler.std[z], scaler.mean[z]) for z in range(head.n_series)]
             for row in shaped]
 
+
+
+def stack_days(per_day) -> MixtureBatch:
+    """Per-day lists of per-zone one-mixture batches as one (D, Z, K) batch."""
+    flat = MixtureBatch.stack(p for zones in per_day for p in zones)
+    shape = (len(per_day), -1, flat.n_components)
+    return MixtureBatch(flat.weights.reshape(shape), flat.means.reshape(shape),
+                        flat.stds.reshape(shape))

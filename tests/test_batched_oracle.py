@@ -5,7 +5,7 @@ loops that `rolling_evaluate` and `cmd_forecast` ran before both moved to
 one batched forecaster call: they hand the forecaster one (T, Z) window
 and one day at a time, which the batched protocol still answers.
 `oracle_optimize` is the `optimize` command as it was when it parsed the
-whole demand CSV and every forecast record. The oracles draw each day's
+whole demand CSV and the whole forecast file. The oracles draw each day's
 scenarios zone by zone with `oracles.per_zone_sample`, where
 `sample_scenarios` draws every day in one call, and solve each day's
 scenario program on its own with `solve_relocation`, where
@@ -42,7 +42,8 @@ from fleetcast.relocation import (
 )
 from fleetcast.simplex import solve_lp
 from fleetcast.synth import SyntheticConfig, default_zone_map, generate_demand
-from oracles import PerfectForecaster, per_zone_sample, row_by_row_distribution
+from oracles import (PerfectForecaster, per_zone_sample, row_by_row_distribution,
+                     stack_days)
 
 WS = 10
 
@@ -315,7 +316,7 @@ def test_forecast_command_equals_the_per_day_loop(tmp_path):
     days, dists = oracle_forecast_days(_forecaster(cfg, "mdn"), history, test,
                                        cfg.window_size)
     want_path = tmp_path / "oracle_forecasts.json"
-    save_forecast_file(want_path, days, series.zone_ids, dists)
+    save_forecast_file(want_path, days, series.zone_ids, stack_days(dists))
     got = load_forecast_file(tmp_path / "run" / "forecasts.json")
     want = load_forecast_file(want_path)
     assert list(got) == list(want) and len(want) == 2 * test_len
@@ -332,7 +333,8 @@ def test_optimize_plans_are_byte_identical_to_the_whole_file_reader(tmp_path):
         run / "demand.csv")
     dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
                            rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[28:]]
-    save_forecast_file(run / "forecasts.json", days[28:], ["A", "B"], dists)
+    save_forecast_file(run / "forecasts.json", days[28:], ["A", "B"],
+                       stack_days(dists))
     cfg_path = tmp_path / "plan.cfg"
     cfg_path.write_text(f"data_dir = {run}\nseed = 7\nn_scenarios = 80\n")
     cfg = load_config(str(cfg_path))
@@ -390,7 +392,7 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
     oracle = RowByRowAnswers(_forecaster(cfg, tag), days, windows)
 
     save_forecast_file(tmp_path / "forecasts.json", days, split.series.zone_ids,
-                       [oracle.answers[d] for d in days])
+                       stack_days([oracle.answers[d] for d in days]))
     assert (run / "forecasts.json").read_bytes() == \
         (tmp_path / "forecasts.json").read_bytes()
 

@@ -219,20 +219,21 @@ class TestPipeline:
         flags = " ".join(argv[1:])
         assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
 
-    def test_checkpoint_with_an_auxiliary_output_exits_2(self, run_dir, capsys):
+    def test_v1_checkpoint_exits_2(self, run_dir, capsys):
         run, cfg = run_dir
         for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "0")):
             assert call(cfg, *argv) == 0
         path = run / "checkpoints" / "mdn.json"
         manifest = json.loads(path.read_text())
-        manifest["head"]["aux_point"] = True
+        manifest["format"] = "fleetcast-checkpoint-v1"
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         for argv in (("forecast", "--model", "mdn"),
                      ("evaluate", "--mode", "stochastic", "--forecaster", "mdn")):
             assert call(cfg, *argv) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path} has an auxiliary point output")
+            assert err.startswith(f"error: {run / 'checkpoints' / 'mdn'}.json is a v1 "
+                                  "checkpoint")
             assert "retrain the model" in err and "Traceback" not in err
 
     def test_help_lists_all_subcommands(self, capsys):
@@ -333,6 +334,7 @@ def plan_dir(tmp_path):
     from fleetcast.data import DemandSeries
     from fleetcast.forecast import save_forecast_file
     from fleetcast.mdn import MixtureBatch
+    from oracles import stack_days
 
     run = tmp_path / "run"
     run.mkdir()
@@ -343,7 +345,7 @@ def plan_dir(tmp_path):
         run / "demand.csv")
     dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
                            rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[30:]]
-    save_forecast_file(run / "forecasts.json", days[30:], ["A", "B"], dists)
+    save_forecast_file(run / "forecasts.json", days[30:], ["A", "B"], stack_days(dists))
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(f"data_dir = {run}\nseed = 7\nn_scenarios = 25\n")
     return run, cfg
@@ -361,13 +363,47 @@ class TestOptimize:
 
     def test_two_forecasts_for_one_day_and_zone_exit_2(self, plan_dir, capsys):
         run, cfg = plan_dir
+        text = (run / "forecasts.json").read_text()
+        for key, repeated in (("days", "day '2018-08-31'"), ("zones", "zone 'A'")):
+            doc = json.loads(text)
+            doc[key][1] = doc[key][0]
+            (run / "forecasts.json").write_text(json.dumps(doc))
+            assert call(cfg, "optimize") == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: forecast file {run / 'forecasts.json'} "
+                                  f"lists {repeated} twice")
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda doc: doc["weights"].pop(), "needs weights, means and stds of one shape "
+                                           "(10, 2, K) for its 10 days and 2 zones"),
+        (lambda doc: doc["stds"][3][1].pop(), "needs weights, means and stds of one shape"),
+        (lambda doc: doc.update(days=[], weights=[], means=[], stds=[]),
+         "holds no forecasts"),
+        (lambda doc: doc.clear() or doc.update(records=[]),
+         "lacks ['days', 'zones', 'weights', 'means', 'stds']")],
+        ids=["a-day-short", "ragged-stds", "no-days", "record-per-zone-layout"])
+    def test_misshaped_or_empty_forecast_file_exits_2(self, plan_dir, capsys, edit,
+                                                      words):
+        run, cfg = plan_dir
         doc = json.loads((run / "forecasts.json").read_text())
-        doc["records"].append(dict(doc["records"][1], means=[50.0, 50.0, 50.0]))
+        edit(doc)
         (run / "forecasts.json").write_text(json.dumps(doc))
         assert call(cfg, "optimize") == 2
         err = capsys.readouterr().err
-        assert "two forecasts for day 2018-08-31, zone 'B'" in err
+        assert err.startswith(f"error: forecast file {run / 'forecasts.json'} {words}")
         assert "Traceback" not in err
+
+    def test_saa_table_prints_one_row_per_scenario_count(self, plan_dir, capsys):
+        run, cfg = plan_dir
+        assert call(cfg, "optimize", "--day", "2018-09-02", "--saa-table") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["N", "in-sample", "out-of-sample"]
+        rows = [line.split() for line in lines[1:7]]
+        assert [int(r[0]) for r in rows] == [10, 25, 50, 100, 200, 400]
+        assert all(np.isfinite(float(v)) for r in rows for v in r[1:])
+        assert lines[7] == "" and lines[8].startswith("plan for 2018-09-02: ")
+        assert (run / "plan_2018-09-02.json").exists()
 
     def test_forecasts_missing_a_demand_zone_is_a_named_error(self, plan_dir, capsys):
         run, cfg = plan_dir
@@ -398,6 +434,33 @@ class TestOptimize:
         n_days = body.count("\n") - 1
         assert err.startswith(f"error: demand file {run / 'demand.csv'} holds "
                               f"{n_days} days; a train/test split needs at least 2")
+        assert "Traceback" not in err
+
+    def test_blank_lines_in_the_demand_file_are_skipped(self, plan_dir):
+        run, cfg = plan_dir
+        argv = [("train", "--model", "lstm", "--epochs", "0"),
+                ("evaluate", "--mode", "deterministic", "--forecaster", "lstm")]
+        reports = []
+        for trailer in ("", "\n"):
+            with open(run / "demand.csv", "a") as fh:
+                fh.write(trailer)
+            for args in argv:
+                assert call(cfg, *args) == 0
+            reports.append((run / "report_lstm_deterministic.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv", [("train", "--model", "lstm", "--epochs", "0"),
+                                      ("fit-gmm",), ("forecast",), ("evaluate",)])
+    def test_a_demand_row_missing_a_cell_exits_2_naming_its_line(self, plan_dir,
+                                                                 capsys, argv):
+        run, cfg = plan_dir
+        lines = (run / "demand.csv").read_text().splitlines(keepends=True)
+        lines[5] = lines[5][: lines[5].rindex(",")] + "\n"
+        (run / "demand.csv").write_text("".join(lines))
+        assert call(cfg, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: demand file {run / 'demand.csv'}, line 6: "
+                              f"2 cells, but the header has 3")
         assert "Traceback" not in err
 
     def test_two_days_split_into_one_train_and_one_test_day(self, plan_dir):

@@ -54,6 +54,17 @@ def test_out_of_range_names_the_field():
         parse_config_text("val_fraction = 1.5")
 
 
+@pytest.mark.parametrize("sizes", ["0", "-4", "8.7", "64,0", "inf", "nan"])
+def test_dense_sizes_must_be_positive_integers(sizes):
+    with pytest.raises(ValueError, match="config.dense_sizes: every layer size must "
+                                         "be a positive integer"):
+        parse_config_text(f"dense_sizes = {sizes}")
+
+
+def test_whole_dense_sizes_are_accepted():
+    assert parse_config_text("dense_sizes = 64,8.0").dense_sizes == (64.0, 8.0)
+
+
 @pytest.mark.parametrize("stock", ["inf,50", "50,nan", "-1,50", "50,-inf"])
 def test_non_finite_or_negative_stock_names_the_field(stock):
     with pytest.raises(ValueError, match="config.stock: .*finite and >= 0"):

@@ -94,16 +94,12 @@ class TestIngest:
                                   "negative_passengers": 1,
                                   "longitude_out_of_range": 1}
 
-    def test_schema_mapping_and_missing_column(self, tmp_path):
+    def test_renamed_columns_are_missing_required_columns(self, tmp_path):
         path = tmp_path / "renamed.csv"
         write_csv(path, [["2019-04-01T08:00Z", 40.75, -73.99, 40.70, -74.01, 2]],
                   header=("t", "plat", "plon", "dlat", "dlon", "pax"))
-        schema = {"pickup_time": "t", "pickup_lat": "plat", "pickup_lon": "plon",
-                  "dropoff_lat": "dlat", "dropoff_lon": "dlon", "passengers": "pax"}
-        table, report = ingest_trips(path, schema)
-        assert report.accepted == 1
         with pytest.raises(ValueError, match="missing required columns"):
-            ingest_trips(path)  # default schema does not match header
+            ingest_trips(path)
 
     def test_blank_lines_skipped_and_ragged_rows_judged_by_their_cells(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -369,6 +365,22 @@ class TestSeriesIO:
             with pytest.raises(ValueError, match=words) as exc:
                 read(path)
             assert str(path) in str(exc.value)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("date,A,B\n2019-01-01,1,2\n\n2019-01-02,3,4\n\n")
+        back = DemandSeries.from_csv(path)
+        assert back.days == [dt.date(2019, 1, 1), dt.date(2019, 1, 2)]
+        np.testing.assert_array_equal(back.values, [[1, 3], [2, 4]])
+
+    @pytest.mark.parametrize("row", ["2019-01-02,3", "2019-01-02,3,4,5"])
+    def test_a_row_with_another_cell_count_names_its_line(self, tmp_path, row):
+        path = tmp_path / "demand.csv"
+        path.write_text(f"date,A,B\n2019-01-01,1,2\n\n{row}\n")
+        cells = row.count(",") + 1
+        with pytest.raises(ValueError, match=f"line 4: {cells} cells, but the header "
+                                             f"has 3"):
+            DemandSeries.from_csv(path)
 
     def test_gap_in_index_rejected(self):
         days = [dt.date(2019, 1, 1), dt.date(2019, 1, 3)]

@@ -1,4 +1,5 @@
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from fleetcast.forecast import (
     point_residuals,
     save_forecast_file,
 )
-from fleetcast.mdn import MixtureBatch, gmm_pdf
+from fleetcast.mdn import MixtureBatch, gmm_logpdf
 from fleetcast.recurrent import HeadSpec, init_model, sequence_forward
-from oracles import PerfectForecaster
+from oracles import PerfectForecaster, stack_days
 
 
 def mk_series(values, start=dt.date(2020, 1, 1)):
@@ -138,7 +139,7 @@ class TestPerfectForecaster:
         np.testing.assert_array_equal(f.predict_point(None, day), [2.0, 5.0])
         dists = f.predict_distribution(None, day)
         assert dists[0].mean() == pytest.approx(2.0)
-        assert gmm_pdf(2.0, dists[0]) > 100  # nearly a point mass
+        assert np.exp(gmm_logpdf(2.0, dists[0])) > 100  # nearly a point mass
 
     def test_requires_target_day(self):
         series = mk_series([[1.0, 2.0]])
@@ -149,25 +150,71 @@ class TestPerfectForecaster:
 def test_forecast_file_round_trip(tmp_path):
     days = [dt.date(2020, 1, 2), dt.date(2020, 1, 3)]
     zone_ids = ["A", "B"]
-    dists = [
+    batch = stack_days([
         [MixtureBatch([1.0], [5.0], [1.0]), MixtureBatch([0.4, 0.6], [1.0, 2.0], [0.5, 0.5])],
         [MixtureBatch([1.0], [6.0], [1.5]), MixtureBatch([1.0], [2.0], [0.7])],
-    ]
+    ])
     path = tmp_path / "forecasts.json"
-    save_forecast_file(path, days, zone_ids, dists)
+    save_forecast_file(path, days, zone_ids, batch)
     back = load_forecast_file(path)
-    assert len(back) == 4
+    assert list(back) == [(d.isoformat(), z) for d in days for z in zone_ids]
     got = back[("2020-01-02", "B")]
     np.testing.assert_allclose(got.weights, [0.4, 0.6])
     np.testing.assert_allclose(got.means, [1.0, 2.0])
+    day, per_zone = load_forecast_day(path, "2020-01-03", ["B", "A"])
+    assert day == "2020-01-03" and per_zone.shape == (2,)
+    np.testing.assert_array_equal(per_zone.means, [[2.0, 0.0], [6.0, 0.0]])
+
+
+def test_forecast_file_is_one_document_of_day_zone_component_arrays(tmp_path):
+    rng = np.random.default_rng(0)
+    batch = MixtureBatch(rng.dirichlet(np.ones(3), size=(2, 2)),
+                         rng.uniform(10, 80, (2, 2, 3)), rng.uniform(2, 15, (2, 2, 3)))
+    path = tmp_path / "forecasts.json"
+    save_forecast_file(path, [dt.date(2020, 1, 2), dt.date(2020, 1, 3)], ["A", "B"],
+                       batch)
+    doc = json.loads(path.read_text())
+    assert sorted(doc) == ["days", "means", "stds", "weights", "zones"]
+    assert doc["days"] == ["2020-01-02", "2020-01-03"] and doc["zones"] == ["A", "B"]
+    for name in ("weights", "means", "stds"):
+        np.testing.assert_array_equal(doc[name], getattr(batch, name))
+    assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def small_forecast_doc(path):
+    """A 2-day, 2-zone, K = 1 forecast file written at `path`; its document."""
+    save_forecast_file(path, [dt.date(2020, 1, 2), dt.date(2020, 1, 3)], ["A", "B"],
+                       MixtureBatch(np.ones((2, 2, 1)), np.ones((2, 2, 1)),
+                                    np.ones((2, 2, 1))))
+    return json.loads(path.read_text())
 
 
 def test_two_records_for_one_day_and_zone_are_rejected(tmp_path):
-    day = dt.date(2020, 1, 2)
     path = tmp_path / "forecasts.json"
-    save_forecast_file(path, [day, day], ["A"], [[MixtureBatch([1.0], [5.0], [1.0])],
-                                                [MixtureBatch([1.0], [50.0], [1.0])]])
-    with pytest.raises(ValueError, match="two forecasts for day 2020-01-02, zone 'A'"):
+    for key, message in (("days", "lists day '2020-01-02' twice"),
+                         ("zones", "lists zone 'A' twice")):
+        doc = small_forecast_doc(path)
+        doc[key][1] = doc[key][0]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_forecast_file(path)
+        with pytest.raises(ValueError, match=message):
+            load_forecast_day(path, None, ["A", "B"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["stds"].pop(), r"shape \(2, 2, K\) for its 2 days and 2 zones"),
+    (lambda doc: doc["means"][0][1].pop(), r"shape \(2, 2, K\)"),
+    (lambda doc: doc["weights"][1][0].append(0.0), r"shape \(2, 2, K\)"),
+    (lambda doc: doc.update(days=[], weights=[], means=[], stds=[]),
+     "holds no forecasts"),
+], ids=["a-day-short", "ragged-means", "ragged-weights", "no-days"])
+def test_misshaped_or_empty_forecast_files_are_named_errors(tmp_path, edit, message):
+    path = tmp_path / "forecasts.json"
+    doc = small_forecast_doc(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         load_forecast_file(path)
-    with pytest.raises(ValueError, match="two forecasts for day 2020-01-02, zone 'A'"):
-        load_forecast_day(path)
+    with pytest.raises(ValueError, match=message):
+        load_forecast_day(path, None, ["A", "B"])

@@ -10,13 +10,17 @@ from scipy.stats import norm
 from fleetcast.mdn import (
     SIGMA_FLOOR,
     MixtureBatch,
+    gmm_logpdf,
     gmm_nll,
-    gmm_pdf,
     mdn_transform,
     nll_and_grad_raw,
     softmax,
     softplus,
 )
+
+
+def density(x, params):
+    return np.exp(gmm_logpdf(x, params))
 
 
 def test_transform_zero_raw_is_uniform_mixture():
@@ -67,13 +71,13 @@ def test_transform_always_valid(raw_vals):
 
 def test_pdf_standard_normal_peak():
     p = MixtureBatch([1.0], [0.0], [1.0])
-    assert gmm_pdf(0.0, p) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-7)
+    assert density(0.0, p) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-7)
 
 
 def test_pdf_two_component_matches_direct_sum():
     p = MixtureBatch([0.5, 0.5], [-1.0, 1.0], [1.0, 1.0])
     want = 0.5 * norm.pdf(0.0, -1.0, 1.0) + 0.5 * norm.pdf(0.0, 1.0, 1.0)
-    assert gmm_pdf(0.0, p) == pytest.approx(want, rel=1e-12)
+    assert density(0.0, p) == pytest.approx(want, rel=1e-12)
 
 
 def test_pdf_integrates_to_one_by_quadrature():
@@ -84,7 +88,7 @@ def test_pdf_integrates_to_one_by_quadrature():
         lo = (p.means - 10 * p.stds).min()
         hi = (p.means + 10 * p.stds).max()
         xs = np.linspace(lo, hi, 40001)
-        total = np.trapezoid(gmm_pdf(xs, p), xs)
+        total = np.trapezoid(density(xs, p), xs)
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -160,7 +164,7 @@ def test_scale_and_shift_transform_density_correctly():
     q = p.scale(2.0, offset=10.0)
     # density change of variables: f_Y(y) = f_X((y-10)/2) / 2
     y = 12.34
-    assert gmm_pdf(y, q) == pytest.approx(gmm_pdf((y - 10.0) / 2.0, p) / 2.0, rel=1e-12)
+    assert density(y, q) == pytest.approx(density((y - 10.0) / 2.0, p) / 2.0, rel=1e-12)
     assert p.scale(1.0, -1.5).mean() == pytest.approx(p.mean() - 1.5)
 
 

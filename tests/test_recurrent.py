@@ -10,7 +10,6 @@ from fleetcast.data import Standardizer, WindowSet
 from fleetcast.forecast import MixtureForecaster
 from fleetcast.mdn import gmm_nll, mdn_transform
 from fleetcast.recurrent import (
-    GATES,
     CellWeights,
     DenseLayer,
     HeadSpec,
@@ -19,13 +18,11 @@ from fleetcast.recurrent import (
     TrainConfig,
     TrainingDivergedError,
     backward,
-    compute_loss,
     forward_pass,
     gru_cell_forward,
     head_loss_and_grad,
     init_model,
     load_model,
-    loss_and_grads,
     lstm_cell_forward,
     save_model,
     sequence_forward,
@@ -49,6 +46,20 @@ def zero_gru(input_size=2, hidden=3):
 def zero_lstm(input_size=2, hidden=3):
     z = lambda *s: np.zeros(s)
     return fused([z(input_size, hidden)] * 4, [z(hidden, hidden)] * 4, [z(hidden)] * 4)
+
+
+def loss_and_grads(model, inputs, targets):
+    """Forward, head loss, and full backward in one call."""
+    raw, cache = forward_pass(model, inputs)
+    value, d_raw = head_loss_and_grad(model, raw, targets)
+    return value, backward(model, cache, d_raw)
+
+
+def compute_loss(model, inputs, targets) -> float:
+    """Forward-only loss; the quantity finite differences differentiate."""
+    raw, _ = forward_pass(model, inputs)
+    value, _ = head_loss_and_grad(model, raw, targets)
+    return value
 
 
 def fd_gradients(model, inputs, targets):
@@ -556,32 +567,30 @@ class TestCheckpoint:
         assert (tmp_path / "m.bin").stat().st_size == 8 * n_floats
         first = manifest["arrays"][0]
         raw = np.fromfile(tmp_path / "m.bin", dtype="<f8", count=int(np.prod(first["shape"])))
-        assert first["name"] == "cell.w_z"
-        np.testing.assert_array_equal(raw.reshape(first["shape"]),
-                                      model.cell.w[:, :model.cell.hidden_size])
+        assert first["name"] == "cell.w"
+        np.testing.assert_array_equal(raw.reshape(first["shape"]), model.cell.w)
 
     @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
-    def test_manifest_keeps_v1_per_gate_blocks(self, tmp_path, cell_kind):
+    def test_manifest_lists_the_fused_parameters_in_order(self, tmp_path, cell_kind):
         model = init_model(cell_kind, 2, 3, dense_sizes=(4,), seed=1,
                            head=HeadSpec("point", 2))
         save_model(model, str(tmp_path / "m"))
-        import json as _json
-
-        entries = _json.loads((tmp_path / "m.json").read_text())["arrays"]
-        gates = GATES[cell_kind]
-        v1_order = {"gru": "zrh", "lstm": "ifog"}[cell_kind]
-        v1_names = [f"cell.{n}_{g}" for n in "wub" for g in v1_order]
-        assert [e["name"] for e in entries] == v1_names + [
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["format"] == "fleetcast-checkpoint-v2"
+        entries = manifest["arrays"]
+        params = model.parameters()
+        assert [e["name"] for e in entries] == list(params) == [
+            "cell.w", "cell.u", "cell.b",
             "dense0.weight", "dense0.bias", "dense1.weight", "dense1.bias"]
         raw = np.fromfile(tmp_path / "m.bin", dtype="<f8")
-        h = model.cell.hidden_size
-        for e in entries[: len(v1_names)]:
-            name, gate = e["name"][5:].split("_")
-            j = gates.index(gate)
-            block = getattr(model.cell, name)[..., j * h:(j + 1) * h]
-            size = int(np.prod(e["shape"]))
+        offset = 0
+        for e in entries:
+            want = params[e["name"]]
+            assert (e["shape"], e["offset"]) == (list(want.shape), offset)
             np.testing.assert_array_equal(
-                raw[e["offset"]:e["offset"] + size].reshape(e["shape"]), block)
+                raw[offset:offset + want.size].reshape(want.shape), want)
+            offset += want.size
+        assert offset == raw.size
 
     def test_truncated_sidecar_names_the_file(self, tmp_path):
         model = init_model("gru", 1, 2, dense_sizes=(2,), seed=0,
@@ -593,38 +602,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{prefix}.bin")):
             load_model(prefix)
 
-    @pytest.mark.parametrize("head_extra", [{"aux_point": False}, {}])
-    def test_mdn_manifest_without_an_auxiliary_output_loads(self, tmp_path, head_extra):
-        # every checkpoint written while the auxiliary output existed says
-        # "aux_point": false; checkpoints written since leave the key out
+    def test_mdn_checkpoint_round_trip_predicts_the_same(self, tmp_path):
         model = init_model("gru", 2, 3, dense_sizes=(4,), seed=3,
                            head=HeadSpec("mdn", 2, k=3), window_size=5)
         prefix = str(tmp_path / "m")
         save_model(model, prefix)
-        path = tmp_path / "m.json"
-        manifest = json.loads(path.read_text())
-        assert "aux_point" not in manifest["head"]
-        manifest["head"].update(head_extra)
-        path.write_text(json.dumps(manifest))
         loaded, _ = load_model(prefix)
         windows = np.random.default_rng(1).normal(size=(4, 5, 2))
         scaler = Standardizer(np.zeros(2), np.ones(2))
         want = MixtureForecaster(model, scaler).predict_distribution(windows)
         got = MixtureForecaster(loaded, scaler).predict_distribution(windows)
-        assert [[p.to_dict() for p in day] for day in got] == \
-            [[p.to_dict() for p in day] for day in want]
+        for name in ("weights", "means", "stds"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
-    def test_mdn_manifest_with_an_auxiliary_output_is_a_named_error(self, tmp_path):
+    def test_v1_manifest_is_a_named_error(self, tmp_path):
         model = init_model("gru", 2, 3, dense_sizes=(4,), seed=3,
                            head=HeadSpec("mdn", 2, k=3))
         prefix = str(tmp_path / "m")
         save_model(model, prefix)
         path = tmp_path / "m.json"
         manifest = json.loads(path.read_text())
-        manifest["head"]["aux_point"] = True
+        manifest["format"] = "fleetcast-checkpoint-v1"
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=re.escape(f"{prefix}.json has an auxiliary "
-                                                       "point output") + ".*retrain"):
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}.json is a v1 "
+                                                       "checkpoint") + ".*retrain"):
+            load_model(prefix)
+        manifest["format"] = "something-else"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             load_model(prefix)
 
 
