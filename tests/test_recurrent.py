@@ -602,11 +602,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=re.escape(f"{prefix}.bin")):
             load_model(prefix)
 
-    def test_mdn_checkpoint_round_trip_predicts_the_same(self, tmp_path):
+    @pytest.mark.parametrize("head_extra", [{"aux_point": False}, {}])
+    def test_mdn_manifest_without_an_auxiliary_output_loads(self, tmp_path, head_extra):
+        # the loader reads only kind, n_series and k from "head"; a stray
+        # "aux_point": false there changes nothing
         model = init_model("gru", 2, 3, dense_sizes=(4,), seed=3,
                            head=HeadSpec("mdn", 2, k=3), window_size=5)
         prefix = str(tmp_path / "m")
         save_model(model, prefix)
+        path = tmp_path / "m.json"
+        manifest = json.loads(path.read_text())
+        assert "aux_point" not in manifest["head"]
+        manifest["head"].update(head_extra)
+        path.write_text(json.dumps(manifest))
         loaded, _ = load_model(prefix)
         windows = np.random.default_rng(1).normal(size=(4, 5, 2))
         scaler = Standardizer(np.zeros(2), np.ones(2))
