@@ -330,9 +330,8 @@ def cmd_optimize(cfg: PipelineConfig, args) -> int:
     if args.export_lp:
         from .relocation import build_two_stage
 
-        lp, _ = build_two_stage(instance, scen)
         lp_path = out / f"program_{day}.lp"
-        lp_path.write_text(export_lp_text(lp))
+        lp_path.write_text(export_lp_text(build_two_stage(instance, scen)))
         print(f"exported program -> {lp_path}")
     _write_manifest(out / "optimize.manifest.json", "optimize", cfg,
                     [demand_path, forecasts_path], [plan_path])

@@ -322,8 +322,10 @@ class DemandSeries:
 
     @classmethod
     def from_csv(cls, path) -> "DemandSeries":
-        """Read a `to_csv` file; blank lines are skipped, and a row whose
-        cell count differs from the header's is a ValueError naming its line."""
+        """Read a `to_csv` file; blank lines are skipped. A row whose cell
+        count differs from the header's, or with a date that is not ISO, a
+        cell that is not a number, or a negative or non-finite demand, is a
+        ValueError naming the file and the line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             zone_ids = _demand_header(reader, path)
@@ -332,12 +334,20 @@ class DemandSeries:
             for row in reader:
                 if not row:
                     continue
+                where = f"demand file {path}, line {reader.line_num}"
                 if len(row) != len(zone_ids) + 1:
-                    raise ValueError(f"demand file {path}, line {reader.line_num}: "
-                                     f"{len(row)} cells, but the header has "
+                    raise ValueError(f"{where}: {len(row)} cells, but the header has "
                                      f"{len(zone_ids) + 1}")
-                days.append(dt.date.fromisoformat(row[0]))
-                cols.append([float(v) for v in row[1:]])
+                try:
+                    day = dt.date.fromisoformat(row[0])
+                    values = [float(v) for v in row[1:]]
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
+                if not all(math.isfinite(v) and v >= 0 for v in values):
+                    raise ValueError(f"{where}: demand must be finite and nonnegative, "
+                                     f"got {','.join(row[1:])}")
+                days.append(day)
+                cols.append(values)
         values = np.array(cols, dtype=float).T if cols else np.zeros((len(zone_ids), 0))
         return cls(days, zone_ids, values)
 

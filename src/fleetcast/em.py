@@ -49,7 +49,8 @@ def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
 
     A component whose responsibility mass N_j falls below 1e-8 * N is
     re-seeded at the most weakly claimed data point (lowest maximum
-    responsibility) instead of dividing by ~zero.
+    responsibility), with the data's standard deviation (floored) as its
+    std, instead of dividing by ~zero.
     """
     data = np.asarray(data, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -61,13 +62,12 @@ def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
     weights = mass / n
     means = np.zeros(k)
     stds = np.zeros(k)
-    global_std = max(float(np.std(data)), sigma_floor)
     empty = mass < 1e-8 * n
     for j in range(k):
         if empty[j]:
             orphan = int(np.argmin(gamma.max(axis=1)))
             means[j] = data[orphan]
-            stds[j] = global_std
+            stds[j] = max(float(np.std(data)), sigma_floor)
             weights[j] = 1.0 / n
             continue
         means[j] = gamma[:, j] @ data / mass[j]

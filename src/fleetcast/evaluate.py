@@ -135,9 +135,8 @@ def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
     elif positions:
         points = np.maximum(forecaster.predict_point(windows, days), 0.0)
         for point in points:
-            lp, index_map = deterministic_model(instance, point)
-            res = require_certified(solve_lp(lp))
-            day_plans.append(extract_plan(res, index_map, instance.n_zones))
+            res = require_certified(solve_lp(deterministic_model(instance, point)))
+            day_plans.append(extract_plan(res, instance.n_zones))
 
     outcomes = []
     if positions:

@@ -27,7 +27,12 @@ one program per day, all sharing one instance:
     certificate: it builds `build_two_stage` and checks the pair with
     `simplex.certify`, so its SolveResult carries the program's full
     primal, dual and reduced-cost vectors.
-Any other cost matrix goes to the dense simplex through `solve_relocation`.
+Any other cost matrix goes to the dense simplex through `solve_relocation`,
+and so does the point-forecast baseline's one-scenario program
+(`deterministic_model`) in deterministic evaluation. `build_two_stage`
+emits only rows A x <= b with b >= 0 over x >= 0 (flows, then recourse),
+which is the one program class `simplex.solve_lp` solves: its slack basis
+is feasible from the start.
 
 Tie-breaking of the greedy solver, which picks one optimum where
 several exist (possible with three or more zones, or when a marginal
@@ -217,7 +222,7 @@ def sample_scenarios(forecasts, n: int, seed):
     return [ScenarioSet(demand, seed=s) for demand, s in zip(_draw_days(batch, n, seed), seed)]
 
 
-def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
+def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> LinearProgram:
     """Deterministic equivalent of the two-stage relocation program.
 
     maximize  -sum_ij c_ij r_ij
@@ -225,9 +230,10 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
     s.t.      post-move stock s'_z = s_z - sum_j r_zj + sum_i r_iz >= 0
               y_wz <= s'_z, y_wz <= d_wz, r >= 0, y >= 0
 
-    Variables: Z^2 relocation flows then N*Z served-demand recourse
-    variables. Returns (LinearProgram, index map naming every variable).
-    The constant -penalty * mean total demand lives in lp.offset.
+    Every row is <= with a nonnegative right-hand side, the one class
+    `simplex.solve_lp` takes. Columns: flow r[i->j] sits at i*Z + j and
+    recourse y[w, z] at Z^2 + w*Z + z; `lp.names` spells them out. The
+    constant -penalty * mean total demand lives in lp.offset.
     """
     if scenarios.n_zones != instance.n_zones:
         raise ValueError("zone count mismatch between instance and scenarios")
@@ -244,8 +250,6 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
 
     names = [f"r[{i}->{j}]" for i in range(z) for j in range(z)]
     names += [f"y[s{w},z{zz}]" for w in range(n) for zz in range(z)]
-    index_map = {"r": {(i, j): i * z + j for i in range(z) for j in range(z)},
-                 "y": {(w, zz): nr + w * z + zz for w in range(n) for zz in range(z)}}
 
     # net outflow sum_j r_zj - sum_i r_iz of each zone over the flow columns
     net_out = np.kron(np.eye(z), np.ones(z)) - np.tile(np.eye(z), z)
@@ -255,25 +259,19 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet):
     rows[z + recourse, nr + recourse] = 1.0
     rows[z + n * z + recourse, nr + recourse] = 1.0       # y_wz <= d_wz
     rhs = np.concatenate([np.tile(instance.stock, n + 1), d.ravel()])
-    senses = ["<="] * rows.shape[0]
-
-    lp = LinearProgram(objective=obj, rows=rows, senses=senses, rhs=rhs,
-                       offset=offset, names=names)
-    return lp, index_map
+    return LinearProgram(objective=obj, rows=rows, rhs=rhs, offset=offset, names=names)
 
 
-def deterministic_model(instance: RelocationInstance, point_demand):
+def deterministic_model(instance: RelocationInstance, point_demand) -> LinearProgram:
     """Single-scenario program for a point forecast."""
     point = np.maximum(np.asarray(point_demand, dtype=float), 0.0)
     return build_two_stage(instance, ScenarioSet(point[None, :]))
 
 
-def extract_plan(lp_result: SolveResult, index_map, n_zones: int) -> PlanDecision:
-    """Read first-stage flows out of a solved program; diagonal self-moves
-    are no-ops and are zeroed."""
-    flows = np.zeros((n_zones, n_zones))
-    for (i, j), idx in index_map["r"].items():
-        flows[i, j] = max(lp_result.x[idx], 0.0)
+def extract_plan(lp_result: SolveResult, n_zones: int) -> PlanDecision:
+    """Read first-stage flows out of a solved `build_two_stage` program: its
+    first Z^2 columns, clipped at 0, with the no-op self-moves zeroed."""
+    flows = np.maximum(lp_result.x[: n_zones * n_zones].reshape(n_zones, n_zones), 0.0)
     np.fill_diagonal(flows, 0.0)
     return PlanDecision(flows)
 
@@ -478,17 +476,19 @@ def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
                      maxiter: int = 100_000):
     """Solve the scenario program; returns (plan, certified SolveResult).
 
-    With uniform off-diagonal move costs the exact greedy solver runs and
-    its closed-form dual is checked by `simplex.certify` on the dense
-    program; other cost matrices go to the simplex (`maxiter` caps its
-    pivots). Raises RelocationSolveError unless the result is a certified
-    optimum.
+    Both paths build the dense `build_two_stage` program. With uniform
+    off-diagonal move costs the exact greedy solver runs and its
+    closed-form dual is checked by `simplex.certify` on that program;
+    other cost matrices go to `simplex.solve_lp`, which pivots from the
+    slack basis (`maxiter` caps its pivots), and the plan is read off the
+    program's first Z^2 columns. Raises RelocationSolveError unless the
+    result is a certified optimum.
     """
-    lp, index_map = build_two_stage(instance, scenarios)
+    lp = build_two_stage(instance, scenarios)
     cost = instance.uniform_move_cost
     if cost is None:
         res = require_certified(solve_lp(lp, maxiter=maxiter))
-        return extract_plan(res, index_map, instance.n_zones), res
+        return extract_plan(res, instance.n_zones), res
     flows, served, duals = _greedy_days(instance, scenarios.demand[None], cost)
     x = np.concatenate([flows[0].ravel(), served[0].ravel()])
     duals = np.concatenate([part[0].ravel() for part in duals])

@@ -65,9 +65,8 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings)
             plan, _ = solve_relocation(instance, scen)
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
-            lp, index_map = deterministic_model(instance, point)
-            res = require_certified(solve_lp(lp))
-            plan = extract_plan(res, index_map, instance.n_zones)
+            res = require_certified(solve_lp(deterministic_model(instance, point)))
+            plan = extract_plan(res, instance.n_zones)
         return plan
 
     days, outcomes, skipped = [], [], []

@@ -382,6 +382,26 @@ class TestSeriesIO:
                                              f"has 3"):
             DemandSeries.from_csv(path)
 
+    @pytest.mark.parametrize("row, words", [
+        ("2019-01-02,3,x", "could not convert string to float: 'x'"),
+        ("2019-01-02,3,-3", "demand must be finite and nonnegative, got 3,-3"),
+        ("2019-13-01,3,4", "month must be in 1..12"),
+    ])
+    def test_a_bad_cell_names_its_file_and_line(self, tmp_path, capsys, row, words):
+        from fleetcast.cli import main
+
+        path = tmp_path / "demand.csv"
+        path.write_text(f"date,A,B\n2019-01-01,1,2\n\n{row}\n")
+        message = f"demand file {path}, line 4: {words}"
+        with pytest.raises(ValueError) as exc:
+            DemandSeries.from_csv(path)
+        assert str(exc.value) == message
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data_dir = {tmp_path}\n")
+        assert main(["--config", str(cfg), "train", "--model", "lstm", "--epochs", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_gap_in_index_rejected(self):
         days = [dt.date(2019, 1, 1), dt.date(2019, 1, 3)]
         with pytest.raises(ValueError, match="consecutive"):

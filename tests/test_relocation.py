@@ -101,23 +101,26 @@ class TestTwoStageModel:
     def test_variable_layout(self):
         inst = small_instance()
         scen = ScenarioSet(np.array([[1.0, 3.0], [3.0, 1.0]]))
-        lp, index_map = build_two_stage(inst, scen)
-        assert lp.n_vars == 4 + 4  # Z^2 flows + N*Z recourse
-        assert len(index_map["r"]) == 4 and len(index_map["y"]) == 4
-        assert lp.names[index_map["r"][(0, 1)]] == "r[0->1]"
+        lp = build_two_stage(inst, scen)
+        z, n = 2, 2
+        assert lp.n_vars == z * z + n * z  # Z^2 flows + N*Z recourse
+        for i, j in itertools.product(range(z), range(z)):
+            assert lp.names[i * z + j] == f"r[{i}->{j}]"
+        for w, zz in itertools.product(range(n), range(z)):
+            assert lp.names[z * z + w * z + zz] == f"y[s{w},z{zz}]"
 
     def test_lp_text_matches_golden_export(self):
         inst = RelocationInstance(stock=np.array([4.0, 0.0]),
                                   move_cost=np.array([[0.0, 1.0], [1.5, 0.0]]),
                                   price=10.0, penalty=5.0)
-        lp, _ = build_two_stage(inst, ScenarioSet(np.array([[1.0, 3.25], [3.0, 0.5]])))
+        lp = build_two_stage(inst, ScenarioSet(np.array([[1.0, 3.25], [3.0, 0.5]])))
         assert export_lp_text(lp) == GOLDEN_LP
 
     def test_single_scenario_collapses_to_deterministic(self):
         inst = small_instance()
         point = np.array([1.0, 2.5])
-        lp_s, _ = build_two_stage(inst, ScenarioSet(point[None, :]))
-        lp_d, _ = deterministic_model(inst, point)
+        lp_s = build_two_stage(inst, ScenarioSet(point[None, :]))
+        lp_d = deterministic_model(inst, point)
         assert solve_lp(lp_s).objective == pytest.approx(
             solve_lp(lp_d).objective, abs=1e-7)
 
@@ -144,7 +147,7 @@ class TestTwoStageModel:
             penalty=2.0,
         )
         point = np.array([1.0, 1.0, 4.0])
-        lp, index_map = deterministic_model(inst, point)
+        lp = deterministic_model(inst, point)
         res = solve_lp(lp)
         want, _ = brute_force_plan(inst, ScenarioSet(point[None, :]))
         assert res.objective == pytest.approx(want, abs=1e-7)
@@ -156,9 +159,9 @@ class TestTwoStageModel:
             price=4.0,
             penalty=1.0,
         )
-        lp, index_map = deterministic_model(inst, inst.stock)
+        lp = deterministic_model(inst, inst.stock)
         res = solve_lp(lp)
-        plan = extract_plan(res, index_map, 2)
+        plan = extract_plan(res, 2)
         assert plan.moving == pytest.approx(0.0, abs=1e-9)
         assert res.objective == pytest.approx(4.0 * inst.stock.sum(), abs=1e-7)
 
@@ -170,12 +173,12 @@ class TestTwoStageModel:
             penalty=3.0,
         )
         d = np.array([9.0, 2.0])
-        lp1, im1 = deterministic_model(inst, d)
-        lp2, im2 = deterministic_model(inst, d[::-1])
+        lp1 = deterministic_model(inst, d)
+        lp2 = deterministic_model(inst, d[::-1])
         r1, r2 = solve_lp(lp1), solve_lp(lp2)
         assert r1.objective == pytest.approx(r2.objective, abs=1e-7)
-        p1 = extract_plan(r1, im1, 2)
-        p2 = extract_plan(r2, im2, 2)
+        p1 = extract_plan(r1, 2)
+        p2 = extract_plan(r2, 2)
         np.testing.assert_allclose(p1.flows, p2.flows.T, atol=1e-7)
 
     def test_fleet_conservation_exact(self):
@@ -206,8 +209,8 @@ class TestTwoStageModel:
             scen = sample_scenarios(forecasts, 60, seed=int(rng.integers(1e6)))
             sp_plan, sp_res = solve_relocation(inst, scen)
             det_point = scen.demand.mean(axis=0)
-            lp_d, im_d = deterministic_model(inst, det_point)
-            det_plan = extract_plan(solve_lp(lp_d), im_d, z)
+            lp_d = deterministic_model(inst, det_point)
+            det_plan = extract_plan(solve_lp(lp_d), z)
             sp_val = expected_objective(inst, sp_plan, scen)
             det_val = expected_objective(inst, det_plan, scen)
             assert sp_val >= det_val - 1e-7
@@ -259,7 +262,7 @@ class TestGreedySolver:
     def test_matches_simplex_on_the_same_program(self, program):
         inst, scen = program
         plan, res = solve_relocation(inst, scen)
-        lp, index_map = build_two_stage(inst, scen)
+        lp = build_two_stage(inst, scen)
         ref = solve_lp(lp)
         assert ref.status == "optimal"
         scale = max(1.0, abs(ref.objective))
@@ -272,7 +275,7 @@ class TestGreedySolver:
         assert (post >= -fleet_tol).all()
         if inst.n_zones == 2 and inst.move_cost[0, 1] > 0 \
                 and strict_optimum(inst, scen, post):
-            np.testing.assert_allclose(plan.flows, extract_plan(ref, index_map, 2).flows,
+            np.testing.assert_allclose(plan.flows, extract_plan(ref, 2).flows,
                                        rtol=0, atol=1e-9 * scale)
 
     def test_exact_tie_moves_nothing(self):
@@ -280,7 +283,7 @@ class TestGreedySolver:
         inst = uniform_instance([2.0, 0.0], 2.0, 3.0, 1.0)
         scen = ScenarioSet(np.array([[0.0, 5.0], [3.0, 5.0]]))
         plan, res = solve_relocation(inst, scen)
-        lp, _ = build_two_stage(inst, scen)
+        lp = build_two_stage(inst, scen)
         assert res.objective == pytest.approx(solve_lp(lp).objective, abs=1e-12)
         assert plan.moving == 0.0
 
@@ -294,7 +297,7 @@ class TestGreedySolver:
         inst = small_instance()
         scen = ScenarioSet(np.array([[1.0, 3.0], [3.0, 1.0]]))
         _, res = solve_relocation(inst, scen)
-        lp, _ = build_two_stage(inst, scen)
+        lp = build_two_stage(inst, scen)
         duals = res.duals.copy()
         duals[0] = np.nan   # primal stays 0; dual and cs turn NaN
         bad = certified_result(lp, res.x, duals)
@@ -334,7 +337,7 @@ def day_batches(draw):
 
 def dense_check(inst, scen, flows, served, duals):
     """`simplex.certify` on `build_two_stage` for one day's (x, duals)."""
-    lp, _ = build_two_stage(inst, scen)
+    lp = build_two_stage(inst, scen)
     x = np.concatenate([flows.ravel(), served.ravel()])
     res = certify(lp, x, np.concatenate([part.ravel() for part in duals]))
     return float(lp.objective @ x) + lp.offset, res
