@@ -48,9 +48,12 @@ def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
     """Weighted-moment re-estimation with empty-component rescue.
 
     A component whose responsibility mass N_j falls below 1e-8 * N is
-    re-seeded at the most weakly claimed data point (lowest maximum
-    responsibility), with the data's standard deviation (floored) as its
-    std, instead of dividing by ~zero.
+    re-seeded at a weakly claimed data point, with the data's standard
+    deviation (floored) as its std, instead of dividing by ~zero. The
+    i-th empty component takes the i-th point in a stable ascending order
+    of maximum responsibility, so a lone empty component takes the most
+    weakly claimed point and components that empty together start at
+    different points.
     """
     data = np.asarray(data, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
@@ -63,13 +66,12 @@ def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
     means = np.zeros(k)
     stds = np.zeros(k)
     empty = mass < 1e-8 * n
-    for j in range(k):
-        if empty[j]:
-            orphan = int(np.argmin(gamma.max(axis=1)))
-            means[j] = data[orphan]
-            stds[j] = max(float(np.std(data)), sigma_floor)
-            weights[j] = 1.0 / n
-            continue
+    if empty.any():
+        orphans = np.argsort(gamma.max(axis=1), kind="stable")
+        means[empty] = data[orphans[: np.count_nonzero(empty)]]
+        stds[empty] = max(float(np.std(data)), sigma_floor)
+        weights[empty] = 1.0 / n
+    for j in np.flatnonzero(~empty):
         means[j] = gamma[:, j] @ data / mass[j]
         var = gamma[:, j] @ (data - means[j]) ** 2 / mass[j]
         stds[j] = math.sqrt(max(var, sigma_floor**2))

@@ -148,9 +148,13 @@ def _read_forecast_file(path) -> tuple[list, list, MixtureBatch]:
     if not days:
         raise ValueError(f"forecast file {path} holds no forecasts")
     for what, ids in (("day", days), ("zone", zones)):
-        repeated = [i for n, i in enumerate(ids) if i in ids[:n]]
-        if repeated:
-            raise ValueError(f"forecast file {path} lists {what} {repeated[0]!r} twice")
+        if not all(isinstance(i, str) for i in ids):
+            raise ValueError(f"forecast file {path} lists a {what} that is not a string")
+        seen = set()
+        for i in ids:
+            if i in seen:
+                raise ValueError(f"forecast file {path} lists {what} {i!r} twice")
+            seen.add(i)
     try:
         batch = MixtureBatch(doc["weights"], doc["means"], doc["stds"])
     except ValueError:

@@ -97,6 +97,22 @@ class TestMStep:
         assert p.weights.sum() == pytest.approx(1.0)
         assert (p.weights > 0).all()
 
+    def test_components_that_empty_together_are_reseeded_apart(self):
+        data = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+        gamma = np.zeros((5, 3))
+        gamma[:, 0] = 1.0  # components 1 and 2 get nothing
+        p = m_step(data, gamma)
+        assert len(set(p.means.tolist())) == 3
+        np.testing.assert_array_equal(p.means[1:], [0.0, 1.0])
+
+    def test_a_lone_empty_component_takes_the_first_most_weakly_claimed_point(self):
+        data = np.array([0.0, 1.0, 2.0, 10.0])
+        gamma = np.array([[0.9, 0.1, 0.0], [0.6, 0.4, 0.0],
+                          [0.2, 0.8, 0.0], [0.4, 0.6, 0.0]])
+        p = m_step(data, gamma)
+        assert p.means[2] == data[1]
+        assert p.stds[2] == np.std(data)
+
 
 class TestLogLikelihood:
     def test_standard_normal_single_point(self):

@@ -208,7 +208,8 @@ def test_two_records_for_one_day_and_zone_are_rejected(tmp_path):
     (lambda doc: doc["weights"][1][0].append(0.0), r"shape \(2, 2, K\)"),
     (lambda doc: doc.update(days=[], weights=[], means=[], stds=[]),
      "holds no forecasts"),
-], ids=["a-day-short", "ragged-means", "ragged-weights", "no-days"])
+    (lambda doc: doc["zones"].__setitem__(1, ["A"]), "lists a zone that is not a string"),
+], ids=["a-day-short", "ragged-means", "ragged-weights", "no-days", "zone-not-a-string"])
 def test_misshaped_or_empty_forecast_files_are_named_errors(tmp_path, edit, message):
     path = tmp_path / "forecasts.json"
     doc = small_forecast_doc(path)

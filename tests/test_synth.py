@@ -1,8 +1,11 @@
 import datetime as dt
+import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from fleetcast import synth
 from fleetcast.data import DemandSeries, ZoneBox, ZoneMap, aggregate_demand, ingest_trips
 from fleetcast.synth import (
     SyntheticConfig,
@@ -104,6 +107,30 @@ def test_rows_run_by_day_then_zone_with_times_inside_their_day(tmp_path):
     assert [k[0] - day0 for k in keys] == sorted(
         d for d in range(4) for z in range(3) for _ in range(int(series.values[z, d])))
     assert all(1 <= int(r[5]) <= 4 for r in rows)
+
+
+def test_chunk_size_does_not_change_the_written_bytes(tmp_path):
+    series, _ = generate_demand(SyntheticConfig(n_zones=3, n_days=30, seed=11))
+    zones = default_zone_map(3)
+    write_trips_csv(tmp_path / "default.csv", series, zones, seed=12)
+    with mock.patch.object(synth, "WRITE_CHUNK_ROWS", 3):
+        write_trips_csv(tmp_path / "small.csv", series, zones, seed=12)
+    assert (tmp_path / "small.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+def test_trip_and_demand_files_keep_their_bytes(tmp_path):
+    # digests of the files as written before the writer and the ingest
+    # path were reworked to hold one copy of the trip columns
+    series, _ = generate_demand(SyntheticConfig(n_zones=3, n_days=30, seed=11))
+    zones = default_zone_map(3)
+    trips = tmp_path / "trips.csv"
+    assert write_trips_csv(trips, series, zones, seed=12) == 4689
+    demand = tmp_path / "demand.csv"
+    aggregate_demand(ingest_trips(trips)[0], zones)[0].to_csv(demand)
+    assert hashlib.sha256(trips.read_bytes()).hexdigest() == (
+        "f85218cccd2d416109ea8f2f7910b9659995832ab93a95c28e43afc1525b7ff7")
+    assert hashlib.sha256(demand.read_bytes()).hexdigest() == (
+        "0d2eef152f4d36e012d27b55c648dbcf0b6f01552577fec29ba578cbb71cf8e9")
 
 
 def test_ideal_mixture_reference():

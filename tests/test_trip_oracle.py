@@ -21,10 +21,12 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,15 +260,10 @@ def trip_files(draw):
     return out.getvalue(), zones
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(trip_files())
-def test_columnar_ingest_and_aggregation_match_row_reference(tmp_path_factory, case):
-    text, zones = case
-    path = tmp_path_factory.getbasetemp() / "oracle_trips.csv"
-    path.write_text(text, newline="")
+def assert_matches_row_reference(path, zones, chunk_rows=3):
     want_records, want_ingest = reference_ingest(path)
     want_series, want_agg = reference_aggregate(want_records, zones)
-    with mock.patch.object(data, "CHUNK_ROWS", 3):
+    with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
         table, ingest = ingest_trips(path)
     series, agg = aggregate_demand(table, zones)
 
@@ -280,6 +277,79 @@ def test_columnar_ingest_and_aggregation_match_row_reference(tmp_path_factory, c
     assert series.days == want_series.days
     assert series.zone_ids == want_series.zone_ids
     np.testing.assert_array_equal(series.values, want_series.values)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(trip_files())
+def test_columnar_ingest_and_aggregation_match_row_reference(tmp_path_factory, case):
+    text, zones = case
+    path = tmp_path_factory.getbasetemp() / "oracle_trips.csv"
+    path.write_text(text, newline="")
+    assert_matches_row_reference(path, zones)
+
+
+EDGE_HEADER = "vendor,pickup_time,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon,passengers"
+EDGE_ROWS = ["v,1554076800.5,40.71,-73.99,40.75,-73.97,1",
+             "v,1554163200,40.72,-73.98,40.76,-73.96,2",
+             "v,2019-04-01T10:00:00Z,40.73,-73.97,40.77,-73.95,0",
+             "v,1554000000,40.74,-73.96,40.78,-73.94,3",
+             "v,1554250000,40.75,-73.95,40.79,-73.93,4"]
+EDGE_FILES = {
+    "header-only": EDGE_HEADER + "\r\n",
+    "header-only-no-newline": EDGE_HEADER,
+    "blank-lines-at-chunk-boundaries": "\r\n".join(
+        [EDGE_HEADER, "", EDGE_ROWS[0], EDGE_ROWS[1], "", "", EDGE_ROWS[2], EDGE_ROWS[3],
+         "", EDGE_ROWS[4], "", ""]) + "\r\n",
+    "quoted-newlines": "\r\n".join(
+        [EDGE_HEADER, '"line\r\nbreak",1554076800,40.71,-73.99,40.75,-73.97,1',
+         'v,"1554163200\n",40.72,-73.98,40.76,-73.96,2',
+         'v,1554000000,"40.7\n3",-73.97,40.77,-73.95,0', EDGE_ROWS[3]]) + "\r\n",
+    "every-row-rejected": "\n".join(
+        [EDGE_HEADER, "v,nan,40.71,-73.99,40.75,-73.97,1",
+         "v,1554163200,x,-73.98,40.76,-73.96,2", "v,1554163200,91,-73.98,40.76,-73.96,2",
+         "v,1554163200,40.72,-181,40.76,-73.96,2",
+         "v,1554163200,40.72,-73.98,40.76,-73.96,two",
+         "v,1554163200,40.72,-73.98,40.76,-73.96,-1", "v,1554163200"]) + "\n",
+    "no-trailing-newline": "\r\n".join([EDGE_HEADER] + EDGE_ROWS),
+    "lone-carriage-returns": "\r".join([EDGE_HEADER] + EDGE_ROWS),
+    "mixed-line-ends": EDGE_HEADER + "\r" + EDGE_ROWS[0] + "\n" + EDGE_ROWS[1] + "\r\n"
+    + EDGE_ROWS[2] + "\r\r\n" + EDGE_ROWS[3],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_ingest_edge_files_match_row_reference(tmp_path, name, chunk_rows):
+    path = tmp_path / "trips.csv"
+    path.write_text(EDGE_FILES[name], newline="")
+    zones = ZoneMap([ZoneBox("a", 40.70, 40.725, -74.0, -73.9),
+                     ZoneBox("b", 40.725, 40.80, -74.0, -73.9)])
+    with mock.patch.object(data, "COUNT_BLOCK_BYTES", 2):  # splits some \r\n pairs
+        assert_matches_row_reference(path, zones, chunk_rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(alphabet="a,\"\r\n", max_size=30), st.integers(1, 4))
+def test_line_count_bounds_csv_records(tmp_path_factory, text, block_bytes):
+    path = tmp_path_factory.getbasetemp() / "lines.csv"
+    path.write_text(text, newline="")
+    with mock.patch.object(data, "COUNT_BLOCK_BYTES", block_bytes):
+        lines = data._count_lines(path)
+    assert lines == len(re.split("\r\n|\r|\n", text))
+    with open(path, newline="") as fh:
+        try:
+            records = sum(1 for _ in csv.reader(fh))
+        except csv.Error:  # an unterminated quote at the end of the file
+            return
+    assert records <= lines
+
+
+def test_a_file_that_outgrows_its_line_count_is_a_named_error(tmp_path):
+    path = tmp_path / "trips.csv"
+    path.write_text("\r\n".join([EDGE_HEADER] + EDGE_ROWS) + "\r\n", newline="")
+    with mock.patch.object(data, "_count_lines", return_value=3), \
+            pytest.raises(ValueError, match="grew while it was read"):
+        ingest_trips(path)
 
 
 def fromtimestamp_day(t: float):
