@@ -42,6 +42,7 @@ from .data import (
     read_zone_ids,
     save_ingest_reports,
     trailing_windows,
+    write_json,
 )
 from .evaluate import EvalSettings, EvaluationReport, compare, rolling_evaluate
 from .mdn import MixtureBatch
@@ -91,9 +92,7 @@ def _write_manifest(path: Path, command: str, cfg: PipelineConfig,
                     inputs: list, outputs: list) -> None:
     doc = {"command": command, "config_hash": config_hash(cfg), "seed": cfg.seed,
            "inputs": [str(p) for p in inputs], "outputs": [str(p) for p in outputs]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 class Split(NamedTuple):
@@ -171,8 +170,12 @@ def _forecaster(cfg: PipelineConfig, tag: str):
         em_path = _require(_data_dir(cfg) / "em_fit.json", "em_fit")
         with open(em_path) as fh:
             doc = json.load(fh)
-        mixtures = MixtureBatch.stack(MixtureBatch.from_dict(rec["params"])
-                                      for rec in doc["per_zone"])
+        try:
+            mixtures = MixtureBatch.stack(MixtureBatch.from_dict(rec["params"])
+                                          for rec in doc["per_zone"])
+        except KeyError as exc:
+            raise ValueError(f"EM fit file {em_path} has no {exc.args[0]!r} entry; "
+                             f"run `fleetcast fit-gmm` again") from None
         return fc.ResidualMixtureForecaster(base, mixtures)
     raise ValueError(f"unknown forecaster {tag!r}")
 
@@ -223,8 +226,7 @@ def _train_one(cfg: PipelineConfig, which: str) -> Path:
     scaler = Standardizer.fit(split.train)
     raw_windows = make_windows(split.train, cfg.window_size)
     windows = WindowSet(inputs=scaler.transform(raw_windows.inputs),
-                        targets=scaler.transform(raw_windows.targets),
-                        target_days=raw_windows.target_days)
+                        targets=scaler.transform(raw_windows.targets))
     z = split.series.n_zones
     if which == "mdn":
         head = HeadSpec("mdn", z, k=cfg.mixture_components)
@@ -273,23 +275,14 @@ def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
     model, scaler, _ = _load_checkpoint(cfg, "gru-point")
     windows = make_windows(split.train, cfg.window_size)
     n_val = max(1, int(len(windows) * cfg.val_fraction))
-    val = type(windows)(inputs=windows.inputs[-n_val:],
-                        targets=windows.targets[-n_val:],
-                        target_days=None)
+    val = WindowSet(inputs=windows.inputs[-n_val:], targets=windows.targets[-n_val:])
     base = fc.PointForecaster(model, scaler)
     mixtures, records = fc.fit_residual_mixtures(
         base, val, k=cfg.em_components, seed=cfg.seed,
         n_restarts=cfg.em_restarts, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
     out_path = _data_dir(cfg) / "em_fit.json"
-    with open(out_path, "w") as fh:
-        json.dump({"per_zone": [
-            {"zone": zid, "params": mix.to_dict(),
-             "log_likelihood": rec["log_likelihood"],
-             "ll_trace": rec["ll_trace"], "iterations": rec["iterations"],
-             "restarts": rec["restarts"], "seed": rec["seed"]}
-            for zid, mix, rec in zip(split.series.zone_ids, mixtures, records)]},
-            fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_path, {"per_zone": [{"zone": zid, **rec} for zid, rec
+                                       in zip(split.series.zone_ids, records)]})
     _write_manifest(_data_dir(cfg) / "fit_gmm.manifest.json", "fit-gmm", cfg,
                     [split.path] + _checkpoint_files(cfg, "gru-point"), [out_path])
     print(f"fitted residual mixtures for {len(mixtures)} zones -> {out_path}")

@@ -471,7 +471,6 @@ class WindowSet:
 
     inputs: np.ndarray   # (count, ws, Z)
     targets: np.ndarray  # (count, Z)
-    target_days: list | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -479,10 +478,6 @@ class WindowSet:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def window_size(self) -> int:
-        return self.inputs.shape[1]
 
 
 def make_windows(series: DemandSeries, ws: int) -> WindowSet:
@@ -497,8 +492,7 @@ def make_windows(series: DemandSeries, ws: int) -> WindowSet:
     for i in range(count):
         inputs[i] = table[i : i + ws]
         targets[i] = table[i + ws]
-    days = [series.days[i + ws] for i in range(count)]
-    return WindowSet(inputs=inputs, targets=targets, target_days=days)
+    return WindowSet(inputs=inputs, targets=targets)
 
 
 def trailing_windows(history: DemandSeries, test: DemandSeries,
@@ -547,11 +541,17 @@ class Standardizer:
         return cls(np.array(d["mean"], dtype=float), np.array(d["std"], dtype=float))
 
 
+def write_json(path, doc) -> None:
+    """Write a JSON artifact: indent 2, sorted keys and a trailing newline,
+    so equal documents give equal bytes."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_ingest_reports(path, ingest: IngestReport,
                         aggregation: AggregationReport | None = None) -> None:
     doc = {"ingest": ingest.to_dict()}
     if aggregation is not None:
         doc["aggregation"] = aggregation.to_dict()
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

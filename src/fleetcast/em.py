@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdn import SIGMA_FLOOR, MixtureBatch, gmm_logpdf
-
-_LOG_2PI = math.log(2.0 * math.pi)
+from .mdn import SIGMA_FLOOR, MixtureBatch, _log_joint, _logsumexp, gmm_logpdf
 
 
 @dataclass
@@ -29,19 +27,21 @@ class EmState:
 
 def log_likelihood(data, params: MixtureBatch) -> float:
     """sum_n log sum_k pi_k N(x_n | mu_k, sigma_k^2), via log-sum-exp."""
-    data = np.asarray(data, dtype=float)
     return float(np.sum(gmm_logpdf(data, params)))
 
 
-def e_step(data, params: MixtureBatch) -> np.ndarray:
-    """Responsibility of each component for each point, rows on the simplex."""
-    data = np.asarray(data, dtype=float)
-    log_w = np.log(np.maximum(params.weights, 1e-300))
-    z = (data[:, None] - params.means) / params.stds
-    log_joint = log_w - np.log(params.stds) - 0.5 * _LOG_2PI - 0.5 * z * z
-    log_norm = np.max(log_joint, axis=1, keepdims=True)
-    log_norm = log_norm + np.log(np.exp(log_joint - log_norm).sum(axis=1, keepdims=True))
-    return np.exp(log_joint - log_norm)
+def e_step(data, params: MixtureBatch) -> tuple[np.ndarray, float]:
+    """(responsibilities, log-likelihood) of `data` under `params`, both
+    from one log-sum-exp per point.
+
+    Responsibility rows are on the simplex, and a zero-weight component
+    gets exactly 0. The log-likelihood equals `log_likelihood(data, params)`.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = np.log(params.weights)
+    log_joint = _log_joint(data, log_w, params.means, params.stds)
+    log_norm = _logsumexp(log_joint, axis=-1)
+    return np.exp(log_joint - log_norm[..., None]), float(np.sum(log_norm))
 
 
 def m_step(data, gamma, sigma_floor: float = SIGMA_FLOOR) -> MixtureBatch:
@@ -113,19 +113,19 @@ def em_fit(data, k: int, init=None, tol: float = 1e-6, max_iter: int = 500,
     else:
         params = _init_params(data, k, np.random.default_rng(init), sigma_floor)
 
-    ll = log_likelihood(data, params)
+    # each E-step scores the parameters the M-step before it produced
+    gamma, ll = e_step(data, params)
     trace = [ll]
     it = 0
     for it in range(1, max_iter + 1):
-        gamma = e_step(data, params)
         params = m_step(data, gamma, sigma_floor=sigma_floor)
-        new_ll = log_likelihood(data, params)
+        gamma, new_ll = e_step(data, params)
         trace.append(new_ll)
         done = abs(new_ll - ll) < tol
         ll = new_ll
         if done:
             break
-    return EmState(params=params, responsibilities=e_step(data, params),
+    return EmState(params=params, responsibilities=gamma,
                    log_likelihood=ll, iteration=it, ll_trace=trace)
 
 

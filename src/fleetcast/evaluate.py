@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries, trailing_windows
+from .data import DemandSeries, trailing_windows, write_json
 from .relocation import (
     DayOutcome,
     PlanDecision,
@@ -66,9 +66,7 @@ class EvaluationReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
@@ -76,12 +74,16 @@ class EvaluationReport:
 
         with open(path) as fh:
             doc = json.load(fh)
-        return cls(
-            method=doc["method"],
-            days=[dt.date.fromisoformat(d) for d in doc["days"]],
-            outcomes=[DayOutcome(**o) for o in doc["per_day"]],
-            skipped_days=[dt.date.fromisoformat(d) for d in doc["skipped_days"]],
-        )
+        try:
+            return cls(
+                method=doc["method"],
+                days=[dt.date.fromisoformat(d) for d in doc["days"]],
+                outcomes=[DayOutcome(**o) for o in doc["per_day"]],
+                skipped_days=[dt.date.fromisoformat(d) for d in doc["skipped_days"]],
+            )
+        except KeyError as exc:
+            raise ValueError(f"report {path} has no {exc.args[0]!r} entry; run "
+                             f"`fleetcast evaluate` again") from None
 
     def per_day_csv(self, path) -> None:
         import csv
@@ -189,9 +191,7 @@ class ComparisonReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     def to_text(self) -> str:
         headers = ["", "Average Revenue", "Average Cost", "Average Moving",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Standardizer, WindowSet
+from .data import Standardizer, WindowSet, write_json
 from .em import em_fit_restarts
 from .mdn import MixtureBatch, mdn_transform
 from .recurrent import RecurrentModel, sequence_forward
@@ -130,9 +130,7 @@ def save_forecast_file(path, days, zone_ids, batch: MixtureBatch) -> None:
     doc = {"days": [day.isoformat() for day in days], "zones": list(zone_ids),
            "weights": batch.weights.tolist(), "means": batch.means.tolist(),
            "stds": batch.stds.tolist()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _read_forecast_file(path) -> tuple[list, list, MixtureBatch]:

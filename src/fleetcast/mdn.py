@@ -179,11 +179,14 @@ def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
     )
 
 
-def _component_logpdf(x, params: MixtureBatch):
-    """log N(x | mu_i, sigma_i^2) for each component; x broadcasts on the leading shape."""
-    x = np.asarray(x, dtype=float)[..., None]
-    z = (x - params.means) / params.stds
-    return -0.5 * _LOG_2PI - np.log(params.stds) - 0.5 * z * z
+def _log_joint(x, log_w, means, stds):
+    """log w_k + log N(x | mu_k, sigma_k^2) for each component k: the one
+    per-component term of the MDN loss, the mixture density and EM.
+
+    x has the leading shape and broadcasts against the (..., K) parameters.
+    """
+    z = (np.asarray(x, dtype=float)[..., None] - means) / stds
+    return log_w - np.log(stds) - 0.5 * _LOG_2PI - 0.5 * z * z
 
 
 def gmm_logpdf(x, params: MixtureBatch):
@@ -191,7 +194,7 @@ def gmm_logpdf(x, params: MixtureBatch):
     mixture padded by `MixtureBatch.stack` scores as the unpadded one."""
     with np.errstate(divide="ignore"):
         log_w = np.log(params.weights)
-    return _logsumexp(log_w + _component_logpdf(x, params), axis=-1)
+    return _logsumexp(_log_joint(x, log_w, params.means, params.stds), axis=-1)
 
 
 def gmm_nll(targets, params) -> float:
@@ -233,14 +236,13 @@ def nll_and_grad_raw(raw, targets, sigma_floor: float = SIGMA_FLOOR):
     log_w = logits - _logsumexp(logits, axis=-1)[..., None]
     w = np.exp(log_w)
     sig = softplus(s_raw) + sigma_floor
-    x = targets[..., None]
-    z = (x - means) / sig
-    log_comp = log_w - np.log(sig) - 0.5 * _LOG_2PI - 0.5 * z * z
+    log_comp = _log_joint(targets, log_w, means, sig)
     lse = _logsumexp(log_comp, axis=-1)
     nll = -lse
     post = np.exp(log_comp - lse[..., None])
 
     g_logits = w - post
+    x = targets[..., None]
     g_means = post * (means - x) / sig**2
     g_sig = post * (1.0 / sig - (x - means) ** 2 / sig**3)
     dsig_draw = 1.0 / (1.0 + np.exp(-s_raw))  # softplus'

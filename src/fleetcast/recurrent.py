@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import write_json
 from .mdn import SIGMA_FLOOR, nll_and_grad_raw
 
 
@@ -541,9 +542,7 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
                                    "offset": offset})
         payload.extend(flat.tobytes())
         offset += flat.size
-    with open(f"{prefix}.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(f"{prefix}.json", manifest)
     with open(f"{prefix}.bin", "wb") as fh:
         fh.write(bytes(payload))
 
@@ -556,24 +555,29 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
                          "which fleetcast no longer reads; retrain the model")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise ValueError("unrecognized checkpoint format")
-    sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
-    need = 8 * max((e["offset"] + n for e, n in zip(manifest["arrays"], sizes)), default=0)
-    have = os.path.getsize(f"{prefix}.bin")
-    if have != need:
-        raise ValueError(f"{prefix}.bin holds {have} bytes, its manifest implies {need}")
-    raw = np.fromfile(f"{prefix}.bin", dtype="<f8")
-    arrays = {}
-    for entry, size in zip(manifest["arrays"], sizes):
-        arrays[entry["name"]] = raw[entry["offset"] : entry["offset"] + size] \
-            .reshape(entry["shape"]).astype(float)
-    cell = CellWeights(arrays["cell.w"], arrays["cell.u"], arrays["cell.b"])
-    acts = manifest["dense_activations"]
-    dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
-             for i in range(len(acts))]
-    hd = manifest["head"]
-    head = HeadSpec(hd["kind"], hd["n_series"], hd["k"])
-    model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
-                           manifest.get("window_size"),
-                           manifest.get("sigma_floor", SIGMA_FLOOR))
+    try:
+        sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
+        need = 8 * max((e["offset"] + n for e, n in zip(manifest["arrays"], sizes)),
+                       default=0)
+        have = os.path.getsize(f"{prefix}.bin")
+        if have != need:
+            raise ValueError(f"{prefix}.bin holds {have} bytes, its manifest implies {need}")
+        raw = np.fromfile(f"{prefix}.bin", dtype="<f8")
+        arrays = {}
+        for entry, size in zip(manifest["arrays"], sizes):
+            arrays[entry["name"]] = raw[entry["offset"] : entry["offset"] + size] \
+                .reshape(entry["shape"]).astype(float)
+        cell = CellWeights(arrays["cell.w"], arrays["cell.u"], arrays["cell.b"])
+        acts = manifest["dense_activations"]
+        dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
+                 for i in range(len(acts))]
+        hd = manifest["head"]
+        head = HeadSpec(hd["kind"], hd["n_series"], hd["k"])
+        model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
+                               manifest.get("window_size"),
+                               manifest.get("sigma_floor", SIGMA_FLOOR))
+    except KeyError as exc:
+        raise ValueError(f"checkpoint manifest {prefix}.json has no {exc.args[0]!r} "
+                         f"entry") from None
     model.validate()
     return model, manifest.get("extra", {})

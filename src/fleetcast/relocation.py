@@ -46,12 +46,12 @@ gain equals a marginal loss):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_json
 from .mdn import MixtureBatch
 from .simplex import AT_BOUND_TOL, LinearProgram, SolveResult, certified_result, solve_lp
 
@@ -562,6 +562,4 @@ def save_plan(path, plan: PlanDecision, instance: RelocationInstance,
            "moving": plan.moving}
     if extra:
         doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

@@ -25,6 +25,7 @@ from .mdn import MixtureBatch
 WRITE_CHUNK_ROWS = 1024  # rows formatted per write of `write_trips_csv`
 # a trip row as the csv module writes it: comma-separated, CRLF-terminated
 ROW_FORMAT = "%.3f,%.6f,%.6f,%.6f,%.6f,%d\r\n"
+MAX_PASSENGERS = 4  # passengers per trip are drawn uniformly from 1..MAX_PASSENGERS
 
 
 def default_zone_map(n_zones: int = 2) -> ZoneMap:
@@ -48,7 +49,6 @@ class SyntheticConfig:
     mean_high: float = 80.0
     mean_low: float = 20.0
     noise_sd: float = 8.0
-    max_passengers: int = 4
 
     def validate(self) -> None:
         if self.n_zones < 1 or self.n_days < 1:
@@ -96,8 +96,7 @@ def _micro_degrees_inside(box: ZoneBox) -> np.ndarray:
     return inside
 
 
-def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int,
-                    max_passengers: int = 4) -> int:
+def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int) -> int:
     """Expand a demand series into one pickup row per demand unit.
 
     Rows run day by day and, within a day, zone by zone. Each column is
@@ -127,7 +126,7 @@ def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int,
     columns += [
         rng.uniform(40.70, 40.80, n_rows),
         rng.uniform(-74.00, -73.95, n_rows),
-        rng.integers(1, max_passengers + 1, n_rows),
+        rng.integers(1, MAX_PASSENGERS + 1, n_rows),
     ]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(REQUIRED_FIELDS) + "\r\n")

@@ -236,6 +236,51 @@ class TestPipeline:
                                   "checkpoint")
             assert "retrain the model" in err and "Traceback" not in err
 
+    def test_checkpoint_without_an_array_entry_exits_2_naming_it(self, run_dir, capsys):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "0")):
+            assert call(cfg, *argv) == 0
+        path = run / "checkpoints" / "mdn.json"
+        manifest = json.loads(path.read_text())
+        manifest["arrays"] = [a for a in manifest["arrays"] if a["name"] != "cell.b"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert call(cfg, "forecast", "--model", "mdn") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint manifest {path} has no 'cell.b' entry")
+        assert "Traceback" not in err
+
+    def test_em_fit_file_without_per_zone_exits_2_naming_it(self, run_dir, capsys):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",),
+                     ("train", "--model", "gru-point", "--epochs", "0"), ("fit-gmm",)):
+            assert call(cfg, *argv) == 0
+        path = run / "em_fit.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({"zones": doc.pop("per_zone")}))
+        capsys.readouterr()
+        assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster",
+                    "posthoc") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: EM fit file {path} has no 'per_zone' entry")
+        assert "fleetcast fit-gmm" in err and "Traceback" not in err
+
+    def test_report_without_skipped_days_exits_2_naming_it(self, run_dir, capsys):
+        from fleetcast.evaluate import EvaluationReport
+
+        run, cfg = run_dir
+        run.mkdir()
+        paths = [run / "report_a.json", run / "report_b.json"]
+        for path in paths:
+            EvaluationReport(method=path.stem, days=[], outcomes=[]).save(path)
+        doc = json.loads(paths[1].read_text())
+        del doc["skipped_days"]
+        paths[1].write_text(json.dumps(doc))
+        assert call(cfg, "compare", *map(str, paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {paths[1]} has no 'skipped_days' entry")
+        assert "Traceback" not in err
+
     def test_help_lists_all_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -305,7 +305,6 @@ class TestWindows:
         assert len(ws) == 2
         np.testing.assert_array_equal(ws.targets[0], series.values[:, 10])
         np.testing.assert_array_equal(ws.targets[1], series.values[:, 11])
-        assert ws.target_days == [series.days[10], series.days[11]]
         np.testing.assert_array_equal(ws.inputs[1], series.values[:, 1:11].T)
 
     def test_invalid_window_size(self):

@@ -18,18 +18,18 @@ def two_mode_sample(n=2000, seed=42):
 
 class TestEStep:
     def test_single_component_all_ones(self):
-        g = e_step(np.array([0.0, 2.0, -3.0]), MixtureBatch([1.0], [0.0], [1.0]))
+        g, _ = e_step(np.array([0.0, 2.0, -3.0]), MixtureBatch([1.0], [0.0], [1.0]))
         np.testing.assert_allclose(g, 1.0)
 
     def test_identical_components_give_prior_weights(self):
         p = MixtureBatch([0.2, 0.8], [1.0, 1.0], [2.0, 2.0])
-        g = e_step(np.array([0.0, 5.0, -1.0]), p)
+        g, _ = e_step(np.array([0.0, 5.0, -1.0]), p)
         np.testing.assert_allclose(g, np.tile([0.2, 0.8], (3, 1)), atol=1e-12)
 
     def test_hand_case_matches_direct_formula(self):
         data = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         p = MixtureBatch([0.3, 0.7], [-1.0, 1.5], [0.8, 1.2])
-        g = e_step(data, p)
+        g, _ = e_step(data, p)
         # independent per-term evaluation via scipy
         num = np.column_stack([
             0.3 * norm.pdf(data, -1.0, 0.8),
@@ -45,8 +45,26 @@ class TestEStep:
         k = int(rng.integers(1, 5))
         p = MixtureBatch(np.full(k, 1.0 / k), rng.normal(size=k),
                          rng.uniform(0.1, 3.0, k))
-        g = e_step(data, p)
+        g, _ = e_step(data, p)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_zero_weight_component_gets_exactly_zero_responsibility(self):
+        data = np.array([-3.0, 0.0, 0.5, 4.0])
+        g, ll = e_step(data, MixtureBatch([0.4, 0.0, 0.6], [0.0, 0.5, 3.0],
+                                          [1.0, 1.0, 2.0]))
+        assert (g[:, 1] == 0.0).all()
+        assert ll == log_likelihood(data, MixtureBatch([0.4, 0.6], [0.0, 3.0],
+                                                       [1.0, 2.0]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_log_likelihood_is_bit_identical_to_the_public_one(self, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=int(rng.integers(1, 40))) * 5
+        k = int(rng.integers(1, 5))
+        p = MixtureBatch(rng.dirichlet(np.ones(k)), rng.normal(size=k) * 3,
+                         rng.uniform(0.1, 3.0, k))
+        assert e_step(data, p)[1] == log_likelihood(data, p)
 
 
 class TestMStep:
@@ -143,6 +161,15 @@ class TestEmFit:
         assert state.params.stds[0] == pytest.approx(data.std(), abs=1e-9)
         assert state.params.weights[0] == pytest.approx(1.0)
         assert state.iteration <= 2
+
+    @pytest.mark.parametrize("init", [0, 3, 11])
+    def test_trace_ends_at_the_log_likelihood_of_the_returned_fit(self, init):
+        data = two_mode_sample(n=300, seed=init)
+        state = em_fit(data, k=3, init=init, max_iter=40)
+        assert state.ll_trace[-1] == state.log_likelihood
+        assert state.log_likelihood == log_likelihood(data, state.params)
+        gamma, _ = e_step(data, state.params)
+        np.testing.assert_array_equal(state.responsibilities, gamma)
 
     def test_zero_iteration_budget_returns_init(self):
         data = np.arange(10.0)

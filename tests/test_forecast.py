@@ -86,7 +86,7 @@ class TestResidualMixtureRoute:
         base = PointForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         rng = np.random.default_rng(0)
         windows = WindowSet(inputs=rng.normal(size=(12, 4, 1)),
-                            targets=rng.normal(size=(12, 1)), target_days=None)
+                            targets=rng.normal(size=(12, 1)))
         res = point_residuals(base, windows)
         for i in range(3):
             want = windows.targets[i, 0] - base.predict_point(windows.inputs[i])[0]
@@ -108,8 +108,7 @@ class TestResidualMixtureRoute:
                                                    np.array([8.0, 12.0])))
         rng = np.random.default_rng(1)
         windows = WindowSet(inputs=rng.normal(50.0, 10.0, size=(88, 10, 2)),
-                            targets=rng.normal(50.0, 10.0, size=(88, 2)),
-                            target_days=None)
+                            targets=rng.normal(50.0, 10.0, size=(88, 2)))
         loop = np.array([windows.targets[i] - base.predict_point(windows.inputs[i])
                          for i in range(len(windows))])
         np.testing.assert_allclose(point_residuals(base, windows), loop, rtol=1e-12)
@@ -123,8 +122,7 @@ class TestResidualMixtureRoute:
         base = PointForecaster(model, Standardizer(np.zeros(1), np.ones(1)))
         rng = np.random.default_rng(1)
         targets = rng.normal(3.0, 0.5, size=(200, 1))
-        windows = WindowSet(inputs=np.zeros((200, 4, 1)), targets=targets,
-                            target_days=None)
+        windows = WindowSet(inputs=np.zeros((200, 4, 1)), targets=targets)
         mixtures, records = fit_residual_mixtures(base, windows, k=1, seed=0,
                                                   n_restarts=2)
         assert mixtures[0].means[0] == pytest.approx(3.0, abs=0.15)

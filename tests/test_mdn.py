@@ -148,6 +148,42 @@ def test_nll_grad_matches_finite_differences():
         assert grad[i] == pytest.approx(float(fd), rel=1e-5, abs=1e-8)
 
 
+def _nll_and_grad_inline(raw, targets):
+    """The MDN loss and gradient with the per-component term written out in
+    the operation order the training loss has always used."""
+    k = raw.shape[-1] // 3
+    logits, means, s_raw = raw[..., :k], raw[..., k : 2 * k], raw[..., 2 * k :]
+    hi = logits.max(axis=-1, keepdims=True)
+    log_w = logits - (hi.squeeze(-1) + np.log(np.exp(logits - hi).sum(axis=-1)))[..., None]
+    w = np.exp(log_w)
+    sig = np.logaddexp(0.0, s_raw) + SIGMA_FLOOR
+    x = targets[..., None]
+    z = (x - means) / sig
+    log_comp = log_w - np.log(sig) - 0.5 * math.log(2.0 * math.pi) - 0.5 * z * z
+    hi = log_comp.max(axis=-1, keepdims=True)
+    lse = hi.squeeze(-1) + np.log(np.exp(log_comp - hi).sum(axis=-1))
+    post = np.exp(log_comp - lse[..., None])
+    g_sig = post * (1.0 / sig - (x - means) ** 2 / sig**3)
+    grad = np.concatenate([w - post, post * (means - x) / sig**2,
+                           g_sig * (1.0 / (1.0 + np.exp(-s_raw)))], axis=-1)
+    return -lse, grad
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_nll_and_grad_are_bit_identical_to_the_inline_arithmetic(seed):
+    # any rounding change in the loss can move a trained MDN
+    rng = np.random.default_rng(seed)
+    lead = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 4))))
+    k = int(rng.integers(1, 6))
+    raw = rng.normal(size=lead + (3 * k,)) * 3
+    targets = rng.normal(size=lead) * 4
+    nll, grad = nll_and_grad_raw(raw, targets)
+    want_nll, want_grad = _nll_and_grad_inline(raw, targets)
+    np.testing.assert_array_equal(nll, want_nll)
+    np.testing.assert_array_equal(grad, want_grad)
+
+
 def test_nll_with_underflowing_weights_is_finite_and_silent():
     # the two small weights underflow to 0; their log must not become -inf
     raw = np.array([800.0, 0.0, 0.0, 0.5, 1.0, 2.0, 0.0, 0.0, 0.0])

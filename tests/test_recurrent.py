@@ -443,7 +443,7 @@ def production_windows(n=46, t=10, seed=0):
     """n windows of a two-zone random walk: batches of 32 and n - 32."""
     walk = np.random.default_rng(seed).normal(scale=0.3, size=(n + t, 2)).cumsum(axis=0)
     inputs = np.stack([walk[i:i + t] for i in range(n)])
-    return WindowSet(inputs=inputs, targets=walk[t:], target_days=None)
+    return WindowSet(inputs=inputs, targets=walk[t:])
 
 
 class TestTrainAgainstReference:
@@ -479,7 +479,7 @@ def toy_windows(n=20, ws=5, z=1, seed=0):
     rng = np.random.default_rng(seed)
     inputs = rng.normal(size=(n, ws, z))
     targets = inputs[:, -1, :] * 0.5 + 0.1
-    return WindowSet(inputs=inputs, targets=targets, target_days=None)
+    return WindowSet(inputs=inputs, targets=targets)
 
 
 class TestTrain:
@@ -518,7 +518,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(30, 4, 1))
         targets = np.where(rng.random((30, 1)) < 0.5, -2.0, 2.0)
-        ws = WindowSet(inputs=inputs, targets=targets, target_days=None)
+        ws = WindowSet(inputs=inputs, targets=targets)
         model = init_model("gru", 1, 4, dense_sizes=(8,), seed=1,
                            head=HeadSpec("mdn", 1, k=2))
         _, history = train(model, ws, TrainConfig(learning_rate=0.05, epochs=100, seed=0))
