@@ -23,9 +23,7 @@ from .data import (
 from .em import EmState, e_step, em_fit, em_fit_restarts, log_likelihood, m_step
 from .evaluate import (
     ComparisonReport,
-    EvalSettings,
     EvaluationReport,
-    compare,
     rolling_evaluate,
 )
 from .mdn import SIGMA_FLOOR, MixtureBatch, gmm_nll, mdn_transform
@@ -43,7 +41,6 @@ from .recurrent import (
     train,
 )
 from .relocation import (
-    DayOutcome,
     PlanDecision,
     RelocationInstance,
     RelocationSolveError,

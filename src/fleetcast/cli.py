@@ -44,7 +44,7 @@ from .data import (
     trailing_windows,
     write_json,
 )
-from .evaluate import EvalSettings, EvaluationReport, compare, rolling_evaluate
+from .evaluate import METRICS, ComparisonReport, EvaluationReport, rolling_evaluate
 from .mdn import MixtureBatch
 from .recurrent import HeadSpec, TrainConfig, init_model, load_model, save_model, train
 from .relocation import (
@@ -341,18 +341,14 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
                          f"evaluation needs one of {', '.join(DISTRIBUTION_FORECASTERS)}")
     split = _split_demand(cfg)
     forecaster = _forecaster(cfg, tag)
-    settings = EvalSettings(window_size=cfg.window_size,
-                            n_scenarios=cfg.n_scenarios, seed=cfg.seed)
     instance = _instance(cfg, split.series.n_zones)
-    report = rolling_evaluate(forecaster, mode, split.train, split.test,
-                              instance, settings)
-    report.method = f"{tag}-{mode}"
+    report = rolling_evaluate(forecaster, mode, split.train, split.test, instance,
+                              window_size=cfg.window_size, n_scenarios=cfg.n_scenarios,
+                              seed=cfg.seed, method=f"{tag}-{mode}")
     out = _data_dir(cfg) / cfg.reports_dir
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / f"report_{tag}_{mode}.json"
     report.save(report_path)
-    if args.per_day_csv:
-        report.per_day_csv(out / f"report_{tag}_{mode}_days.csv")
     _write_manifest(out / f"evaluate_{tag}_{mode}.manifest.json", "evaluate",
                     cfg, [split.path] + _forecaster_files(cfg, tag), [report_path])
     print(f"{report.method}: {report.day_count} days, "
@@ -363,19 +359,14 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_compare(cfg: PipelineConfig, args) -> int:
-    path_a = Path(args.report_a)
-    path_b = Path(args.report_b)
-    for p in (path_a, path_b):
-        if not p.exists():
-            raise MissingArtifactError(
-                f"report artifact not found at {p}; run `fleetcast evaluate` first")
-    rep = compare(EvaluationReport.load(path_a), EvaluationReport.load(path_b))
+    paths = [_require(Path(p), "report") for p in (args.report_a, args.report_b)]
+    rep = ComparisonReport(*map(EvaluationReport.load, paths))
     out = _data_dir(cfg) / "comparison.json"
     rep.save(out)
     text = rep.to_text()
     (_data_dir(cfg) / "comparison.txt").write_text(text)
     print(text, end="")
-    for metric in ("revenue", "cost", "moving", "profit"):
+    for metric in METRICS:
         print(rep.phrase(metric))
     return 0
 
@@ -421,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forecaster", choices=["mdn", "posthoc", "gru-point", "lstm"],
                    default=None)
     p.add_argument("--n-scenarios", dest="n_scenarios", default=None)
-    p.add_argument("--per-day-csv", action="store_true",
-                   help="also write per-day outcomes as CSV")
     p = add("compare", cmd_compare, "tabulate two evaluation reports")
     p.add_argument("report_a")
     p.add_argument("report_b")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 REQUIRED_FIELDS = ("pickup_time", "pickup_lat", "pickup_lon",
                    "dropoff_lat", "dropoff_lon", "passengers")
@@ -480,19 +481,24 @@ class WindowSet:
         return self.inputs.shape[0]
 
 
-def make_windows(series: DemandSeries, ws: int) -> WindowSet:
-    """Exactly max(D - ws, 0) pairs; pair i inputs days [i, i+ws), target i+ws."""
+def _windows_before(table: np.ndarray, ws: int, first: int) -> np.ndarray:
+    """(count, ws, Z) copies of the ws rows of a days x zones `table` before
+    each row from max(first, ws) on, all cut from one sliding window view:
+    window i holds the ws rows before its target row."""
     if ws < 1:
         raise ValueError("window size must be at least 1")
-    d = series.n_days
-    count = max(d - ws, 0)
+    first = max(first, ws)
+    if first >= len(table):
+        return np.zeros((0, ws, table.shape[1]))
+    view = sliding_window_view(table[first - ws : -1], ws, axis=0)  # (count, Z, ws)
+    return np.array(view.transpose(0, 2, 1), dtype=float, order="C")
+
+
+def make_windows(series: DemandSeries, ws: int) -> WindowSet:
+    """Exactly max(D - ws, 0) pairs; pair i inputs days [i, i+ws), target i+ws."""
     table = series.values.T  # D x Z
-    inputs = np.zeros((count, ws, series.n_zones))
-    targets = np.zeros((count, series.n_zones))
-    for i in range(count):
-        inputs[i] = table[i : i + ws]
-        targets[i] = table[i + ws]
-    return WindowSet(inputs=inputs, targets=targets)
+    return WindowSet(inputs=_windows_before(table, ws, ws),
+                     targets=np.array(table[ws:], dtype=float, order="C"))
 
 
 def trailing_windows(history: DemandSeries, test: DemandSeries,
@@ -502,15 +508,9 @@ def trailing_windows(history: DemandSeries, test: DemandSeries,
     array. Window i holds the ws days before test day positions[i], never
     that day itself. `history` must end the day before `test` starts.
     """
-    if ws < 1:
-        raise ValueError("window size must be at least 1")
-    table = history.concat(test).values.T  # days x zones
     offset = history.n_days
-    positions = [t for t in range(test.n_days) if offset + t >= ws]
-    windows = np.zeros((len(positions), ws, test.n_zones))
-    for i, t in enumerate(positions):
-        windows[i] = table[offset + t - ws : offset + t]
-    return positions, windows
+    windows = _windows_before(history.concat(test).values.T, ws, offset)
+    return list(range(test.n_days - len(windows), test.n_days)), windows
 
 
 @dataclass

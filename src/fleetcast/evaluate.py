@@ -4,18 +4,21 @@ For each test day the forecaster sees only the trailing window of
 realized demand, the chosen program (scenario-based or point-based) is
 solved, and the committed plan is scored against that day's realized
 demand. Day plans never see the day's own demand or anything after it.
-The forecaster is called once, with every planned day's window stacked
-into one batch. Stochastic mode gets its forecasts as one (D, Z, K)
-mixture batch and samples every day's scenarios in one
-`sample_scenarios` call, each day from its own seed. With a uniform move
-cost it then solves every day's program in one batched pass of the
-greedy solver, each day checked by its own certificate; other cost
-matrices, and the point-forecast programs, are solved day by day.
-Every planned day is then scored in one `evaluate_decision` call.
+
+The planned days stay one leading axis from the forecast to the report.
+One forecaster call covers every planned day's window. Stochastic mode
+draws the (D, Z, K) mixture batch into one (D, N, Z) `ScenarioSet`, each
+day from its own seed; with a uniform move cost one
+`solve_relocation_days` call solves it into one (D, Z, Z) `PlanDecision`,
+each day checked by its own certificate. Other cost matrices, and the
+point-forecast programs, are solved day by day and their flows stacked.
+One `evaluate_decision` call scores the stack into the (D,) columns that
+`EvaluationReport` keeps.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 from dataclasses import dataclass, field
 
@@ -23,9 +26,10 @@ import numpy as np
 
 from .data import DemandSeries, trailing_windows, write_json
 from .relocation import (
-    DayOutcome,
+    OUTCOMES,
     PlanDecision,
     RelocationInstance,
+    ScenarioSet,
     deterministic_model,
     evaluate_decision,
     extract_plan,
@@ -41,28 +45,33 @@ METRICS = ("revenue", "cost", "moving", "profit")
 
 @dataclass
 class EvaluationReport:
+    """One method's evaluated days: `outcomes` maps each name in
+    `relocation.OUTCOMES` to a (D,) column over `days`."""
+
     method: str
     days: list
-    outcomes: list[DayOutcome]
+    outcomes: dict
     skipped_days: list = field(default_factory=list)
 
     @property
     def day_count(self) -> int:
-        return len(self.outcomes)
+        return len(self.days)
 
     def average(self, metric: str) -> float:
-        if not self.outcomes:
+        if not self.days:
             return float("nan")
-        return float(np.mean([getattr(o, metric) for o in self.outcomes]))
+        o = self.outcomes
+        return float(np.mean(o["revenue"] - o["cost"] if metric == "profit" else o[metric]))
 
     def to_dict(self) -> dict:
+        rows = zip(*(self.outcomes[name].tolist() for name in OUTCOMES))
         return {
             "method": self.method,
             "day_count": self.day_count,
             "averages": {m: self.average(m) for m in METRICS},
             "days": [d.isoformat() for d in self.days],
             "skipped_days": [d.isoformat() for d in self.skipped_days],
-            "per_day": [o.to_dict() for o in self.outcomes],
+            "per_day": [dict(zip(OUTCOMES, row)) for row in rows],
         }
 
     def save(self, path) -> None:
@@ -70,84 +79,80 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
-        import datetime as dt
+        """Read a saved report. Text that is not JSON, a missing entry, an
+        entry of the wrong kind, or `days` and `per_day` of different
+        lengths is a ValueError naming `path`."""
+        def bad(what):
+            return ValueError(f"report {path} {what}; run `fleetcast evaluate` again")
 
         with open(path) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise bad(f"is not JSON ({exc})") from None
+
+        def entries(key, parse):
+            try:
+                return [parse(value) for value in doc[key]]
+            except (TypeError, ValueError) as exc:
+                raise bad(f"has a bad entry in {key!r} ({exc})") from None
+
         try:
-            return cls(
-                method=doc["method"],
-                days=[dt.date.fromisoformat(d) for d in doc["days"]],
-                outcomes=[DayOutcome(**o) for o in doc["per_day"]],
-                skipped_days=[dt.date.fromisoformat(d) for d in doc["skipped_days"]],
-            )
+            days = entries("days", dt.date.fromisoformat)
+            skipped = entries("skipped_days", dt.date.fromisoformat)
+            rows = entries("per_day", lambda rec: [float(rec[name]) for name in OUTCOMES])
+            method = doc["method"]
         except KeyError as exc:
-            raise ValueError(f"report {path} has no {exc.args[0]!r} entry; run "
-                             f"`fleetcast evaluate` again") from None
-
-    def per_day_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "revenue", "cost", "moving", "lost_sales",
-                             "profit"])
-            for day, o in zip(self.days, self.outcomes):
-                writer.writerow([day.isoformat(), o.revenue, o.cost, o.moving,
-                                 o.lost_sales, o.profit])
-
-
-@dataclass
-class EvalSettings:
-    window_size: int
-    n_scenarios: int = 200
-    seed: int = 0
+            raise bad(f"has no {exc.args[0]!r} entry") from None
+        if len(days) != len(rows):
+            raise bad(f"lists {len(days)} days but {len(rows)} per_day records")
+        columns = np.array(rows, dtype=float).reshape(-1, len(OUTCOMES)).T.copy()
+        return cls(method, days, dict(zip(OUTCOMES, columns)), skipped)
 
 
 def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
-                     test: DemandSeries, instance: RelocationInstance,
-                     settings: EvalSettings) -> EvaluationReport:
-    """Walk the test partition day by day with a frozen forecaster.
+                     test: DemandSeries, instance: RelocationInstance, *,
+                     window_size: int, n_scenarios: int, seed: int,
+                     method: str) -> EvaluationReport:
+    """Walk the test partition day by day with a frozen forecaster; the
+    report is named `method`.
 
     `history` must end the day before `test` starts. In "stochastic"
-    mode each day samples scenarios from the predicted mixtures (seed
-    `settings.seed + t` on test day t) and solves the scenario programs,
-    all days in one `solve_relocation_days` call when the move cost is
-    uniform; "deterministic" solves the single point-forecast program.
-    One batched forecaster call covers every day with a full trailing
-    window, and each such day is re-planned from its own forecast. Days
-    without a full trailing window are skipped and reported.
+    mode each day samples `n_scenarios` scenarios from the predicted
+    mixtures (seed `seed + t` on test day t) and solves the scenario
+    programs, all days in one `solve_relocation_days` call when the move
+    cost is uniform; "deterministic" solves the single point-forecast
+    program. One batched forecaster call covers every day with a full
+    trailing window of `window_size` days. Days without one are skipped
+    and reported.
     """
     if mode not in ("stochastic", "deterministic"):
         raise ValueError("mode must be stochastic or deterministic")
     if test.n_days == 0:
         raise ValueError("empty test partition")
-    positions, windows = trailing_windows(history, test, settings.window_size)
+    positions, windows = trailing_windows(history, test, window_size)
     days = [test.days[t] for t in positions]
 
-    day_plans = []
+    z = instance.n_zones
+    flows = np.zeros((0, z, z))  # (D, Z, Z), one plan per planned day
     if positions and mode == "stochastic":
         dists = forecaster.predict_distribution(windows, days)
-        scens = sample_scenarios(dists, settings.n_scenarios,
-                                 seed=[settings.seed + t for t in positions])
+        scenarios = sample_scenarios(dists, n_scenarios, seed=[seed + t for t in positions])
         if instance.uniform_move_cost is None:
-            day_plans = [solve_relocation(instance, scen)[0] for scen in scens]
+            flows = [solve_relocation(instance, ScenarioSet(demand))[0].flows
+                     for demand in scenarios.demand]
         else:
-            day_plans, _, _ = solve_relocation_days(instance, scens, labels=days)
+            flows = solve_relocation_days(instance, scenarios, labels=days)[0].flows
     elif positions:
         points = np.maximum(forecaster.predict_point(windows, days), 0.0)
-        for point in points:
-            res = require_certified(solve_lp(deterministic_model(instance, point)))
-            day_plans.append(extract_plan(res, instance.n_zones))
+        flows = [extract_plan(require_certified(solve_lp(deterministic_model(instance, p))),
+                              z).flows for p in points]
 
-    outcomes = []
-    if positions:
-        stacked = PlanDecision(np.stack([plan.flows for plan in day_plans]))
-        realized = np.ascontiguousarray(test.values[:, positions].T)
-        outcomes = evaluate_decision(instance, stacked, realized)
+    realized = np.ascontiguousarray(test.values[:, positions].T)
     planned = set(positions)
     skipped = [day for t, day in enumerate(test.days) if t not in planned]
-    return EvaluationReport(method=f"{mode}", days=days, outcomes=outcomes,
+    outcomes = evaluate_decision(instance, PlanDecision(flows), realized)
+    return EvaluationReport(method=method, days=days, outcomes=outcomes,
                             skipped_days=skipped)
 
 
@@ -211,7 +216,3 @@ class ComparisonReport:
         for r in rows:
             lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
         return "\n".join(lines) + "\n"
-
-
-def compare(a: EvaluationReport, b: EvaluationReport) -> ComparisonReport:
-    return ComparisonReport(a, b)

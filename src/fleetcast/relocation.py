@@ -19,7 +19,8 @@ across zones. It is then solved exactly by greedy marginal allocation
 answer. The kernel (`_greedy_days`) takes a stack of D demand arrays,
 one program per day, all sharing one instance:
   - `solve_relocation_days` solves every day of an evaluation in one
-    pass and checks each day with `structural_certificate`, which
+    pass, from a (D, N, Z) `ScenarioSet` into a (D, Z, Z) `PlanDecision`,
+    and checks each day with `structural_certificate`, which
     computes `simplex.certify`'s residuals from the program's rows
     (stock, link, demand) without building the matrix, in
     O(D * (N*Z + Z^2)) memory;
@@ -32,7 +33,9 @@ and so does the point-forecast baseline's one-scenario program
 (`deterministic_model`) in deterministic evaluation. `build_two_stage`
 emits only rows A x <= b with b >= 0 over x >= 0 (flows, then recourse),
 which is the one program class `simplex.solve_lp` solves: its slack basis
-is feasible from the start.
+is feasible from the start. `evaluate_decision` scores a (D, Z, Z) stack
+of plans into (D,) outcome columns, so the days stay one array axis from
+the scenario draw to the evaluation report.
 
 Tie-breaking of the greedy solver, which picks one optimum where
 several exist (possible with three or more zones, or when a marginal
@@ -58,10 +61,10 @@ from .simplex import AT_BOUND_TOL, LinearProgram, SolveResult, certified_result,
 
 @dataclass
 class ScenarioSet:
-    """N demand vectors with uniform probability 1/N."""
+    """N demand vectors with uniform probability 1/N; a stack holds D days of them."""
 
-    demand: np.ndarray  # N x Z, finite and nonnegative
-    seed: int | None = None
+    demand: np.ndarray  # N x Z, or D x N x Z; finite and nonnegative
+    seed: int | list | None = None  # one seed per day for a stack
 
     def __post_init__(self):
         self.demand = np.atleast_2d(np.asarray(self.demand, dtype=float))
@@ -70,11 +73,11 @@ class ScenarioSet:
 
     @property
     def n_scenarios(self) -> int:
-        return self.demand.shape[0]
+        return self.demand.shape[-2]
 
     @property
     def n_zones(self) -> int:
-        return self.demand.shape[1]
+        return self.demand.shape[-1]
 
     @property
     def probability(self) -> float:
@@ -151,27 +154,11 @@ class PlanDecision:
         z = self.flows.shape[-1]
         off = self.flows.copy()
         off[..., range(z), range(z)] = 0.0
-        moved = off.reshape(off.shape[:-2] + (-1,)).sum(axis=-1)
+        moved = off.reshape(off.shape[:-2] + (z * z,)).sum(axis=-1)
         return float(moved) if moved.ndim == 0 else moved
 
     def to_dict(self) -> dict:
         return {"flows": self.flows.tolist()}
-
-
-@dataclass
-class DayOutcome:
-    revenue: float
-    cost: float
-    moving: float
-    lost_sales: float
-
-    @property
-    def profit(self) -> float:
-        return self.revenue - self.cost
-
-    def to_dict(self) -> dict:
-        return {"revenue": self.revenue, "cost": self.cost,
-                "moving": self.moving, "lost_sales": self.lost_sales}
 
 
 def _draw_days(mixtures: MixtureBatch, n: int, seeds) -> np.ndarray:
@@ -198,9 +185,10 @@ def sample_scenarios(forecasts, n: int, seed):
 
     One day: `forecasts` holds the day's Z mixtures, as a sequence of
     one-mixture MixtureBatches or a (Z, K) MixtureBatch, and `seed` is an int or None;
-    returns a ScenarioSet. Many days: `forecasts` is a (D, Z, K)
-    MixtureBatch and `seed` holds D seeds; returns D ScenarioSets, day t's
-    the one the one-day form gives for day t's mixtures and `seed[t]`.
+    returns a ScenarioSet of (N, Z) demand. Many days: `forecasts` is a
+    (D, Z, K) MixtureBatch and `seed` holds D seeds; returns one
+    ScenarioSet of (D, N, Z) demand, whose day t is what the one-day form
+    gives for day t's mixtures and `seed[t]`.
 
     Every mixture is validated first; an invalid one raises ValueError
     naming its day and zone. Each day draws from its own
@@ -219,7 +207,7 @@ def sample_scenarios(forecasts, n: int, seed):
         return ScenarioSet(_draw_days(batch[None], n, [seed])[0], seed=seed)
     if len(batch.shape) != 2 or np.shape(seed) != (len(batch),):
         raise ValueError("a (D, Z, K) batch of mixtures needs D seeds")
-    return [ScenarioSet(demand, seed=s) for demand, s in zip(_draw_days(batch, n, seed), seed)]
+    return ScenarioSet(_draw_days(batch, n, seed), seed=seed)
 
 
 def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> LinearProgram:
@@ -235,11 +223,13 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> Lin
     recourse y[w, z] at Z^2 + w*Z + z; `lp.names` spells them out. The
     constant -penalty * mean total demand lives in lp.offset.
     """
+    d = scenarios.demand
+    if d.ndim != 2:
+        raise ValueError(f"build_two_stage takes one day's scenarios, not a {d.shape} stack")
     if scenarios.n_zones != instance.n_zones:
         raise ValueError("zone count mismatch between instance and scenarios")
     z = instance.n_zones
     n = scenarios.n_scenarios
-    d = scenarios.demand
     nr = z * z
     nvar = nr + n * z
 
@@ -447,20 +437,23 @@ def structural_certificate(instance: RelocationInstance, demand, flows, served,
     return x @ objective + offset, residuals
 
 
-def solve_relocation_days(instance: RelocationInstance, scenario_sets, labels=None):
+def solve_relocation_days(instance: RelocationInstance, scenarios: ScenarioSet,
+                          labels=None):
     """Solve one scenario program per day, all on `instance`, in one pass.
 
-    Every day needs the same scenario count, and the off-diagonal move
+    `scenarios` holds a (D, N, Z) stack of days, and the off-diagonal move
     costs must be uniform. Each day's answer is the one `solve_relocation`
     gives for that day alone, checked by `structural_certificate` against
-    CERT_TOL. Returns (plans, objectives (D,), residuals {name: (D,)}).
-    Raises RelocationSolveError naming the first day that fails, by its
-    entry in `labels` (default: its index).
+    CERT_TOL. Returns (a (D, Z, Z) PlanDecision, objectives (D,),
+    residuals {name: (D,)}). Raises RelocationSolveError naming the first
+    day that fails, by its entry in `labels` (default: its index).
     """
     cost = instance.uniform_move_cost
     if cost is None:
         raise ValueError("solve_relocation_days needs uniform off-diagonal move costs")
-    demand = np.stack([s.demand for s in scenario_sets])
+    demand = scenarios.demand
+    if demand.ndim != 3:
+        raise ValueError(f"solve_relocation_days takes a stack of days, not {demand.shape}")
     if demand.shape[2] != instance.n_zones:
         raise ValueError("zone count mismatch between instance and scenarios")
     flows, served, duals = _greedy_days(instance, demand, cost)
@@ -469,7 +462,7 @@ def solve_relocation_days(instance: RelocationInstance, scenario_sets, labels=No
     labels = range(len(demand)) if labels is None else labels
     for label, w, obj in zip(labels, worst, objective):
         _check_certificate(float(w), float(obj), f"relocation program for {label}")
-    return [PlanDecision(f) for f in flows], objective, residuals
+    return PlanDecision(flows), objective, residuals
 
 
 def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
@@ -496,32 +489,40 @@ def solve_relocation(instance: RelocationInstance, scenarios: ScenarioSet,
     return PlanDecision(flows[0]), res
 
 
-def evaluate_decision(instance: RelocationInstance, plan: PlanDecision, realized):
+OUTCOMES = ("revenue", "cost", "moving", "lost_sales")
+
+
+def evaluate_decision(instance: RelocationInstance, plan: PlanDecision, realized) -> dict:
     """Account a day: serve realized demand up to post-move stock.
 
-    (Z, Z) flows and (Z,) realized demand give one DayOutcome; a (D, Z, Z)
-    stack of flows and (D, Z) demand give D of them, each the one its day
-    gives alone.
+    Returns {name: array} for each name in OUTCOMES, shaped like the
+    plan's leading axes: () for (Z, Z) flows and (Z,) realized demand,
+    (D,) for a (D, Z, Z) stack and (D, Z) demand, day d's entry the one
+    that day gives alone. Profit is revenue - cost.
     """
     realized = np.asarray(realized, dtype=float)
+    z = instance.n_zones
     post = plan.post_stock(instance.stock)
     served = np.minimum(post, realized).sum(axis=-1)
     lost = np.maximum(realized - post, 0.0).sum(axis=-1)
     costs = instance.move_cost * plan.flows
-    move_cost = costs.reshape(costs.shape[:-2] + (-1,)).sum(axis=-1)
+    move_cost = costs.reshape(costs.shape[:-2] + (z * z,)).sum(axis=-1)
     columns = (instance.price * served, move_cost + instance.penalty * lost,
                plan.moving, lost)
-    outcomes = [DayOutcome(*day) for day in zip(*(np.atleast_1d(c).tolist() for c in columns))]
-    return outcomes[0] if plan.flows.ndim == 2 else outcomes
+    return {name: np.asarray(c) for name, c in zip(OUTCOMES, columns)}
 
 
 def expected_objective(instance: RelocationInstance, plan: PlanDecision,
                        scenarios: ScenarioSet) -> float:
     """In-sample expected objective of a fixed plan, matching the program
     objective exactly (optimal recourse is served = min(post stock, demand))."""
+    demand = scenarios.demand
+    if demand.ndim != 2:
+        raise ValueError(f"expected_objective takes one day's scenarios, "
+                         f"not a {demand.shape} stack")
     post = plan.post_stock(instance.stock)
-    served = np.minimum(post[None, :], scenarios.demand)
-    lost = scenarios.demand - served
+    served = np.minimum(post[None, :], demand)
+    lost = demand - served
     move_cost = float((instance.move_cost * plan.flows).sum())
     per_scenario = instance.price * served.sum(axis=1) - instance.penalty * lost.sum(axis=1)
     return float(per_scenario.mean() - move_cost)

@@ -21,7 +21,7 @@ import pytest
 from fleetcast.cli import _forecaster, _instance, _split_demand, main
 from fleetcast.config import PipelineConfig, load_config
 from fleetcast.data import DemandSeries, Standardizer, trailing_windows
-from fleetcast.evaluate import EvalSettings, EvaluationReport, rolling_evaluate
+from fleetcast.evaluate import EvaluationReport, rolling_evaluate
 from fleetcast.forecast import (
     MixtureForecaster,
     PointForecaster,
@@ -32,6 +32,7 @@ from fleetcast.forecast import (
 from fleetcast.mdn import MixtureBatch
 from fleetcast.recurrent import HeadSpec, init_model
 from fleetcast.relocation import (
+    OUTCOMES,
     RelocationInstance,
     deterministic_model,
     evaluate_decision,
@@ -48,9 +49,10 @@ from oracles import (PerfectForecaster, per_zone_sample, row_by_row_distribution
 WS = 10
 
 
-def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings):
+def oracle_rolling_evaluate(forecaster, mode, history, test, instance, *,
+                            window_size, n_scenarios, seed, method):
     full = history.concat(test)
-    ws = settings.window_size
+    ws = window_size
     offset = history.n_days
 
     def plan_for(t):
@@ -61,7 +63,7 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings)
         day = test.days[t]
         if mode == "stochastic":
             dists = forecaster.predict_distribution(window, day)
-            scen = per_zone_sample(dists, settings.n_scenarios, seed=settings.seed + t)
+            scen = per_zone_sample(dists, n_scenarios, seed=seed + t)
             plan, _ = solve_relocation(instance, scen)
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
@@ -77,7 +79,8 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, settings)
             continue
         outcomes.append(evaluate_decision(instance, plan, test.values[:, t]))
         days.append(test.days[t])
-    return EvaluationReport(method=f"{mode}", days=days, outcomes=outcomes,
+    columns = {name: np.array([day[name] for day in outcomes]) for name in OUTCOMES}
+    return EvaluationReport(method=method, days=days, outcomes=columns,
                             skipped_days=skipped)
 
 
@@ -228,11 +231,11 @@ def instance():
 @pytest.mark.parametrize("n_history", [49, 4])
 def test_reports_equal_the_per_day_loop(tag, mode, n_history):
     history, test = demand_split(n_history)
-    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11)
+    settings = dict(window_size=WS, n_scenarios=60, seed=11, method=mode)
     got = rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
-                           settings).to_dict()
+                           **settings).to_dict()
     want = oracle_rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
-                                   settings).to_dict()
+                                   **settings).to_dict()
     assert got["days"] == want["days"]
     assert got["skipped_days"] == want["skipped_days"]
     assert got["day_count"] == want["day_count"] == 91 - max(0, WS - n_history)
@@ -270,10 +273,10 @@ def non_uniform_instance():
 def test_stochastic_reports_equal_the_per_day_loop_exactly(tag, n_history):
     history, test = demand_split(n_history)
     forecaster = FrozenAnswers(FORECASTERS[tag], history, test)
-    settings = EvalSettings(window_size=WS, n_scenarios=60, seed=11)
-    got = rolling_evaluate(forecaster, "stochastic", history, test, instance(), settings)
+    settings = dict(window_size=WS, n_scenarios=60, seed=11, method="stochastic")
+    got = rolling_evaluate(forecaster, "stochastic", history, test, instance(), **settings)
     want = oracle_rolling_evaluate(forecaster, "stochastic", history, test, instance(),
-                                   settings)
+                                   **settings)
     assert got.to_dict() == want.to_dict()
     assert got.day_count == 91 - max(0, WS - n_history)
 
@@ -282,11 +285,11 @@ def test_non_uniform_costs_are_solved_day_by_day():
     history, test = demand_split(49)
     test = test.slice_days(0, 12)
     forecaster = FrozenAnswers(FORECASTERS["mdn"], history, test)
-    settings = EvalSettings(window_size=WS, n_scenarios=8, seed=11)
+    settings = dict(window_size=WS, n_scenarios=8, seed=11, method="stochastic")
     got = rolling_evaluate(forecaster, "stochastic", history, test, non_uniform_instance(),
-                           settings)
+                           **settings)
     want = oracle_rolling_evaluate(forecaster, "stochastic", history, test,
-                                   non_uniform_instance(), settings)
+                                   non_uniform_instance(), **settings)
     assert got.to_dict() == want.to_dict() and got.day_count == 12
 
 
@@ -395,11 +398,10 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
     assert (run / "forecasts.json").read_bytes() == \
         (tmp_path / "forecasts.json").read_bytes()
 
-    settings = EvalSettings(window_size=cfg.window_size, n_scenarios=cfg.n_scenarios,
-                            seed=cfg.seed)
     report = oracle_rolling_evaluate(oracle, "stochastic", split.train, split.test,
-                                     _instance(cfg, 3), settings)
-    report.method = f"{tag}-stochastic"
+                                     _instance(cfg, 3), window_size=cfg.window_size,
+                                     n_scenarios=cfg.n_scenarios, seed=cfg.seed,
+                                     method=f"{tag}-stochastic")
     report.save(tmp_path / "report.json")
     assert report.day_count == len(days) > 0
     assert (run / f"report_{tag}_stochastic.json").read_bytes() == \

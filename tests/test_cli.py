@@ -1,5 +1,6 @@
 """End-to-end command-line checks on a small synthetic experiment."""
 
+import datetime as dt
 import json
 import hashlib
 import warnings
@@ -55,7 +56,7 @@ class TestPipeline:
         assert call(cfg, "forecast", "--model", "mdn") == 0
         assert call(cfg, "optimize", "--export-lp") == 0
         assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster",
-                    "mdn", "--per-day-csv") == 0
+                    "mdn") == 0
         assert call(cfg, "evaluate", "--mode", "deterministic", "--forecaster",
                     "lstm") == 0
         assert call(cfg, "compare", str(run / "report_mdn_stochastic.json"),
@@ -210,7 +211,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("argv", [("fit-gmm", "--threads", "2"),
                                       ("ingest", "--count-field", "trips"),
-                                      ("evaluate", "--replan", "false")])
+                                      ("evaluate", "--replan", "false"),
+                                      ("evaluate", "--per-day-csv")])
     def test_removed_flags_are_gone(self, run_dir, capsys, argv):
         _, cfg = run_dir
         with pytest.raises(SystemExit) as exc:
@@ -271,14 +273,64 @@ class TestPipeline:
         run, cfg = run_dir
         run.mkdir()
         paths = [run / "report_a.json", run / "report_b.json"]
+        empty = {name: np.empty(0) for name in ("revenue", "cost", "moving", "lost_sales")}
         for path in paths:
-            EvaluationReport(method=path.stem, days=[], outcomes=[]).save(path)
+            EvaluationReport(method=path.stem, days=[], outcomes=empty).save(path)
         doc = json.loads(paths[1].read_text())
         del doc["skipped_days"]
         paths[1].write_text(json.dumps(doc))
         assert call(cfg, "compare", *map(str, paths)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: report {paths[1]} has no 'skipped_days' entry")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["per_day"][0].pop("lost_sales"),
+         "has no 'lost_sales' entry"),
+        (lambda doc: doc["per_day"].__setitem__(0, [10.0, 4.0, 2.0, 1.0]),
+         "has a bad entry in 'per_day'"),
+        (lambda doc: doc.__setitem__("days", ["2020-13-01"]), "has a bad entry in 'days'"),
+        (lambda doc: doc.__setitem__("skipped_days", ["2020-01-01", "June 2"]),
+         "has a bad entry in 'skipped_days'"),
+        (lambda doc: doc["days"].append("2020-01-03"), "lists 2 days but 1 per_day records"),
+        (lambda doc: doc["per_day"][0].__setitem__("cost", "four"),
+         "has a bad entry in 'per_day'"),
+    ], ids=["missing-field", "record-not-object", "bad-day", "bad-skipped-day",
+            "days-and-per-day-lengths-differ", "value-not-a-number"])
+    def test_malformed_report_exits_2_naming_it(self, run_dir, capsys, edit, message):
+        from fleetcast.evaluate import EvaluationReport
+
+        run, cfg = run_dir
+        run.mkdir()
+        paths = [run / "report_a.json", run / "report_b.json"]
+        day = {"revenue": np.array([10.0]), "cost": np.array([4.0]),
+               "moving": np.array([2.0]), "lost_sales": np.array([1.0])}
+        for path in paths:
+            EvaluationReport(method=path.stem, days=[dt.date(2020, 1, 2)], outcomes=day,
+                             skipped_days=[dt.date(2020, 1, 1)]).save(path)
+        assert call(cfg, "compare", *map(str, paths)) == 0
+        doc = json.loads(paths[1].read_text())
+        edit(doc)
+        paths[1].write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert call(cfg, "compare", *map(str, paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {paths[1]} {message}")
+        assert "fleetcast evaluate" in err and "Traceback" not in err
+
+    def test_truncated_report_exits_2_naming_it(self, run_dir, capsys):
+        from fleetcast.evaluate import EvaluationReport
+
+        run, cfg = run_dir
+        run.mkdir()
+        paths = [run / "report_a.json", run / "report_b.json"]
+        empty = {name: np.empty(0) for name in ("revenue", "cost", "moving", "lost_sales")}
+        for path in paths:
+            EvaluationReport(method=path.stem, days=[], outcomes=empty).save(path)
+        paths[1].write_text(paths[1].read_text()[:40])
+        assert call(cfg, "compare", *map(str, paths)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report {paths[1]} is not JSON (")
         assert "Traceback" not in err
 
     def test_help_lists_all_subcommands(self, capsys):

@@ -293,7 +293,61 @@ class TestSplit:
         np.testing.assert_array_equal(glued.values, series.values)
 
 
+def loop_make_windows(series, ws):
+    """`make_windows` as a loop over days, the way it was first written."""
+    count = max(series.n_days - ws, 0)
+    table = series.values.T
+    inputs = np.zeros((count, ws, series.n_zones))
+    targets = np.zeros((count, series.n_zones))
+    for i in range(count):
+        inputs[i] = table[i : i + ws]
+        targets[i] = table[i + ws]
+    return inputs, targets
+
+
+def loop_trailing_windows(history, test, ws):
+    """`trailing_windows` as a loop over test days, the way it was first written."""
+    table = history.concat(test).values.T
+    offset = history.n_days
+    positions = [t for t in range(test.n_days) if offset + t >= ws]
+    windows = np.zeros((len(positions), ws, test.n_zones))
+    for i, t in enumerate(positions):
+        windows[i] = table[offset + t - ws : offset + t]
+    return positions, windows
+
+
+def random_series(n_days, n_zones, seed):
+    rng = np.random.default_rng(seed)
+    return DemandSeries(day_range(dt.date(2019, 1, 1), n_days),
+                        [f"z{i}" for i in range(n_zones)],
+                        rng.uniform(0.0, 40.0, size=(n_zones, n_days)))
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
 class TestWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 14), st.integers(1, 12), st.integers(1, 3), st.integers(1, 16),
+           st.integers(0, 2**32 - 1))
+    def test_windows_equal_the_day_loops_bit_for_bit(self, n_hist, n_test, n_zones, ws,
+                                                    seed):
+        # ws runs past the history length, so leading test days are skipped
+        series = random_series(n_hist + n_test, n_zones, seed)
+        inputs, targets = loop_make_windows(series, ws)
+        got = make_windows(series, ws)
+        assert_same_array(got.inputs, inputs)
+        assert_same_array(got.targets, targets)
+        history = series.slice_days(0, n_hist)
+        test = series.slice_days(n_hist, series.n_days)
+        want_positions, want_windows = loop_trailing_windows(history, test, ws)
+        positions, windows = trailing_windows(history, test, ws)
+        assert positions == want_positions
+        assert_same_array(windows, want_windows)
+
     def test_counts(self):
         assert len(make_windows(series_of(100), 10)) == 90
         assert len(make_windows(series_of(10), 10)) == 0

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from fleetcast.data import DemandSeries
-from fleetcast.evaluate import (
-    EvalSettings,
-    EvaluationReport,
-    compare,
-    rolling_evaluate,
-)
+from fleetcast.evaluate import ComparisonReport, EvaluationReport, rolling_evaluate
 from fleetcast.mdn import MixtureBatch
-from fleetcast.relocation import DayOutcome, RelocationInstance, RelocationSolveError
+from fleetcast.relocation import RelocationInstance, RelocationSolveError
 from fleetcast.simplex import solve_lp
 from oracles import PerfectForecaster
 
@@ -69,7 +64,8 @@ class TestRolling:
         history, test = split(series, 29)
         report = rolling_evaluate(constant_forecaster(), "deterministic",
                                   history, test, toy_instance(),
-                                  EvalSettings(window_size=10, seed=0))
+                                  window_size=10, n_scenarios=200, seed=0,
+                                  method="deterministic")
         assert report.day_count == 91
         assert report.skipped_days == []
         assert report.days == test.days
@@ -79,11 +75,13 @@ class TestRolling:
         history, test = split(series, 14)
         report = rolling_evaluate(constant_forecaster(), "stochastic",
                                   history, test, toy_instance(),
-                                  EvalSettings(window_size=5, n_scenarios=30, seed=1))
+                                  window_size=5, n_scenarios=30, seed=1,
+                                  method="stochastic")
         assert report.day_count == 1
+        day = {name: column[0] for name, column in report.outcomes.items()}
+        day["profit"] = day["revenue"] - day["cost"]
         for metric in ("revenue", "cost", "moving", "profit"):
-            assert report.average(metric) == pytest.approx(
-                getattr(report.outcomes[0], metric))
+            assert report.average(metric) == pytest.approx(day[metric])
 
     def test_oracle_forecaster_deterministic_never_loses_sales(self):
         rng = np.random.default_rng(3)
@@ -95,9 +93,10 @@ class TestRolling:
         test.values[:] = np.minimum(test.values, 4.0)
         report = rolling_evaluate(PerfectForecaster(history.concat(test)),
                                   "deterministic", history, test, instance,
-                                  EvalSettings(window_size=10, seed=0))
-        assert all(o.lost_sales == pytest.approx(0.0, abs=1e-7)
-                   for o in report.outcomes)
+                                  window_size=10, n_scenarios=200, seed=0,
+                                  method="deterministic")
+        assert all(lost == pytest.approx(0.0, abs=1e-7)
+                   for lost in report.outcomes["lost_sales"])
 
     def test_days_without_history_are_skipped_and_reported(self):
         series = mk_series([[2.0] * 12])
@@ -105,7 +104,8 @@ class TestRolling:
         instance = toy_instance(z=1)
         report = rolling_evaluate(constant_forecaster(z=1), "deterministic",
                                   history, test, instance,
-                                  EvalSettings(window_size=6, seed=0))
+                                  window_size=6, n_scenarios=200, seed=0,
+                                  method="deterministic")
         assert len(report.skipped_days) == 2
         assert report.day_count == 6
         assert report.skipped_days == test.days[:2]
@@ -114,26 +114,26 @@ class TestRolling:
         rng = np.random.default_rng(7)
         series = mk_series(rng.integers(0, 8, size=(2, 40)).astype(float))
         history, test = split(series, 20)
-        settings = EvalSettings(window_size=10, n_scenarios=25, seed=5)
+        settings = dict(window_size=10, n_scenarios=25, seed=5, method="stochastic")
         fc = constant_forecaster()
         base = rolling_evaluate(fc, "stochastic", history, test,
-                                toy_instance(), settings)
+                                toy_instance(), **settings)
         probe = 3
         mutated = test.slice_days(0, test.n_days)
         mutated.values[:, probe + 1 :] = rng.permutation(
             mutated.values[:, probe + 1 :], axis=1)
         again = rolling_evaluate(fc, "stochastic", history, mutated,
-                                 toy_instance(), settings)
+                                 toy_instance(), **settings)
         for metric in ("revenue", "cost", "moving", "lost_sales"):
-            assert getattr(again.outcomes[probe], metric) == pytest.approx(
-                getattr(base.outcomes[probe], metric), abs=1e-12)
+            assert again.outcomes[metric][probe] == pytest.approx(
+                base.outcomes[metric][probe], abs=1e-12)
 
     def test_forecaster_never_sees_target_day_demand(self):
         series = mk_series(np.arange(30, dtype=float)[None, :])
         history, test = split(series, 20)
         fc = constant_forecaster(z=1)
         rolling_evaluate(fc, "deterministic", history, test, toy_instance(z=1),
-                         EvalSettings(window_size=5, seed=0))
+                         window_size=5, n_scenarios=200, seed=0, method="deterministic")
         full = history.concat(test)
         assert fc.calls == 1  # one batched call covers every test day
         assert [day for _, day in fc.seen] == test.days
@@ -146,9 +146,9 @@ class TestRolling:
         rng = np.random.default_rng(11)
         series = mk_series(rng.integers(0, 12, size=(2, 45)).astype(float))
         history, test = split(series, 25)
-        settings = EvalSettings(window_size=8, n_scenarios=40, seed=9)
+        settings = dict(window_size=8, n_scenarios=40, seed=9, method="stochastic")
         reports = [rolling_evaluate(constant_forecaster(), "stochastic", history,
-                                    test, toy_instance(), settings)
+                                    test, toy_instance(), **settings)
                    for _ in range(2)]
         assert reports[0].to_dict() == reports[1].to_dict()
 
@@ -159,23 +159,24 @@ class TestRolling:
                             lambda lp: solve_lp(lp, maxiter=1))
         with pytest.raises(RelocationSolveError, match="iteration_limit"):
             rolling_evaluate(constant_forecaster(), "deterministic", history, test,
-                             toy_instance(), EvalSettings(window_size=5))
+                             toy_instance(), window_size=5, n_scenarios=200, seed=0,
+                             method="deterministic")
 
     def test_bad_mode_and_empty_test_rejected(self):
         series = mk_series([[1.0] * 20])
         history, test = split(series, 10)
         with pytest.raises(ValueError):
             rolling_evaluate(constant_forecaster(z=1), "fuzzy", history, test,
-                             toy_instance(z=1), EvalSettings(window_size=5))
+                             toy_instance(z=1), window_size=5, n_scenarios=200, seed=0,
+                             method="fuzzy")
 
 
 def report_with(method, **avg):
-    outcome = DayOutcome(revenue=avg.get("revenue", 0.0),
-                         cost=avg.get("cost", 0.0),
-                         moving=avg.get("moving", 0.0),
-                         lost_sales=0.0)
+    """A one-day report whose day has the given revenue, cost and moving."""
+    outcomes = {name: np.array([avg.get(name, 0.0)])
+                for name in ("revenue", "cost", "moving", "lost_sales")}
     return EvaluationReport(method=method, days=[dt.date(2020, 1, 1)],
-                            outcomes=[outcome])
+                            outcomes=outcomes)
 
 
 class TestCompare:
@@ -183,7 +184,7 @@ class TestCompare:
         # the documented percent convention on the reference numbers
         a = report_with("scenario", moving=231.4615)
         b = report_with("baseline", moving=248.7143)
-        rep = compare(a, b)
+        rep = ComparisonReport(a, b)
         assert rep.percent("moving") * 100 == pytest.approx(-6.94, abs=0.005)
         assert rep.phrase("moving") == \
             "scenario average moving is 6.94% lower than baseline"
@@ -191,7 +192,7 @@ class TestCompare:
     def test_identical_reports_all_zero(self):
         a = report_with("x", revenue=10.0, cost=5.0, moving=2.0)
         b = report_with("y", revenue=10.0, cost=5.0, moving=2.0)
-        rep = compare(a, b)
+        rep = ComparisonReport(a, b)
         for metric in ("revenue", "cost", "moving", "profit"):
             assert rep.difference(metric) == pytest.approx(0.0)
             assert rep.percent(metric) == pytest.approx(0.0)
@@ -199,19 +200,19 @@ class TestCompare:
     def test_higher_convention(self):
         a = report_with("a", revenue=100.0)
         b = report_with("b", revenue=80.0)
-        rep = compare(a, b)
+        rep = ComparisonReport(a, b)
         assert rep.percent("revenue") == pytest.approx(0.25)
         assert "25.00% higher" in rep.phrase("revenue")
 
     def test_zero_baseline_handled(self):
-        rep = compare(report_with("a", moving=1.0), report_with("b", moving=0.0))
+        rep = ComparisonReport(report_with("a", moving=1.0), report_with("b", moving=0.0))
         assert rep.percent("moving") is None
         assert "zero" in rep.phrase("moving")
 
     def test_text_table_layout(self):
         a = report_with("scenario", revenue=947552.6, cost=415601.5, moving=231.4615)
         b = report_with("baseline", revenue=921922.4, cost=438014.2, moving=248.7143)
-        text = compare(a, b).to_text()
+        text = ComparisonReport(a, b).to_text()
         lines = text.splitlines()
         assert "Average Revenue" in lines[0]
         assert "Average Cost" in lines[0]
@@ -221,7 +222,8 @@ class TestCompare:
         assert "-6.94%" in lines[3]
 
     def test_report_round_trip_and_averages(self, tmp_path):
-        outcomes = [DayOutcome(10.0, 4.0, 2.0, 1.0), DayOutcome(20.0, 6.0, 0.0, 0.0)]
+        outcomes = {"revenue": np.array([10.0, 20.0]), "cost": np.array([4.0, 6.0]),
+                    "moving": np.array([2.0, 0.0]), "lost_sales": np.array([1.0, 0.0])}
         rep = EvaluationReport(method="m", days=[dt.date(2020, 1, 1),
                                                  dt.date(2020, 1, 2)],
                                outcomes=outcomes)

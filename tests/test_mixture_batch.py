@@ -62,10 +62,11 @@ def test_one_day_draws_equal_the_per_zone_sampler(per_zone, n, seed):
 def test_batched_draws_equal_the_per_zone_sampler_day_by_day(days, n, seeds):
     seeds = seeds[: len(days)]
     got = sample_scenarios(as_batch(days), n, seeds)
-    assert len(got) == len(days)
-    for scen, day, seed in zip(got, days, seeds):
-        assert scen.seed == seed
-        assert np.array_equal(scen.demand, per_zone_sample(day, n, seed).demand)
+    assert isinstance(got, ScenarioSet) and got.seed == seeds
+    assert got.demand.shape == (len(days), n, len(days[0]))
+    assert got.demand.flags.c_contiguous
+    for demand, day, seed in zip(got.demand, days, seeds):
+        assert np.array_equal(demand, per_zone_sample(day, n, seed).demand)
 
 
 def test_a_day_of_the_batch_samples_as_the_one_day_form():
@@ -73,7 +74,7 @@ def test_a_day_of_the_batch_samples_as_the_one_day_form():
     got = sample_scenarios(batch, 200, [11 + t for t in range(5)])
     for t in range(5):
         one = sample_scenarios(batch[t], 200, seed=11 + t)
-        assert np.array_equal(got[t].demand, one.demand)
+        assert np.array_equal(got.demand[t], one.demand)
 
 
 def test_a_batch_needs_one_seed_per_day():

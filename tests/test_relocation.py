@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 import fleetcast.relocation
 from fleetcast.mdn import SIGMA_FLOOR, MixtureBatch
 from fleetcast.relocation import (
-    DayOutcome,
     CERT_TOL,
+    OUTCOMES,
     PlanDecision,
     RelocationInstance,
     RelocationSolveError,
@@ -332,7 +332,7 @@ def day_batches(draw):
     inst = uniform_instance(draw(arrays(float, z, elements=st.integers(0, 30).map(float))),
                             draw(st.sampled_from([0.5, 2.0]) | money),
                             draw(money), draw(money))
-    return inst, [ScenarioSet(d) for d in demands]
+    return inst, ScenarioSet(np.stack(demands))
 
 
 def dense_check(inst, scen, flows, served, duals):
@@ -350,9 +350,10 @@ class TestBatchedSolver:
         inst, scens = batch
         with np.errstate(all="raise"):
             plans, objective, residuals = solve_relocation_days(inst, scens)
-            for d, scen in enumerate(scens):
-                plan, res = solve_relocation(inst, scen)
-                np.testing.assert_array_equal(plans[d].flows, plan.flows)
+            assert plans.flows.shape == (len(scens.demand), inst.n_zones, inst.n_zones)
+            for d, demand in enumerate(scens.demand):
+                plan, res = solve_relocation(inst, ScenarioSet(demand))
+                np.testing.assert_array_equal(plans.flows[d], plan.flows)
                 tol = 1e-9 * max(1.0, abs(res.objective))
                 assert abs(objective[d] - res.objective) <= tol
                 for name, value in res.residuals.items():
@@ -364,9 +365,9 @@ class TestBatchedSolver:
     @given(day_batches(), st.data())
     def test_a_corrupted_dual_fails_both_certificates(self, batch, data):
         inst, scens = batch
-        demand = np.stack([s.demand for s in scens])
+        demand = scens.demand
         flows, served, duals = _greedy_days(inst, demand, inst.uniform_move_cost)
-        d = data.draw(st.integers(0, len(scens) - 1))
+        d = data.draw(st.integers(0, len(demand) - 1))
         part = data.draw(st.integers(0, 2))
         entry = data.draw(st.integers(0, duals[part][d].size - 1))
         corruptions = [(part, entry, -1.0)]   # a dual of the wrong sign
@@ -380,7 +381,8 @@ class TestBatchedSolver:
             with np.errstate(all="raise"):
                 objective, residuals = structural_certificate(inst, demand, flows,
                                                               served, bad)
-                dense_obj, dense = dense_check(inst, scens[d], flows[d], served[d],
+                dense_obj, dense = dense_check(inst, ScenarioSet(demand[d]), flows[d],
+                                               served[d],
                                                [p[d] for p in bad])
             bound = CERT_TOL * max(1.0, abs(dense_obj))
             assert max(r[d] for r in residuals.values()) > bound
@@ -398,7 +400,8 @@ class TestBatchedSolver:
             return alpha, beta, gamma
 
         monkeypatch.setattr("fleetcast.relocation._dual_certificate", corrupt_day_two)
-        scens = [ScenarioSet(np.array([[1.0, 3.0], [2.0, 0.0]]) + k) for k in range(4)]
+        scens = ScenarioSet(np.stack([np.array([[1.0, 3.0], [2.0, 0.0]]) + k
+                                      for k in range(4)]))
         with pytest.raises(RelocationSolveError,
                            match="relocation program for day-c failed its optimality "
                                  "certificate: residual 1.5 at objective 24$"):
@@ -410,12 +413,26 @@ class TestBatchedSolver:
                                                       [1.0, 1.0, 0.0]]),
                                   price=1.0, penalty=1.0)
         with pytest.raises(ValueError, match="uniform"):
-            solve_relocation_days(inst, [ScenarioSet(np.ones((2, 3)))])
+            solve_relocation_days(inst, ScenarioSet(np.ones((1, 2, 3))))
         with pytest.raises(ValueError, match="zone count"):
-            solve_relocation_days(small_instance(), [ScenarioSet(np.ones((2, 3)))])
-        with pytest.raises(ValueError):
-            solve_relocation_days(small_instance(), [ScenarioSet(np.ones((2, 2))),
-                                                     ScenarioSet(np.ones((3, 2)))])
+            solve_relocation_days(small_instance(), ScenarioSet(np.ones((1, 2, 3))))
+        with pytest.raises(ValueError, match=r"takes a stack of days, not \(2, 2\)"):
+            solve_relocation_days(small_instance(), ScenarioSet(np.ones((2, 2))))
+        with pytest.raises(ValueError):   # days with different scenario counts
+            ScenarioSet([np.ones((2, 2)), np.ones((3, 2))])
+
+    def test_one_day_programs_reject_a_stack_of_days(self):
+        stack = ScenarioSet(np.ones((3, 2, 2)))
+        plan = PlanDecision(np.zeros((2, 2)))
+        for call, name in ((lambda: build_two_stage(small_instance(), stack),
+                            "build_two_stage"),
+                           (lambda: solve_relocation(small_instance(), stack),
+                            "build_two_stage"),
+                           (lambda: expected_objective(small_instance(), plan, stack),
+                            "expected_objective")):
+            with pytest.raises(ValueError, match=rf"^{name} takes one day's scenarios, "
+                                                 rf"not a \(3, 2, 2\) stack$"):
+                call()
 
 
 class TestEvaluateDecision:
@@ -424,16 +441,16 @@ class TestEvaluateDecision:
         plan = PlanDecision(np.array([[0.0, 2.0], [0.0, 0.0]]))
         post = plan.post_stock(inst.stock)
         out = evaluate_decision(inst, plan, post)
-        assert out.lost_sales == 0.0
-        assert out.revenue == pytest.approx(inst.price * post.sum())
+        assert out["lost_sales"] == 0.0
+        assert out["revenue"] == pytest.approx(inst.price * post.sum())
 
     def test_no_move_plan_costs_only_penalty(self):
         inst = small_instance()
         plan = PlanDecision(np.zeros((2, 2)))
         out = evaluate_decision(inst, plan, np.array([5.0, 1.0]))
-        assert out.moving == 0.0
+        assert out["moving"] == 0.0
         # lost: zone0 5-4=1, zone1 1-0=1
-        assert out.cost == pytest.approx(inst.penalty * 2.0)
+        assert out["cost"] == pytest.approx(inst.penalty * 2.0)
 
     def test_hand_case_matches_direct_arithmetic(self):
         inst = RelocationInstance(stock=np.array([3.0, 2.0]),
@@ -445,11 +462,12 @@ class TestEvaluateDecision:
         post = [3 - 1, 2 + 1]
         served = [min(post[0], 4), min(post[1], 1)]
         lost = (4 - post[0]) + 0
-        assert out.revenue == pytest.approx(7.0 * sum(served))
-        assert out.lost_sales == pytest.approx(lost)
-        assert out.cost == pytest.approx(1.0 * 1 + 3.0 * lost)
-        assert out.moving == pytest.approx(1.0)
-        assert out.profit == pytest.approx(out.revenue - out.cost)
+        assert set(out) == set(OUTCOMES)
+        assert all(value.shape == () for value in out.values())
+        assert out["revenue"] == pytest.approx(7.0 * sum(served))
+        assert out["lost_sales"] == pytest.approx(lost)
+        assert out["cost"] == pytest.approx(1.0 * 1 + 3.0 * lost)
+        assert out["moving"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("z", [1, 2, 3, 9, 12])
     def test_a_stack_of_days_scores_each_day_as_the_one_day_arithmetic(self, z):
@@ -461,17 +479,18 @@ class TestEvaluateDecision:
         flows = rng.uniform(0.0, 5.0, (6, z, z))  # diagonal self-moves count nothing
         realized = rng.uniform(0.0, 60.0, (6, z))
         stacked = evaluate_decision(inst, PlanDecision(flows), realized)
-        assert len(stacked) == 6
+        assert {name: column.shape for name, column in stacked.items()} == \
+            {name: (6,) for name in OUTCOMES}
         for d in range(6):
             # the per-day accounting as it read before days were stacked
             post = inst.stock - flows[d].sum(axis=1) + flows[d].sum(axis=0)
             off = flows[d].copy()
             np.fill_diagonal(off, 0.0)
             lost = float(np.maximum(realized[d] - post, 0.0).sum())
-            want = DayOutcome(revenue=inst.price * float(np.minimum(post, realized[d]).sum()),
-                              cost=float((cost * flows[d]).sum()) + inst.penalty * lost,
-                              moving=float(off.sum()), lost_sales=lost)
-            assert stacked[d] == want
+            want = {"revenue": inst.price * float(np.minimum(post, realized[d]).sum()),
+                    "cost": float((cost * flows[d]).sum()) + inst.penalty * lost,
+                    "moving": float(off.sum()), "lost_sales": lost}
+            assert {name: column[d] for name, column in stacked.items()} == want
             assert evaluate_decision(inst, PlanDecision(flows[d]), realized[d]) == want
 
     def test_expected_objective_matches_lp_optimum(self):
@@ -513,7 +532,7 @@ def test_scenario_demand_must_be_finite_and_nonnegative(bad):
         solve_relocation(small_instance(), ScenarioSet(demand))
     with pytest.raises(ValueError, match=message):
         solve_relocation_days(small_instance(),
-                              [ScenarioSet(np.ones((2, 2))), ScenarioSet(demand)])
+                              ScenarioSet(np.stack([np.ones((2, 2)), demand])))
 
 
 @pytest.mark.parametrize("field, bad", [("stock", [np.inf, 1.0]), ("stock", [np.nan, 1.0]),
