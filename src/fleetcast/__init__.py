@@ -37,7 +37,6 @@ from .recurrent import (
     load_model,
     lstm_cell_forward,
     save_model,
-    sequence_forward,
     train,
 )
 from .relocation import (

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -39,6 +38,7 @@ from .data import (
     chronological_split,
     ingest_trips,
     make_windows,
+    read_json,
     read_zone_ids,
     save_ingest_reports,
     trailing_windows,
@@ -168,14 +168,16 @@ def _forecaster(cfg: PipelineConfig, tag: str):
         model, scaler, _ = _load_checkpoint(cfg, "gru-point")
         base = fc.PointForecaster(model, scaler)
         em_path = _require(_data_dir(cfg) / "em_fit.json", "em_fit")
-        with open(em_path) as fh:
-            doc = json.load(fh)
+        doc = read_json(em_path, "EM fit file")
         try:
             mixtures = MixtureBatch.stack(MixtureBatch.from_dict(rec["params"])
                                           for rec in doc["per_zone"])
         except KeyError as exc:
             raise ValueError(f"EM fit file {em_path} has no {exc.args[0]!r} entry; "
                              f"run `fleetcast fit-gmm` again") from None
+        except TypeError as exc:
+            raise ValueError(f"EM fit file {em_path} has an entry of the wrong kind "
+                             f"({exc}); run `fleetcast fit-gmm` again") from None
         return fc.ResidualMixtureForecaster(base, mixtures)
     raise ValueError(f"unknown forecaster {tag!r}")
 
@@ -360,7 +362,11 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
 
 def cmd_compare(cfg: PipelineConfig, args) -> int:
     paths = [_require(Path(p), "report") for p in (args.report_a, args.report_b)]
-    rep = ComparisonReport(*map(EvaluationReport.load, paths))
+    a, b = map(EvaluationReport.load, paths)
+    if a.days != b.days:
+        raise ValueError(f"reports {paths[0]} ({a.day_count} days) and {paths[1]} "
+                         f"({b.day_count} days) do not cover the same days")
+    rep = ComparisonReport(a, b)
     out = _data_dir(cfg) / "comparison.json"
     rep.save(out)
     text = rep.to_text()

@@ -549,6 +549,19 @@ def write_json(path, doc) -> None:
         fh.write("\n")
 
 
+def read_json(path, what: str) -> dict:
+    """Read a JSON artifact that holds one object; anything else is a
+    ValueError naming `what` and `path`."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{what} {path} is not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def save_ingest_reports(path, ingest: IngestReport,
                         aggregation: AggregationReport | None = None) -> None:
     doc = {"ingest": ingest.to_dict()}

@@ -19,12 +19,11 @@ One `evaluate_decision` call scores the stack into the (D,) columns that
 from __future__ import annotations
 
 import datetime as dt
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries, trailing_windows, write_json
+from .data import DemandSeries, read_json, trailing_windows, write_json
 from .relocation import (
     OUTCOMES,
     PlanDecision,
@@ -79,17 +78,13 @@ class EvaluationReport:
 
     @classmethod
     def load(cls, path) -> "EvaluationReport":
-        """Read a saved report. Text that is not JSON, a missing entry, an
-        entry of the wrong kind, or `days` and `per_day` of different
-        lengths is a ValueError naming `path`."""
+        """Read a saved report. Text that is not a JSON object, a missing
+        entry, an entry of the wrong kind, or `days` and `per_day` of
+        different lengths is a ValueError naming `path`."""
+        doc = read_json(path, "report")
+
         def bad(what):
             return ValueError(f"report {path} {what}; run `fleetcast evaluate` again")
-
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise bad(f"is not JSON ({exc})") from None
 
         def entries(key, parse):
             try:

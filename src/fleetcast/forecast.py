@@ -22,15 +22,15 @@ or a file without days is an error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Standardizer, WindowSet, write_json
+from .data import Standardizer, WindowSet, read_json, write_json
 from .em import em_fit_restarts
 from .mdn import MixtureBatch, mdn_transform
-from .recurrent import RecurrentModel, sequence_forward
+from . import recurrent  # called through its module, so a rebinding there applies here
+from .recurrent import RecurrentModel
 
 
 @dataclass
@@ -45,7 +45,7 @@ class MixtureForecaster:
             raise ValueError("mixture forecaster needs a mixture head")
 
     def predict_distribution(self, windows, days=None) -> MixtureBatch:
-        raw = sequence_forward(self.scaler.transform(windows), self.model)
+        raw, _ = recurrent.forward_pass(self.model, self.scaler.transform(windows))
         head = self.model.head
         shaped = raw.reshape(-1, head.n_series, head.per_series)
         batch = mdn_transform(shaped, sigma_floor=self.model.sigma_floor).scale(
@@ -68,7 +68,7 @@ class PointForecaster:
             raise ValueError("point forecaster needs a point head")
 
     def predict_point(self, windows, days=None) -> np.ndarray:
-        raw = sequence_forward(self.scaler.transform(windows), self.model)
+        raw, _ = recurrent.forward_pass(self.model, self.scaler.transform(windows))
         return self.scaler.inverse(raw)
 
     def predict_distribution(self, windows, days=None):
@@ -135,8 +135,7 @@ def save_forecast_file(path, days, zone_ids, batch: MixtureBatch) -> None:
 
 def _read_forecast_file(path) -> tuple[list, list, MixtureBatch]:
     """(day isos, zone ids, (D, Z, K) batch), checked against each other."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path, "forecast file")
     missing = [key for key in ("days", "zones", "weights", "means", "stds")
                if key not in doc]
     if missing:

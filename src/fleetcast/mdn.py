@@ -157,7 +157,7 @@ class MixtureBatch:
                 raise ValueError(where + why.format(total=total[index]))
 
 
-def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
+def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR):
     """Turn raw head outputs into valid mixture parameters.
 
     The last axis holds 3K entries: K weight logits (softmax), K means
@@ -169,13 +169,11 @@ def mdn_transform(raw, sigma_floor: float = SIGMA_FLOOR, k: int | None = None):
     size = raw.shape[-1] if raw.ndim else raw.size
     if raw.ndim == 0 or size % 3 != 0 or size == 0:
         raise ValueError(f"raw head output length {size} is not 3K")
-    kk = size // 3
-    if k is not None and k != kk:
-        raise ValueError(f"expected 3*{k} raw outputs, got {size}")
+    k = size // 3
     return MixtureBatch(
-        weights=softmax(raw[..., :kk]),
-        means=raw[..., kk : 2 * kk].copy(),
-        stds=softplus(raw[..., 2 * kk :]) + sigma_floor,
+        weights=softmax(raw[..., :k]),
+        means=raw[..., k : 2 * k].copy(),
+        stds=softplus(raw[..., 2 * k :]) + sigma_floor,
     )
 
 

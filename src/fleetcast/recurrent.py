@@ -17,12 +17,15 @@ same bits as evaluating 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x))
 below, so it never cancels for large negative x.
 
 One training step is forward_pass (one cell call per step), the head
-loss, backward, the global-norm clip and an in-place update. backward
-computes each gate-derivative factor once per batch as a (T, B, H)
-array, runs the reverse loop only for the dh (and dc) recurrence and
-its matmuls, and stores every step's gate gradient in one (T, B, G*H)
-array, so each cell weight gradient is one matmul over T*B rows. Its
-work arrays persist across the batches of a training run (Scratch).
+loss, backward, the global-norm clip and an in-place update. Step t's
+cell call writes its gates into row t of one time-major (T, B, G*H)
+array and its state into row t+1 of a (T+1, B, H) array (two for the
+LSTM: h and c); backward reads all of them as views. It computes each
+gate-derivative factor once per batch as a (T, B, H) array, runs the
+reverse loop only for the dh (and dc) recurrence and its matmuls, and
+stores every step's gate gradient in one (T, B, G*H) array, so each cell
+weight gradient is one matmul over T*B rows. Its work arrays persist
+across the batches of a training run (Scratch).
 
 Each cell stores its gates fused: input weights w (I, G*H), recurrent
 weights u (H, G*H) and bias b (G*H,), with the G gate blocks of width H
@@ -33,14 +36,13 @@ order; a v1 checkpoint, written one gate block at a time, is refused.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import write_json
+from .data import read_json, write_json
 from .mdn import SIGMA_FLOOR, nll_and_grad_raw
 
 
@@ -187,37 +189,40 @@ class TrainConfig:
             raise ValueError("clip norm must be positive")
 
 
-def gru_cell_forward(x_t, h_prev, w: CellWeights):
-    """One GRU step. Returns (h_t, cache) where cache holds the update
-    gate z, reset gate r, and the tanh candidate."""
+def gru_cell_forward(x_t, h_prev, w: CellWeights, out=None):
+    """One GRU step. Returns (h_t, gates): gates is one (B, 3H) array of
+    the update gate z, the reset gate r and the tanh candidate, in the
+    block order of w. It is `out` when the caller passes one."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     h_prev = np.atleast_2d(np.asarray(h_prev, dtype=float))
     if x_t.shape[1] != w.input_size or h_prev.shape[1] != w.hidden_size:
         raise ValueError("input/hidden sizes do not match the weights")
     h = w.hidden_size
+    gates = np.empty((x_t.shape[0], 3 * h)) if out is None else out
     a = x_t @ w.w + w.b
-    zr = sigmoid(a[:, : 2 * h] + h_prev @ w.u[:, : 2 * h])
-    z, r = zr[:, :h], zr[:, h:]
-    cand = np.tanh(a[:, 2 * h :] + (r * h_prev) @ w.u[:, 2 * h :])
-    h_t = z * h_prev + (1.0 - z) * cand
-    return h_t, {"z": z, "r": r, "cand": cand}
+    z, r, cand = (gates[:, k * h : (k + 1) * h] for k in range(3))
+    gates[:, : 2 * h] = sigmoid(a[:, : 2 * h] + h_prev @ w.u[:, : 2 * h])
+    cand[:] = np.tanh(a[:, 2 * h :] + (r * h_prev) @ w.u[:, 2 * h :])
+    return z * h_prev + (1.0 - z) * cand, gates
 
 
-def lstm_cell_forward(x_t, h_prev, c_prev, w: CellWeights):
-    """One LSTM step with the standard gate equations."""
+def lstm_cell_forward(x_t, h_prev, c_prev, w: CellWeights, out=None):
+    """One LSTM step with the standard gate equations. Returns (h_t, c_t,
+    gates): gates is one (B, 4H) array of the i, f, o and g gates, in the
+    block order of w. It is `out` when the caller passes one."""
     x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
     h_prev = np.atleast_2d(np.asarray(h_prev, dtype=float))
     c_prev = np.atleast_2d(np.asarray(c_prev, dtype=float))
     if x_t.shape[1] != w.input_size or h_prev.shape[1] != w.hidden_size:
         raise ValueError("input/hidden sizes do not match the weights")
     h = w.hidden_size
+    gates = np.empty((x_t.shape[0], 4 * h)) if out is None else out
     a = x_t @ w.w + h_prev @ w.u + w.b
-    ifo = sigmoid(a[:, : 3 * h])
-    i, f, o = ifo[:, :h], ifo[:, h : 2 * h], ifo[:, 2 * h :]
-    g = np.tanh(a[:, 3 * h :])
+    gates[:, : 3 * h] = sigmoid(a[:, : 3 * h])
+    gates[:, 3 * h :] = np.tanh(a[:, 3 * h :])
+    i, f, o, g = (gates[:, k * h : (k + 1) * h] for k in range(4))
     c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t, {"i": i, "f": f, "o": o, "g": g, "c_t": c_t}
+    return o * np.tanh(c_t), c_t, gates
 
 
 def _dense_forward(h, layers):
@@ -233,7 +238,9 @@ def _dense_forward(h, layers):
 def forward_pass(model: RecurrentModel, windows):
     """Run batched windows (B, T, I) through cell and dense stack.
 
-    Returns (raw head outputs (B, out_dim), cache for backward).
+    Returns (raw head outputs (B, out_dim), cache for backward): the
+    states hs (T+1, B, H), the gates (T, B, G*H), the LSTM's cell states
+    cs (T+1, B, H) or None, and the dense activations.
     """
     x = np.asarray(windows, dtype=float)
     single = x.ndim == 2
@@ -244,31 +251,20 @@ def forward_pass(model: RecurrentModel, windows):
         raise ValueError(f"window feature size {i} != model input {model.cell.input_size}")
     if model.window_size is not None and t != model.window_size:
         raise ValueError(f"window length {t} != model window size {model.window_size}")
-    hsize = model.cell.hidden_size
-    h = np.zeros((b, hsize))
-    hs = [h]
-    steps = []
+    hs = np.zeros((t + 1, b, model.cell.hidden_size))
+    gates = np.empty((t, b, model.cell.u.shape[1]))
+    cs = None
     if model.cell_kind == "gru":
         for s in range(t):
-            h, cache = gru_cell_forward(x[:, s], h, model.cell)
-            hs.append(h)
-            steps.append(cache)
+            hs[s + 1], _ = gru_cell_forward(x[:, s], hs[s], model.cell, out=gates[s])
     else:
-        c = np.zeros((b, hsize))
+        cs = np.zeros_like(hs)
         for s in range(t):
-            h, c, cache = lstm_cell_forward(x[:, s], h, c, model.cell)
-            hs.append(h)
-            steps.append(cache)
-    raw, dense_cache = _dense_forward(h, model.dense)
-    cache = {"x": x, "hs": hs, "steps": steps, "dense": dense_cache,
-             "single": single}
+            hs[s + 1], cs[s + 1], _ = lstm_cell_forward(x[:, s], hs[s], cs[s], model.cell,
+                                                         out=gates[s])
+    raw, dense_cache = _dense_forward(hs[t], model.dense)
+    cache = {"x": x, "hs": hs, "gates": gates, "cs": cs, "dense": dense_cache}
     return (raw[0] if single else raw), cache
-
-
-def sequence_forward(window, model: RecurrentModel):
-    """Raw head vector for one window (or a batch of windows)."""
-    raw, _ = forward_pass(model, window)
-    return raw
 
 
 def head_loss_and_grad(model: RecurrentModel, raw, targets):
@@ -296,11 +292,13 @@ def head_loss_and_grad(model: RecurrentModel, raw, targets):
 class Scratch:
     """Named work arrays kept across the batches of one training run.
 
-    A backward pass needs about a megabyte of (T, B, H)-sized arrays.
-    Allocated fresh, the allocator hands those pages back to the system
-    after every batch and faults them in again on the next; held here,
-    they are touched once. A request smaller than the held array (the
-    short last batch) gets a view of its front.
+    backward takes its work arrays here, about a megabyte: the (T, B, H)
+    gate-derivative factors, the (T, B, G*H) gate gradient and the dense
+    weight gradients. It reads the forward cache in place. Allocated
+    fresh, the allocator hands those pages back to the system after
+    every batch and faults them in again on the next; held here, they
+    are touched once. A request smaller than the held array (the short
+    last batch) gets a view of its front.
     """
 
     def __init__(self):
@@ -358,21 +356,16 @@ def backward(model: RecurrentModel, cache, d_raw, scratch=_fresh):
         d = da @ layer.weight.T
     dh = d
 
-    x = cache["x"]
-    steps = cache["steps"]
-    t, n = len(steps), x.shape[0]
+    x, hs, gates = cache["x"], cache["hs"], cache["gates"]
+    t, n = gates.shape[:2]
     u = model.cell.u
     h = model.cell.hidden_size
     shape = (t, n, h)
-
-    def stacked(key):
-        return np.stack([st[key] for st in steps], out=scratch(key, shape))
-
-    h_prev = np.stack(cache["hs"][:-1], out=scratch("h_prev", shape))
+    h_prev = hs[:-1]
     tmp = scratch("tmp", shape)
-    da = scratch("da", (t, n, u.shape[1]))
+    da = scratch("da", gates.shape)
     if model.cell_kind == "gru":
-        z, r, cand = stacked("z"), stacked("r"), stacked("cand")
+        z, r, cand = (gates[..., k * h : (k + 1) * h] for k in range(3))
         f_h, f_z = scratch("f_h", shape), scratch("f_z", shape)
         _tanh_factor(np.subtract(1.0, z, out=f_h), cand, f_h, tmp)
         _sigmoid_factor(np.subtract(h_prev, cand, out=f_z), z, f_z, tmp)
@@ -390,10 +383,8 @@ def backward(model: RecurrentModel, cache, d_raw, scratch=_fresh):
         gu = np.hstack([h_prev.reshape(-1, h).T @ rows[:, : 2 * h],
                         rh.T @ rows[:, 2 * h :]])
     else:
-        i, f, o, g, c = (stacked(k) for k in ("i", "f", "o", "g", "c_t"))
-        c_prev = scratch("c_prev", shape)
-        c_prev[0] = 0.0
-        c_prev[1:] = c[:-1]
+        i, f, o, g = (gates[..., k * h : (k + 1) * h] for k in range(4))
+        c_prev, c = cache["cs"][:-1], cache["cs"][1:]
         tc = np.tanh(c, out=scratch("tc", shape))
         f_c = _tanh_factor(o, tc, scratch("f_c", shape), tmp)
         f_i = _sigmoid_factor(g, i, scratch("f_i", shape), tmp)
@@ -548,8 +539,7 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
 
 
 def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
-    with open(f"{prefix}.json") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(f"{prefix}.json", "checkpoint manifest")
     if manifest.get("format") == "fleetcast-checkpoint-v1":
         raise ValueError(f"{prefix}.json is a v1 checkpoint (one array per gate), "
                          "which fleetcast no longer reads; retrain the model")

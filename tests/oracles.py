@@ -19,7 +19,7 @@ import numpy as np
 from fleetcast.data import DemandSeries
 from fleetcast.forecast import MixtureForecaster, ResidualMixtureForecaster
 from fleetcast.mdn import MixtureBatch, mdn_transform
-from fleetcast.recurrent import sequence_forward
+from fleetcast.recurrent import forward_pass
 from fleetcast.relocation import ScenarioSet
 
 
@@ -69,7 +69,7 @@ def row_by_row_distribution(forecaster, windows) -> list:
         return [[mix.scale(1.0, float(row[z])) for z, mix in
                  enumerate(forecaster.residual_mixtures)] for row in points]
     assert isinstance(forecaster, MixtureForecaster)
-    raw = sequence_forward(forecaster.scaler.transform(windows), forecaster.model)
+    raw = forward_pass(forecaster.model, forecaster.scaler.transform(windows))[0]
     head, scaler = forecaster.model.head, forecaster.scaler
     shaped = raw.reshape(-1, head.n_series, head.per_series)
     return [[mdn_transform(row[z], sigma_floor=forecaster.model.sigma_floor)

@@ -267,6 +267,81 @@ class TestPipeline:
         assert err.startswith(f"error: EM fit file {path} has no 'per_zone' entry")
         assert "fleetcast fit-gmm" in err and "Traceback" not in err
 
+    def test_em_fit_record_of_the_wrong_kind_exits_2_naming_it(self, run_dir, capsys):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",),
+                     ("train", "--model", "gru-point", "--epochs", "0"), ("fit-gmm",)):
+            assert call(cfg, *argv) == 0
+        path = run / "em_fit.json"
+        path.write_text(json.dumps({"per_zone": [3]}))
+        capsys.readouterr()
+        assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster",
+                    "posthoc") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: EM fit file {path} has an entry of the wrong kind")
+        assert "fleetcast fit-gmm" in err and "Traceback" not in err
+
+    # a truncated report is test_truncated_report_exits_2_naming_it
+    @pytest.mark.parametrize("reader, damage", [
+        ("checkpoint", "truncated"), ("em_fit", "truncated"), ("forecast", "truncated"),
+        ("checkpoint", "list"), ("em_fit", "list"), ("forecast", "list"),
+        ("report", "list")])
+    def test_damaged_json_artifact_exits_2_naming_it(self, run_dir, capsys, reader,
+                                                     damage):
+        from fleetcast.evaluate import EvaluationReport
+
+        run, cfg = run_dir
+        argvs = {"checkpoint": [("train", "--model", "lstm", "--epochs", "0")],
+                 "em_fit": [("train", "--model", "gru-point", "--epochs", "0"),
+                            ("fit-gmm",)],
+                 "forecast": [("train", "--model", "mdn", "--epochs", "0"),
+                              ("forecast", "--model", "mdn")],
+                 "report": []}[reader]
+        for argv in [("synth",), ("ingest",)] + argvs:
+            assert call(cfg, *argv) == 0
+        path, what, reading = {
+            "checkpoint": (run / "checkpoints" / "lstm.json", "checkpoint manifest",
+                           ("evaluate", "--mode", "deterministic", "--forecaster", "lstm")),
+            "em_fit": (run / "em_fit.json", "EM fit file",
+                       ("evaluate", "--mode", "stochastic", "--forecaster", "posthoc")),
+            "forecast": (run / "forecasts.json", "forecast file", ("optimize",)),
+            "report": (run / "report.json", "report",
+                       ("compare", str(run / "report.json"), str(run / "report.json"))),
+        }[reader]
+        if reader == "report":
+            empty = {name: np.empty(0) for name in ("revenue", "cost", "moving",
+                                                    "lost_sales")}
+            EvaluationReport(method="a", days=[], outcomes=empty).save(path)
+        text = path.read_text()
+        path.write_text(text[:40] if damage == "truncated" else "[]\n")
+        capsys.readouterr()
+        assert call(cfg, *reading) == 2
+        err = capsys.readouterr().err
+        words = "is not JSON (" if damage == "truncated" else "is not a JSON object"
+        assert err.startswith(f"error: {what} {path} {words}")
+        assert "Traceback" not in err
+
+    def test_reports_over_different_days_do_not_compare(self, run_dir, capsys):
+        from fleetcast.evaluate import EvaluationReport
+
+        run, cfg = run_dir
+        run.mkdir()
+        paths = [run / "report_a.json", run / "report_b.json"]
+        days = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(3)]
+        outcomes = {name: np.arange(3.0) for name in ("revenue", "cost", "moving",
+                                                      "lost_sales")}
+        EvaluationReport("a", days, outcomes).save(paths[0])
+        for other in (days[:2], days[1:] + [dt.date(2020, 1, 9)]):
+            n = len(other)
+            EvaluationReport("b", other, {k: v[:n] for k, v in outcomes.items()}).save(
+                paths[1])
+            assert call(cfg, "compare", *map(str, paths)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: reports {paths[0]} (3 days) and {paths[1]} "
+                                  f"({n} days) do not cover the same days")
+            assert "Traceback" not in err
+            assert not (run / "comparison.json").exists()
+
     def test_report_without_skipped_days_exits_2_naming_it(self, run_dir, capsys):
         from fleetcast.evaluate import EvaluationReport
 

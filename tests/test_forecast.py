@@ -16,7 +16,7 @@ from fleetcast.forecast import (
     save_forecast_file,
 )
 from fleetcast.mdn import MixtureBatch, gmm_logpdf
-from fleetcast.recurrent import HeadSpec, init_model, sequence_forward
+from fleetcast.recurrent import HeadSpec, forward_pass, init_model
 from oracles import PerfectForecaster, stack_days
 
 
@@ -37,7 +37,7 @@ class TestMixtureForecaster:
         dists = f.predict_distribution(history)
         assert len(dists) == 2
         # recompute by hand from the raw head outputs
-        raw = sequence_forward(scaler.transform(history), model)
+        raw = forward_pass(model, scaler.transform(history))[0]
         from fleetcast.mdn import mdn_transform
 
         std_params = mdn_transform(raw.reshape(2, -1)[0])
@@ -68,7 +68,7 @@ class TestPointForecaster:
         scaler = Standardizer(mean=np.array([50.0]), std=np.array([5.0]))
         f = PointForecaster(model, scaler)
         history = np.full((4, 1), 50.0)
-        raw = sequence_forward(scaler.transform(history), model)
+        raw = forward_pass(model, scaler.transform(history))[0]
         assert f.predict_point(history)[0] == pytest.approx(raw[0] * 5.0 + 50.0)
 
     def test_no_distribution_without_residual_fit(self):

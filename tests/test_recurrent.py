@@ -25,7 +25,6 @@ from fleetcast.recurrent import (
     load_model,
     lstm_cell_forward,
     save_model,
-    sequence_forward,
     sigmoid,
     train,
 )
@@ -119,9 +118,9 @@ class TestGruCell:
     def test_zero_weights_halve_previous_state(self):
         w = zero_gru()
         v = np.array([0.4, -1.2, 2.0])
-        h, cache = gru_cell_forward(np.array([1.0, -1.0]), v, w)
-        np.testing.assert_allclose(cache["z"], 0.5)
-        np.testing.assert_allclose(cache["r"], 0.5)
+        h, gates = gru_cell_forward(np.array([1.0, -1.0]), v, w)
+        np.testing.assert_allclose(gates[:, :3], 0.5)  # z
+        np.testing.assert_allclose(gates[:, 3:6], 0.5)  # r
         np.testing.assert_allclose(h.ravel(), 0.5 * v)
 
     def test_zero_state_zero_weights_stay_zero(self):
@@ -170,9 +169,10 @@ class TestGruCell:
                            head=HeadSpec("point", 2))
         x = rng.normal(scale=3.0, size=2)
         h_prev = rng.normal(scale=2.0, size=4)
-        h, cache = gru_cell_forward(x, h_prev, model.cell)
-        assert ((cache["z"] > 0) & (cache["z"] < 1)).all()
-        assert ((cache["r"] > 0) & (cache["r"] < 1)).all()
+        h, gates = gru_cell_forward(x, h_prev, model.cell)
+        z, r = gates[:, :4], gates[:, 4:8]
+        assert ((z > 0) & (z < 1)).all()
+        assert ((r > 0) & (r < 1)).all()
         # each component is a convex mix of h_prev and a tanh value
         bound = np.maximum(np.abs(h_prev).max(), 1.0)
         assert np.abs(h).max() <= bound + 1e-12
@@ -227,7 +227,7 @@ class TestSequenceForward:
             manual = manual @ layer.weight + layer.bias
             if layer.activation == "relu":
                 manual = np.maximum(manual, 0.0)
-        np.testing.assert_allclose(sequence_forward(x, model), manual.ravel(), rtol=1e-12)
+        np.testing.assert_allclose(forward_pass(model, x)[0], manual.ravel(), rtol=1e-12)
 
     def test_zero_weights_propagate_biases_only(self):
         model = init_model("gru", 2, 3, dense_sizes=(4,), seed=0,
@@ -235,7 +235,7 @@ class TestSequenceForward:
         for name, arr in model.parameters().items():
             arr[:] = 0.0
         model.dense[-1].bias[:] = [1.5, -2.5]
-        out = sequence_forward(np.zeros((6, 2)), model)
+        out = forward_pass(model, np.zeros((6, 2)))[0]
         np.testing.assert_allclose(out, [1.5, -2.5])
 
     def test_three_step_window_matches_unrolled_oracle(self):
@@ -251,19 +251,19 @@ class TestSequenceForward:
             out = out @ layer.weight + layer.bias
             if layer.activation == "relu":
                 out = np.maximum(out, 0.0)
-        np.testing.assert_allclose(sequence_forward(window, model), out, rtol=1e-12)
+        np.testing.assert_allclose(forward_pass(model, window)[0], out, rtol=1e-12)
 
     def test_window_length_enforced_when_fixed(self):
         model = init_model("gru", 2, 3, dense_sizes=(3,), seed=0,
                            head=HeadSpec("point", 2), window_size=5)
         with pytest.raises(ValueError):
-            sequence_forward(np.zeros((4, 2)), model)
+            forward_pass(model, np.zeros((4, 2)))
 
     def test_feature_size_enforced(self):
         model = init_model("gru", 2, 3, dense_sizes=(3,), seed=0,
                            head=HeadSpec("point", 2))
         with pytest.raises(ValueError):
-            sequence_forward(np.zeros((4, 3)), model)
+            forward_pass(model, np.zeros((4, 3)))
 
 
 class TestBackward:
@@ -326,27 +326,51 @@ class TestHeadLoss:
         np.testing.assert_allclose(grad, 2 * (raw - targets) / 15, rtol=1e-12)
 
 
+def oracle_steps(model, x):
+    """The states and gates of a step-by-step run of the cell functions
+    over windows x (B, T, I): lists of T+1 hidden states, T gate arrays
+    and, for an LSTM, T+1 cell states (empty for a GRU)."""
+    b, t, _ = x.shape
+    hs, gates, cs = [np.zeros((b, model.cell.hidden_size))], [], []
+    if model.cell_kind == "lstm":
+        cs.append(np.zeros_like(hs[0]))
+    for s in range(t):
+        if model.cell_kind == "gru":
+            h_t, g_t = gru_cell_forward(x[:, s], hs[-1], model.cell)
+        else:
+            h_t, c_t, g_t = lstm_cell_forward(x[:, s], hs[-1], cs[-1], model.cell)
+            cs.append(c_t)
+        hs.append(h_t)
+        gates.append(g_t)
+    return hs, gates, cs
+
+
 def oracle_backward(model, cache, d_raw):
-    """Reference BPTT: gate derivatives recomputed at every step and the
-    cell gradients accumulated one step (B rows) at a time."""
+    """Reference BPTT from the inputs cache["x"] alone: states, gates and
+    dense activations recomputed step by step, gate derivatives recomputed
+    at every step and the cell gradients accumulated one step (B rows) at
+    a time."""
+    x = cache["x"]
+    hs, steps, cs = oracle_steps(model, x)
+    post, pre = [hs[-1]], []
+    for layer in model.dense:
+        pre.append(post[-1] @ layer.weight + layer.bias)
+        post.append(np.maximum(pre[-1], 0.0) if layer.activation == "relu" else pre[-1])
     grads = {name: np.zeros_like(arr) for name, arr in model.parameters().items()}
     d = np.atleast_2d(d_raw)
     for idx in range(len(model.dense) - 1, -1, -1):
         layer = model.dense[idx]
-        pre = cache["dense"]["pre"][idx]
-        inp = cache["dense"]["post"][idx]
-        da = d * (pre > 0) if layer.activation == "relu" else d
-        grads[f"dense{idx}.weight"] += inp.T @ da
+        da = d * (pre[idx] > 0) if layer.activation == "relu" else d
+        grads[f"dense{idx}.weight"] += post[idx].T @ da
         grads[f"dense{idx}.bias"] += da.sum(axis=0)
         d = da @ layer.weight.T
     dh = d
-    x, hs, steps = cache["x"], cache["hs"], cache["steps"]
     u = model.cell.u
     h = model.cell.hidden_size
     gw, gu, gb = grads["cell.w"], grads["cell.u"], grads["cell.b"]
     if model.cell_kind == "gru":
         for s in range(len(steps) - 1, -1, -1):
-            z, r, cand = steps[s]["z"], steps[s]["r"], steps[s]["cand"]
+            z, r, cand = (steps[s][:, k * h:(k + 1) * h] for k in range(3))
             h_prev = hs[s]
             da_h = dh * (1.0 - z) * (1.0 - cand**2)
             dh_cand = da_h @ u[:, 2 * h:].T
@@ -360,9 +384,8 @@ def oracle_backward(model, cache, d_raw):
     else:
         dc = np.zeros_like(dh)
         for s in range(len(steps) - 1, -1, -1):
-            st = steps[s]
-            i, f, o, g, c_t = st["i"], st["f"], st["o"], st["g"], st["c_t"]
-            c_prev = steps[s - 1]["c_t"] if s > 0 else np.zeros_like(c_t)
+            i, f, o, g = (steps[s][:, k * h:(k + 1) * h] for k in range(4))
+            c_prev, c_t = cs[s], cs[s + 1]
             h_prev = hs[s]
             tc = np.tanh(c_t)
             dc = dc + dh * o * (1.0 - tc**2)
@@ -384,6 +407,28 @@ def production_model(cell_kind, head, seed=0, window_size=None):
     """The pipeline's default sizes: H=32, dense (256, 128), two zones."""
     return init_model(cell_kind, 2, 32, dense_sizes=(256, 128), seed=seed,
                       head=PRODUCTION_HEADS[head], window_size=window_size)
+
+
+def assert_same_bits(got, want, name):
+    assert got.shape == want.shape, name
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64), err_msg=name)
+
+
+class TestForwardCache:
+    @pytest.mark.parametrize("cell_kind", ["gru", "lstm"])
+    @pytest.mark.parametrize("b", [32, 14, 1])
+    def test_arrays_equal_a_step_by_step_run_of_the_cells(self, cell_kind, b):
+        model = production_model(cell_kind, "point", seed=b)
+        inputs = np.random.default_rng(b).normal(size=(b, 10, 2))
+        _, cache = forward_pass(model, inputs)
+        hs, gates, cs = oracle_steps(model, inputs)
+        assert set(cache) == {"x", "hs", "gates", "cs", "dense"}
+        assert_same_bits(cache["hs"], np.stack(hs), "hs")
+        assert_same_bits(cache["gates"], np.stack(gates), "gates")
+        if cell_kind == "lstm":
+            assert_same_bits(cache["cs"], np.stack(cs), "cs")
+        else:
+            assert cache["cs"] is None
 
 
 class TestBackwardAtProductionShapes:
@@ -552,8 +597,8 @@ class TestCheckpoint:
         for name, arr in model.parameters().items():
             np.testing.assert_array_equal(arr, loaded.parameters()[name])
         x = np.random.default_rng(0).normal(size=(6, 2))
-        np.testing.assert_array_equal(sequence_forward(x, model),
-                                      sequence_forward(x, loaded))
+        np.testing.assert_array_equal(forward_pass(model, x)[0],
+                                      forward_pass(loaded, x)[0])
 
     def test_sidecar_is_little_endian_float64(self, tmp_path):
         model = init_model("gru", 1, 2, dense_sizes=(2,), seed=0,
