@@ -137,9 +137,12 @@ MODEL_FILES = {"mdn": "mdn", "gru-point": "gru_point", "lstm": "lstm"}
 DISTRIBUTION_FORECASTERS = ("mdn", "posthoc")
 
 
-def _checkpoint_files(cfg: PipelineConfig, tag: str) -> list[Path]:
-    prefix = _data_dir(cfg) / "checkpoints" / MODEL_FILES[tag]
+def _json_and_bin(prefix: Path) -> list[Path]:
     return [prefix.with_suffix(".json"), prefix.with_suffix(".bin")]
+
+
+def _checkpoint_files(cfg: PipelineConfig, tag: str) -> list[Path]:
+    return _json_and_bin(_data_dir(cfg) / "checkpoints" / MODEL_FILES[tag])
 
 
 def _forecaster_files(cfg: PipelineConfig, tag: str) -> list[Path]:
@@ -150,23 +153,23 @@ def _forecaster_files(cfg: PipelineConfig, tag: str) -> list[Path]:
 
 
 def _load_checkpoint(cfg: PipelineConfig, tag: str):
-    prefix = _data_dir(cfg) / "checkpoints" / MODEL_FILES[tag]
-    _require(prefix.with_suffix(".json"), "checkpoint")
-    model, extra = load_model(str(prefix))
-    scaler = Standardizer.from_dict(extra["scaler"])
-    return model, scaler, extra
+    path, _ = (_require(p, "checkpoint") for p in _checkpoint_files(cfg, tag))
+    model, extra = load_model(str(path.with_suffix("")))
+    try:
+        scaler = Standardizer.from_dict(extra["scaler"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint manifest {path} has no usable extra 'scaler' "
+                         f"({exc!r}); retrain the model") from None
+    return model, scaler
 
 
 def _forecaster(cfg: PipelineConfig, tag: str):
     if tag == "mdn":
-        model, scaler, _ = _load_checkpoint(cfg, "mdn")
-        return fc.MixtureForecaster(model, scaler)
+        return fc.MixtureForecaster(*_load_checkpoint(cfg, "mdn"))
     if tag in ("gru-point", "lstm"):
-        model, scaler, _ = _load_checkpoint(cfg, tag)
-        return fc.PointForecaster(model, scaler)
+        return fc.PointForecaster(*_load_checkpoint(cfg, tag))
     if tag == "posthoc":
-        model, scaler, _ = _load_checkpoint(cfg, "gru-point")
-        base = fc.PointForecaster(model, scaler)
+        base = fc.PointForecaster(*_load_checkpoint(cfg, "gru-point"))
         em_path = _require(_data_dir(cfg) / "em_fit.json", "em_fit")
         doc = read_json(em_path, "EM fit file")
         try:
@@ -267,18 +270,17 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     prefix = _train_one(cfg, which)
     _write_manifest(_data_dir(cfg) / f"train_{MODEL_FILES[which]}.manifest.json",
                     "train", cfg, [_data_dir(cfg) / cfg.demand_file],
-                    [prefix.with_suffix(".json"), prefix.with_suffix(".bin")])
+                    _checkpoint_files(cfg, which))
     print(f"trained {which} -> {prefix}.json/.bin")
     return 0
 
 
 def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
     split = _split_demand(cfg)
-    model, scaler, _ = _load_checkpoint(cfg, "gru-point")
+    base = fc.PointForecaster(*_load_checkpoint(cfg, "gru-point"))
     windows = make_windows(split.train, cfg.window_size)
     n_val = max(1, int(len(windows) * cfg.val_fraction))
     val = WindowSet(inputs=windows.inputs[-n_val:], targets=windows.targets[-n_val:])
-    base = fc.PointForecaster(model, scaler)
     mixtures, records = fc.fit_residual_mixtures(
         base, val, k=cfg.em_components, seed=cfg.seed,
         n_restarts=cfg.em_restarts, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
@@ -298,20 +300,20 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
     positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
     days = [split.test.days[t] for t in positions]
     batch = forecaster.predict_distribution(windows, days)
-    out_path = _data_dir(cfg) / "forecasts.json"
-    fc.save_forecast_file(out_path, days, split.series.zone_ids, batch)
+    out_paths = _json_and_bin(_data_dir(cfg) / "forecasts")
+    fc.save_forecast_file(out_paths[0], days, split.series.zone_ids, batch)
     _write_manifest(_data_dir(cfg) / "forecast.manifest.json", "forecast", cfg,
-                    [split.path] + _forecaster_files(cfg, tag), [out_path])
-    print(f"forecast {len(days)} days x {split.series.n_zones} zones -> {out_path}")
+                    [split.path] + _forecaster_files(cfg, tag), out_paths)
+    print(f"forecast {len(days)} days x {split.series.n_zones} zones -> {out_paths[0]}")
     return 0
 
 
 def cmd_optimize(cfg: PipelineConfig, args) -> int:
     out = _data_dir(cfg)
-    forecasts_path = _require(out / "forecasts.json", "forecasts")
+    forecast_paths = [_require(p, "forecasts") for p in _json_and_bin(out / "forecasts")]
     demand_path = _require(out / cfg.demand_file, "demand")
     zone_ids = read_zone_ids(demand_path)
-    day, forecasts = fc.load_forecast_day(forecasts_path, args.day, zone_ids)
+    day, forecasts = fc.load_forecast_day(forecast_paths[0], args.day, zone_ids)
     instance = _instance(cfg, len(zone_ids))
     if args.saa_table:
         table = saa_convergence_table(instance, forecasts, seed=cfg.seed)
@@ -329,7 +331,7 @@ def cmd_optimize(cfg: PipelineConfig, args) -> int:
         lp_path.write_text(export_lp_text(build_two_stage(instance, scen)))
         print(f"exported program -> {lp_path}")
     _write_manifest(out / "optimize.manifest.json", "optimize", cfg,
-                    [demand_path, forecasts_path], [plan_path])
+                    [demand_path, *forecast_paths], [plan_path])
     print(f"plan for {day}: moving {plan.moving:.2f} vehicles, "
           f"objective {res.objective:.2f} -> {plan_path}")
     return 0

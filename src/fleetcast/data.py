@@ -24,8 +24,9 @@ import csv
 import datetime as dt
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -560,6 +561,43 @@ def read_json(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} {path} is not a JSON object")
     return doc
+
+
+def write_arrays(prefix, doc: dict, arrays: dict) -> None:
+    """Write `doc` plus an `arrays` index (name, shape, offset in elements) to
+    `<prefix>.json`, and the arrays in order as little-endian float64 to `<prefix>.bin`."""
+    flats = [np.ascontiguousarray(arr, dtype="<f8") for arr in arrays.values()]
+    offsets = accumulate((flat.size for flat in flats), initial=0)
+    write_json(f"{prefix}.json", {**doc, "arrays": [
+        {"name": name, "shape": list(flat.shape), "offset": offset}
+        for name, flat, offset in zip(arrays, flats, offsets)]})
+    with open(f"{prefix}.bin", "wb") as fh:
+        fh.write(b"".join(flat.tobytes() for flat in flats))
+
+
+def read_arrays(prefix, what: str, check) -> tuple[dict, dict]:
+    """(document, {name: float64 array}) of a `write_arrays` artifact, after
+    `check(doc)`; a bad index entry or sidecar is a ValueError naming the file."""
+    path, sidecar = f"{prefix}.json", f"{prefix}.bin"
+    doc = read_json(path, what)
+    check(doc)
+    try:
+        index = {e["name"]: ([int(n) for n in e["shape"]], int(e["offset"]))
+                 for e in doc["arrays"]}
+    except KeyError as exc:
+        raise ValueError(f"{what} {path} has no {exc.args[0]!r} entry") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} {path} has an arrays entry of the wrong kind "
+                         f"({exc})") from None
+    ends = {name: offset + math.prod(shape) for name, (shape, offset) in index.items()}
+    if not os.path.exists(sidecar):
+        raise ValueError(f"{what} {path} has no sidecar: {sidecar} is missing")
+    have, need = os.path.getsize(sidecar), 8 * max(ends.values(), default=0)
+    if have != need:
+        raise ValueError(f"{sidecar} holds {have} bytes, its manifest implies {need}")
+    raw = np.fromfile(sidecar, dtype="<f8")
+    return doc, {name: raw[offset:ends[name]].reshape(shape).astype(float)
+                 for name, (shape, offset) in index.items()}
 
 
 def save_ingest_reports(path, ingest: IngestReport,

@@ -14,23 +14,26 @@ Two distribution routes exist: the mixture head trained end-to-end, and
 the extraction route where a point model's validation residuals are
 fitted by EM and the residual mixture rides on each day's point forecast.
 
-A forecast file is one JSON document: the ISO `days`, the `zones`, and
-the forecast batch's `weights`, `means` and `stds` as nested
-(days, zones, K) lists. A repeated day or zone, arrays of another shape
-or a file without days is an error.
+A forecast file (format v2) is a JSON index of the ISO `days`, the `zones`
+and the (days, zones, K) `weights`, `means` and `stds`, which its float64
+`.bin` sidecar holds. A repeated day or zone, arrays of another shape, a
+file without days or with its arrays inline (the old layout) is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .data import Standardizer, WindowSet, read_json, write_json
+from .data import Standardizer, WindowSet, read_arrays, write_arrays
 from .em import em_fit_restarts
 from .mdn import MixtureBatch, mdn_transform
 from . import recurrent  # called through its module, so a rebinding there applies here
 from .recurrent import RecurrentModel
+
+FORECAST_FORMAT = "fleetcast-forecast-v2"
 
 
 @dataclass
@@ -126,36 +129,34 @@ def fit_residual_mixtures(forecaster: PointForecaster, windows: WindowSet,
 
 
 def save_forecast_file(path, days, zone_ids, batch: MixtureBatch) -> None:
-    """Write the (len(days), len(zone_ids), K) forecast batch as one document."""
-    doc = {"days": [day.isoformat() for day in days], "zones": list(zone_ids),
-           "weights": batch.weights.tolist(), "means": batch.means.tolist(),
-           "stds": batch.stds.tolist()}
-    write_json(path, doc)
+    """Write the (len(days), len(zone_ids), K) batch as `path` and its .bin sidecar."""
+    write_arrays(Path(path).with_suffix(""),
+                 {"format": FORECAST_FORMAT, "days": [day.isoformat() for day in days],
+                  "zones": list(zone_ids)},
+                 {"weights": batch.weights, "means": batch.means, "stds": batch.stds})
 
 
 def _read_forecast_file(path) -> tuple[list, list, MixtureBatch]:
     """(day isos, zone ids, (D, Z, K) batch), checked against each other."""
-    doc = read_json(path, "forecast file")
-    missing = [key for key in ("days", "zones", "weights", "means", "stds")
-               if key not in doc]
-    if missing:
-        raise ValueError(f"forecast file {path} lacks {missing}; it may predate this "
-                         f"format, so run `fleetcast forecast` again")
-    days, zones = doc["days"], doc["zones"]
+    def check(doc):
+        if doc.get("format") != FORECAST_FORMAT:
+            raise ValueError(f"forecast file {path} holds its arrays inline, a layout "
+                             f"fleetcast no longer reads; run `fleetcast forecast` again")
+
+    doc, arrays = read_arrays(Path(path).with_suffix(""), "forecast file", check)
+    days, zones = doc.get("days", []), doc.get("zones", [])
+    try:
+        batch = MixtureBatch(arrays["weights"], arrays["means"], arrays["stds"])
+    except (KeyError, ValueError):
+        batch = None
     if not days:
         raise ValueError(f"forecast file {path} holds no forecasts")
     for what, ids in (("day", days), ("zone", zones)):
-        if not all(isinstance(i, str) for i in ids):
+        if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
             raise ValueError(f"forecast file {path} lists a {what} that is not a string")
-        seen = set()
-        for i in ids:
-            if i in seen:
-                raise ValueError(f"forecast file {path} lists {what} {i!r} twice")
-            seen.add(i)
-    try:
-        batch = MixtureBatch(doc["weights"], doc["means"], doc["stds"])
-    except ValueError:
-        batch = None
+        if len(set(ids)) < len(ids):
+            twice = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise ValueError(f"forecast file {path} lists {what} {twice!r} twice")
     if batch is None or batch.shape != (len(days), len(zones)):
         raise ValueError(f"forecast file {path} needs weights, means and stds of one "
                          f"shape ({len(days)}, {len(zones)}, K) for its {len(days)} "

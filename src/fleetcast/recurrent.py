@@ -37,12 +37,11 @@ order; a v1 checkpoint, written one gate block at a time, is refused.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import read_json, write_json
+from .data import read_arrays, write_arrays
 from .mdn import SIGMA_FLOOR, nll_and_grad_raw
 
 
@@ -512,9 +511,9 @@ def init_model(cell_kind: str, input_size: int, hidden_size: int,
 
 
 def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) -> None:
-    """Checkpoint = JSON manifest plus a flat little-endian float64 sidecar
-    holding model.parameters() in order."""
-    manifest = {
+    """Checkpoint = JSON manifest plus little-endian float64 sidecar holding
+    model.parameters() in order, written by `data.write_arrays`."""
+    write_arrays(prefix, {
         "format": CHECKPOINT_FORMAT,
         "cell_kind": model.cell_kind,
         "head": {"kind": model.head.kind, "n_series": model.head.n_series,
@@ -522,41 +521,20 @@ def save_model(model: RecurrentModel, prefix: str, extra: dict | None = None) ->
         "dense_activations": [l.activation for l in model.dense],
         "window_size": model.window_size,
         "sigma_floor": model.sigma_floor,
-        "arrays": [],
         "extra": extra or {},
-    }
-    offset = 0
-    payload = bytearray()
-    for name, arr in model.parameters().items():
-        flat = np.ascontiguousarray(arr, dtype="<f8")
-        manifest["arrays"].append({"name": name, "shape": list(arr.shape),
-                                   "offset": offset})
-        payload.extend(flat.tobytes())
-        offset += flat.size
-    write_json(f"{prefix}.json", manifest)
-    with open(f"{prefix}.bin", "wb") as fh:
-        fh.write(bytes(payload))
+    }, model.parameters())
 
 
 def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
-    manifest = read_json(f"{prefix}.json", "checkpoint manifest")
-    if manifest.get("format") == "fleetcast-checkpoint-v1":
-        raise ValueError(f"{prefix}.json is a v1 checkpoint (one array per gate), "
-                         "which fleetcast no longer reads; retrain the model")
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError("unrecognized checkpoint format")
+    def check(manifest):
+        if manifest.get("format") == "fleetcast-checkpoint-v1":
+            raise ValueError(f"{prefix}.json is a v1 checkpoint (one array per gate), "
+                             "which fleetcast no longer reads; retrain the model")
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError("unrecognized checkpoint format")
+
+    manifest, arrays = read_arrays(prefix, "checkpoint manifest", check)
     try:
-        sizes = [int(np.prod(entry["shape"])) for entry in manifest["arrays"]]
-        need = 8 * max((e["offset"] + n for e, n in zip(manifest["arrays"], sizes)),
-                       default=0)
-        have = os.path.getsize(f"{prefix}.bin")
-        if have != need:
-            raise ValueError(f"{prefix}.bin holds {have} bytes, its manifest implies {need}")
-        raw = np.fromfile(f"{prefix}.bin", dtype="<f8")
-        arrays = {}
-        for entry, size in zip(manifest["arrays"], sizes):
-            arrays[entry["name"]] = raw[entry["offset"] : entry["offset"] + size] \
-                .reshape(entry["shape"]).astype(float)
         cell = CellWeights(arrays["cell.w"], arrays["cell.u"], arrays["cell.b"])
         acts = manifest["dense_activations"]
         dense = [DenseLayer(arrays[f"dense{i}.weight"], arrays[f"dense{i}.bias"], acts[i])
@@ -566,8 +544,9 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
         model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
                                manifest.get("window_size"),
                                manifest.get("sigma_floor", SIGMA_FLOOR))
-    except KeyError as exc:
-        raise ValueError(f"checkpoint manifest {prefix}.json has no {exc.args[0]!r} "
-                         f"entry") from None
+    except (KeyError, TypeError) as exc:
+        what = (f"no {exc.args[0]!r} entry" if isinstance(exc, KeyError)
+                else f"an entry of the wrong kind ({exc})")
+        raise ValueError(f"checkpoint manifest {prefix}.json has {what}") from None
     model.validate()
     return model, manifest.get("extra", {})

@@ -395,8 +395,8 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
 
     save_forecast_file(tmp_path / "forecasts.json", days, split.series.zone_ids,
                        stack_days([oracle.answers[d] for d in days]))
-    assert (run / "forecasts.json").read_bytes() == \
-        (tmp_path / "forecasts.json").read_bytes()
+    for name in ("forecasts.json", "forecasts.bin"):
+        assert (run / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     report = oracle_rolling_evaluate(oracle, "stochastic", split.train, split.test,
                                      _instance(cfg, 3), window_size=cfg.window_size,

@@ -86,7 +86,9 @@ class TestPipeline:
         assert inputs("train_mdn") == ["demand.csv"]
         assert inputs("fit_gmm") == ["demand.csv"] + gru_point
         assert inputs("forecast") == ["demand.csv"] + mdn
-        assert inputs("optimize") == ["demand.csv", "forecasts.json"]
+        assert inputs("optimize") == ["demand.csv", "forecasts.json", "forecasts.bin"]
+        outputs = json.loads((run / "forecast.manifest.json").read_text())["outputs"]
+        assert [Path(p).name for p in outputs] == ["forecasts.json", "forecasts.bin"]
         assert inputs("evaluate_mdn_stochastic") == ["demand.csv"] + mdn
         assert inputs("evaluate_lstm_deterministic") == \
             ["demand.csv", "checkpoints/lstm.json", "checkpoints/lstm.bin"]
@@ -250,6 +252,26 @@ class TestPipeline:
         assert call(cfg, "forecast", "--model", "mdn") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint manifest {path} has no 'cell.b' entry")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda m: m["arrays"].__setitem__(1, 3), "has an arrays entry of the wrong kind"),
+        (lambda m: m.update(head=3), "has an entry of the wrong kind"),
+        (lambda m: m["extra"].pop("scaler"), "has no usable extra 'scaler'")],
+        ids=["arrays-entry-a-number", "head-a-number", "extra-without-scaler"])
+    def test_checkpoint_manifest_of_the_wrong_kind_exits_2_naming_it(self, run_dir, capsys,
+                                                                     edit, words):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "lstm", "--epochs", "0")):
+            assert call(cfg, *argv) == 0
+        path = run / "checkpoints" / "lstm.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert call(cfg, "evaluate", "--mode", "deterministic", "--forecaster", "lstm") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint manifest {path} {words}")
         assert "Traceback" not in err
 
     def test_em_fit_file_without_per_zone_exits_2_naming_it(self, run_dir, capsys):
@@ -479,11 +501,13 @@ class TestReproducibility:
             cfg_path = tmp_path / f"exp{attempt}.cfg"
             cfg_path.write_text(SMALL_CFG.format(run=run))
             for argv in (("synth",), ("ingest",), ("train", "--model", "mdn"),
-                         ("train", "--model", "lstm"),
+                         ("train", "--model", "lstm"), ("forecast", "--model", "mdn"),
                          ("evaluate", "--mode", "stochastic", "--forecaster", "mdn"),
                          ("evaluate", "--mode", "deterministic", "--forecaster",
                           "lstm")):
                 assert call(cfg_path, *argv) == 0
+            day = json.loads((run / "forecasts.json").read_text())["days"][0]
+            assert call(cfg_path, "optimize", "--day", day) == 0
             assert call(cfg_path, "compare",
                         str(run / "report_mdn_stochastic.json"),
                         str(run / "report_lstm_deterministic.json")) == 0
@@ -493,13 +517,15 @@ class TestReproducibility:
                 "cmp": file_hash(run / "comparison.json"),
                 "demand": file_hash(run / "demand.csv"),
                 "ckpt": file_hash(run / "checkpoints" / "mdn.bin"),
+                **{name: file_hash(run / name) for name in
+                   ("forecasts.json", "forecasts.bin", f"plan_{day}.json")},
             })
         assert reports[0] == reports[1]
 
 
 @pytest.fixture()
 def plan_dir(tmp_path):
-    """A run directory holding only demand.csv and forecasts.json, made
+    """A run directory holding only demand.csv and forecasts.json/.bin, made
     without training, plus a config pointing at it."""
     import datetime as dt
 
@@ -547,23 +573,35 @@ class TestOptimize:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("edit, words", [
-        (lambda doc: doc["weights"].pop(), "needs weights, means and stds of one shape "
-                                           "(10, 2, K) for its 10 days and 2 zones"),
-        (lambda doc: doc["stds"][3][1].pop(), "needs weights, means and stds of one shape"),
-        (lambda doc: doc.update(days=[], weights=[], means=[], stds=[]),
-         "holds no forecasts"),
-        (lambda doc: doc.clear() or doc.update(records=[]),
-         "lacks ['days', 'zones', 'weights', 'means', 'stds']")],
-        ids=["a-day-short", "ragged-stds", "no-days", "record-per-zone-layout"])
+        (lambda doc, bin_: doc["arrays"][0].update(shape=[9, 2, 3]),
+         "forecast file {json} needs weights, means and stds of one shape (10, 2, K) "
+         "for its 10 days and 2 zones"),
+        (lambda doc, bin_: bin_.write_bytes(bin_.read_bytes()[:-8]),
+         "{bin} holds 1432 bytes, its manifest implies 1440"),
+        (lambda doc, bin_: doc.update(days=[]), "forecast file {json} holds no forecasts"),
+        (lambda doc, bin_: doc.clear() or doc.update(records=[]),
+         "forecast file {json} holds its arrays inline, a layout fleetcast no longer "
+         "reads; run `fleetcast forecast` again")],
+        ids=["a-day-short", "truncated-sidecar", "no-days", "record-per-zone-layout"])
     def test_misshaped_or_empty_forecast_file_exits_2(self, plan_dir, capsys, edit,
                                                       words):
         run, cfg = plan_dir
-        doc = json.loads((run / "forecasts.json").read_text())
-        edit(doc)
-        (run / "forecasts.json").write_text(json.dumps(doc))
+        path, sidecar = run / "forecasts.json", run / "forecasts.bin"
+        doc = json.loads(path.read_text())
+        edit(doc, sidecar)
+        path.write_text(json.dumps(doc))
         assert call(cfg, "optimize") == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: forecast file {run / 'forecasts.json'} {words}")
+        assert err.startswith("error: " + words.format(json=path, bin=sidecar))
+        assert "Traceback" not in err
+
+    def test_missing_forecast_sidecar_names_the_forecast_command(self, plan_dir, capsys):
+        run, cfg = plan_dir
+        (run / "forecasts.bin").unlink()
+        assert call(cfg, "optimize") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: forecasts artifact not found at "
+                              f"{run / 'forecasts.bin'}; run `fleetcast forecast` first")
         assert "Traceback" not in err
 
     def test_saa_table_prints_one_row_per_scenario_count(self, plan_dir, capsys):

@@ -172,15 +172,37 @@ def test_forecast_file_is_one_document_of_day_zone_component_arrays(tmp_path):
     save_forecast_file(path, [dt.date(2020, 1, 2), dt.date(2020, 1, 3)], ["A", "B"],
                        batch)
     doc = json.loads(path.read_text())
-    assert sorted(doc) == ["days", "means", "stds", "weights", "zones"]
+    assert sorted(doc) == ["arrays", "days", "format", "zones"]
+    assert doc["format"] == "fleetcast-forecast-v2"
     assert doc["days"] == ["2020-01-02", "2020-01-03"] and doc["zones"] == ["A", "B"]
-    for name in ("weights", "means", "stds"):
-        np.testing.assert_array_equal(doc[name], getattr(batch, name))
+    assert doc["arrays"] == [{"name": "weights", "shape": [2, 2, 3], "offset": 0},
+                             {"name": "means", "shape": [2, 2, 3], "offset": 12},
+                             {"name": "stds", "shape": [2, 2, 3], "offset": 24}]
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    want = np.concatenate([batch.weights.ravel(), batch.means.ravel(), batch.stds.ravel()])
+    assert (tmp_path / "forecasts.bin").read_bytes() == want.astype("<f8").tobytes()
+
+
+def test_forecast_file_round_trips_awkward_floats_bit_for_bit(tmp_path):
+    awkward = np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+                        0.1, 1 / 3, 2 / 3, 0.30000000000000004, 1.2345678901234567e-5])
+    batch = MixtureBatch(awkward[:, None, None], awkward[::-1, None, None],
+                         -awkward[:, None, None])
+    days = [dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(len(awkward))]
+    path = tmp_path / "forecasts.json"
+    save_forecast_file(path, days, ["A"], batch)
+    back = load_forecast_file(path)
+    _, first = load_forecast_day(path, None, ["A"])
+    for name in ("weights", "means", "stds"):
+        want = getattr(batch, name)
+        got = np.stack([getattr(back[(day.isoformat(), "A")], name) for day in days])
+        assert got.tobytes() == want.tobytes(), name
+        assert getattr(first, name).tobytes() == want[0].tobytes(), name
 
 
 def small_forecast_doc(path):
-    """A 2-day, 2-zone, K = 1 forecast file written at `path`; its document."""
+    """A 2-day, 2-zone, K = 1 forecast file written at `path` (and its .bin
+    sidecar); its document."""
     save_forecast_file(path, [dt.date(2020, 1, 2), dt.date(2020, 1, 3)], ["A", "B"],
                        MixtureBatch(np.ones((2, 2, 1)), np.ones((2, 2, 1)),
                                     np.ones((2, 2, 1))))
@@ -200,18 +222,39 @@ def test_two_records_for_one_day_and_zone_are_rejected(tmp_path):
             load_forecast_day(path, None, ["A", "B"])
 
 
+def truncate_sidecar(doc, path):
+    sidecar = path.with_suffix(".bin")
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
+
+
+def drop_sidecar(doc, path):
+    path.with_suffix(".bin").unlink()
+
+
+def inline_layout(doc, path):
+    doc.clear()
+    doc.update(days=["2020-01-02"], zones=["A"], weights=[[[1.0]]], means=[[[1.0]]],
+               stds=[[[1.0]]])
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda doc: doc["stds"].pop(), r"shape \(2, 2, K\) for its 2 days and 2 zones"),
-    (lambda doc: doc["means"][0][1].pop(), r"shape \(2, 2, K\)"),
-    (lambda doc: doc["weights"][1][0].append(0.0), r"shape \(2, 2, K\)"),
-    (lambda doc: doc.update(days=[], weights=[], means=[], stds=[]),
-     "holds no forecasts"),
-    (lambda doc: doc["zones"].__setitem__(1, ["A"]), "lists a zone that is not a string"),
-], ids=["a-day-short", "ragged-means", "ragged-weights", "no-days", "zone-not-a-string"])
+    (lambda doc, path: doc["arrays"][0].update(shape=[1, 2, 1]),
+     r"shape \(2, 2, K\) for its 2 days and 2 zones"),
+    (truncate_sidecar, r"forecasts\.bin holds 88 bytes, its manifest implies 96"),
+    (lambda doc, path: doc["arrays"][0].update(shape=[2, 2, 2]), r"shape \(2, 2, K\)"),
+    (lambda doc, path: doc.update(days=[]), "holds no forecasts"),
+    (lambda doc, path: doc["zones"].__setitem__(1, ["A"]),
+     "lists a zone that is not a string"),
+    (lambda doc, path: doc.update(days=5), "lists a day that is not a string"),
+    (inline_layout, "holds its arrays inline, a layout fleetcast no longer reads; "
+                    "run `fleetcast forecast` again"),
+    (drop_sidecar, r"has no sidecar: .*forecasts\.bin is missing"),
+], ids=["a-day-short", "truncated-sidecar", "ragged-weights", "no-days",
+        "zone-not-a-string", "days-not-a-list", "inline-layout", "missing-sidecar"])
 def test_misshaped_or_empty_forecast_files_are_named_errors(tmp_path, edit, message):
     path = tmp_path / "forecasts.json"
     doc = small_forecast_doc(path)
-    edit(doc)
+    edit(doc, path)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=message):
         load_forecast_file(path)
