@@ -7,8 +7,11 @@ config hash and seed, and contain no timestamps, so identical runs are
 byte-identical. A missing upstream artifact names the command that
 produces it.
 
-Each command does the work of its own days only. `forecast` and
-`evaluate` run the forecaster once over all their day windows.
+The demand series splits by day index into train days [0, n_train) and
+test days [n_train, stop), and `make_windows` cuts each command's
+windows from the one series. Each command does the work of its own days
+only. `forecast` and `evaluate` run the forecaster once over all their
+day windows.
 `optimize` reads the zone ids from the header of the demand CSV, not its
 body, and takes the requested day's (Z, K) slice of the forecast batch.
 The argument parser is built once per process, so repeated in-process
@@ -18,7 +21,6 @@ The argument parser is built once per process, so repeated in-process
 from __future__ import annotations
 
 import argparse
-import datetime as dt
 import functools
 import os
 import sys
@@ -41,7 +43,6 @@ from .data import (
     read_json,
     read_zone_ids,
     save_ingest_reports,
-    trailing_windows,
     write_json,
 )
 from .evaluate import METRICS, ComparisonReport, EvaluationReport, rolling_evaluate
@@ -96,14 +97,12 @@ def _write_manifest(path: Path, command: str, cfg: PipelineConfig,
 
 
 class Split(NamedTuple):
-    """The demand file, its series and the series' chronological partitions."""
+    """The demand file and its series up to the test end, whose first
+    `n_train` days are the training days and the rest the test days."""
 
     path: Path
     series: DemandSeries
-    train: DemandSeries
-    test: DemandSeries
-    train_end: dt.date
-    test_end: dt.date
+    n_train: int
 
 
 def _split_demand(cfg: PipelineConfig) -> Split:
@@ -115,12 +114,13 @@ def _split_demand(cfg: PipelineConfig) -> Split:
         raise ValueError(f"demand file {path} holds {series.n_days} days; a train/test "
                          f"split needs at least 2")
     if cfg.train_end is not None:
-        train_end, test_end = cfg.train_end, cfg.test_end or series.days[-1]
+        n_train, stop = chronological_split(series, cfg.train_end,
+                                            cfg.test_end or series.days[-1])
     else:
         test_len = 91 if series.n_days >= 182 else max(1, series.n_days // 4)
-        train_end, test_end = series.days[-test_len - 1], series.days[-1]
-    train, test = chronological_split(series, train_end, test_end)
-    return Split(path, series, train, test, train_end, test_end)
+        n_train, stop = series.n_days - test_len, series.n_days
+    cut = DemandSeries(series.start, series.zone_ids, series.values[:, :stop])
+    return Split(path, cut, n_train)
 
 
 def _instance(cfg: PipelineConfig, n_zones: int) -> RelocationInstance:
@@ -227,12 +227,12 @@ def cmd_ingest(cfg: PipelineConfig, args) -> int:
 
 
 def _train_one(cfg: PipelineConfig, which: str) -> Path:
-    split = _split_demand(cfg)
-    scaler = Standardizer.fit(split.train)
-    raw_windows = make_windows(split.train, cfg.window_size)
+    _, series, n_train = _split_demand(cfg)
+    scaler = Standardizer.fit(series.values[:, :n_train])
+    raw_windows = make_windows(series, cfg.window_size, stop=n_train)
     windows = WindowSet(inputs=scaler.transform(raw_windows.inputs),
                         targets=scaler.transform(raw_windows.targets))
-    z = split.series.n_zones
+    z = series.n_zones
     if which == "mdn":
         head = HeadSpec("mdn", z, k=cfg.mixture_components)
         cell = "gru"
@@ -258,8 +258,8 @@ def _train_one(cfg: PipelineConfig, which: str) -> Path:
         "scaler": scaler.to_dict(),
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "train_end": split.train_end.isoformat(),
-        "test_end": split.test_end.isoformat(),
+        "train_end": series.days[n_train - 1].isoformat(),
+        "test_end": series.days[-1].isoformat(),
         "loss_history": history,
     })
     return prefix
@@ -278,9 +278,9 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def cmd_fit_gmm(cfg: PipelineConfig, args) -> int:
     split = _split_demand(cfg)
     base = fc.PointForecaster(*_load_checkpoint(cfg, "gru-point"))
-    windows = make_windows(split.train, cfg.window_size)
-    n_val = max(1, int(len(windows) * cfg.val_fraction))
-    val = WindowSet(inputs=windows.inputs[-n_val:], targets=windows.targets[-n_val:])
+    n_train = split.n_train
+    n_val = max(1, int(max(n_train - cfg.window_size, 0) * cfg.val_fraction))
+    val = make_windows(split.series, cfg.window_size, n_train - n_val, n_train)
     mixtures, records = fc.fit_residual_mixtures(
         base, val, k=cfg.em_components, seed=cfg.seed,
         n_restarts=cfg.em_restarts, tol=cfg.em_tol, max_iter=cfg.em_max_iter)
@@ -297,9 +297,9 @@ def cmd_forecast(cfg: PipelineConfig, args) -> int:
     tag = args.model
     split = _split_demand(cfg)
     forecaster = _forecaster(cfg, tag)
-    positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
-    days = [split.test.days[t] for t in positions]
-    batch = forecaster.predict_distribution(windows, days)
+    windows = make_windows(split.series, cfg.window_size, split.n_train)
+    days = split.series.days[max(split.n_train, cfg.window_size):]
+    batch = forecaster.predict_distribution(windows.inputs, days)
     out_paths = _json_and_bin(_data_dir(cfg) / "forecasts")
     fc.save_forecast_file(out_paths[0], days, split.series.zone_ids, batch)
     _write_manifest(_data_dir(cfg) / "forecast.manifest.json", "forecast", cfg,
@@ -330,7 +330,7 @@ def cmd_optimize(cfg: PipelineConfig, args) -> int:
         lp_path = out / f"program_{day}.lp"
         lp_path.write_text(export_lp_text(build_two_stage(instance, scen)))
         print(f"exported program -> {lp_path}")
-    _write_manifest(out / "optimize.manifest.json", "optimize", cfg,
+    _write_manifest(out / f"optimize_{day}.manifest.json", "optimize", cfg,
                     [demand_path, *forecast_paths], [plan_path])
     print(f"plan for {day}: moving {plan.moving:.2f} vehicles, "
           f"objective {res.objective:.2f} -> {plan_path}")
@@ -346,7 +346,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     split = _split_demand(cfg)
     forecaster = _forecaster(cfg, tag)
     instance = _instance(cfg, split.series.n_zones)
-    report = rolling_evaluate(forecaster, mode, split.train, split.test, instance,
+    report = rolling_evaluate(forecaster, mode, split.series, split.n_train, instance,
                               window_size=cfg.window_size, n_scenarios=cfg.n_scenarios,
                               seed=cfg.seed, method=f"{tag}-{mode}")
     out = _data_dir(cfg) / cfg.reports_dir

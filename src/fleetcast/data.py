@@ -13,8 +13,10 @@ tracemalloc peak is 1.35x the bytes of the columns it returns. The table
 aggregates into a gap-free Z x D demand matrix: first-match zone boxes
 (one mask per box) and UTC pickup dates from epoch-day arithmetic that
 agrees with `datetime.fromtimestamp`, with day offsets and bin keys
-computed in place. The series splits chronologically and slices into
-sliding windows for the sequence models. Demand counts trips; the
+computed in place. A demand series is its first day plus that matrix,
+so a day range is a range of column indices: `chronological_split`
+returns two, and `make_windows` cuts the (ws days -> next day) pairs of
+any range from one sliding window view. Demand counts trips; the
 passenger column is parsed and checked but not summed.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import json
 import math
 import os
@@ -305,50 +308,33 @@ def ingest_trips(path):
 
 @dataclass
 class DemandSeries:
-    """Gap-free per-zone daily demand: values[z, d] for days[d]."""
+    """Per-zone daily demand over consecutive days: values[z, d] is zone z's
+    demand on day `start` + d."""
 
-    days: list[dt.date]
+    start: dt.date
     zone_ids: list[str]
-    values: np.ndarray  # Z x D
+    values: np.ndarray  # Z x D, C order: each zone's days are contiguous
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.validate()
-
-    def validate(self) -> None:
-        z, d = len(self.zone_ids), len(self.days)
-        if self.values.shape != (z, d):
-            raise ValueError(f"values shape {self.values.shape} != ({z}, {d})")
+        self.values = np.ascontiguousarray(self.values, dtype=float)
+        z = len(self.zone_ids)
+        if self.values.ndim != 2 or self.values.shape[0] != z:
+            raise ValueError(f"values shape {self.values.shape} != ({z}, days)")
         if (self.values < 0).any():
             raise ValueError("demand must be nonnegative")
-        for a, b in zip(self.days, self.days[1:]):
-            if (b - a).days != 1:
-                raise ValueError(f"index must be consecutive days; gap at {a} -> {b}")
 
     @property
     def n_days(self) -> int:
-        return len(self.days)
+        return self.values.shape[1]
 
     @property
     def n_zones(self) -> int:
         return len(self.zone_ids)
 
-    def day_position(self, day: dt.date) -> int:
-        if not self.days or not (self.days[0] <= day <= self.days[-1]):
-            raise KeyError(f"{day} outside series range")
-        return (day - self.days[0]).days
-
-    def slice_days(self, start: int, stop: int) -> "DemandSeries":
-        return DemandSeries(self.days[start:stop], list(self.zone_ids),
-                            self.values[:, start:stop].copy())
-
-    def concat(self, other: "DemandSeries") -> "DemandSeries":
-        if other.zone_ids != self.zone_ids:
-            raise ValueError("zone ids differ")
-        if self.days and other.days and (other.days[0] - self.days[-1]).days != 1:
-            raise ValueError("series are not contiguous")
-        return DemandSeries(self.days + other.days, list(self.zone_ids),
-                            np.hstack([self.values, other.values]))
+    @functools.cached_property
+    def days(self) -> list[dt.date]:
+        first = self.start.toordinal()
+        return list(map(dt.date.fromordinal, range(first, first + self.n_days)))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -361,13 +347,14 @@ class DemandSeries:
     @classmethod
     def from_csv(cls, path) -> "DemandSeries":
         """Read a `to_csv` file; blank lines are skipped. A row whose cell
-        count differs from the header's, or with a date that is not ISO, a
-        cell that is not a number, or a negative or non-finite demand, is a
-        ValueError naming the file and the line."""
+        count differs from the header's, or with a date that is not ISO or
+        not the day after the previous row's, a cell that is not a number,
+        or a negative or non-finite demand, is a ValueError naming the file
+        and the line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             zone_ids = _demand_header(reader, path)
-            days = []
+            start = last = EPOCH  # the start of a series with no days
             cols = []
             for row in reader:
                 if not row:
@@ -384,10 +371,18 @@ class DemandSeries:
                 if not all(math.isfinite(v) and v >= 0 for v in values):
                     raise ValueError(f"{where}: demand must be finite and nonnegative, "
                                      f"got {','.join(row[1:])}")
-                days.append(day)
+                if not cols:
+                    start = day
+                elif (step := (day - last).days) != 1:
+                    why = ("repeats the date of the row before" if step == 0 else
+                           f"comes before the previous row's {last}" if step < 0 else
+                           f"skips {step - 1} day(s) after the previous row's {last}")
+                    raise ValueError(f"{where}: {day} {why}; rows must be "
+                                     f"consecutive days")
+                last = day
                 cols.append(values)
         values = np.array(cols, dtype=float).T if cols else np.zeros((len(zone_ids), 0))
-        return cls(days, zone_ids, values)
+        return cls(start, zone_ids, values)
 
 
 def _demand_header(reader, path) -> list[str]:
@@ -432,7 +427,7 @@ def aggregate_demand(trips: TripTable, zones: ZoneMap):
     report.dropped_no_zone = len(trips) - report.matched
     n_zones = len(zones.zones)
     if not report.matched:
-        return DemandSeries([], zones.zone_ids, np.zeros((n_zones, 0))), report
+        return DemandSeries(EPOCH, zones.zone_ids, np.zeros((n_zones, 0))), report
     days, valid = utc_days(trips.pickup_time[hit])
     if not valid.all():
         raise ValueError("pickup times outside the dates datetime can represent")
@@ -442,34 +437,36 @@ def aggregate_demand(trips: TripTable, zones: ZoneMap):
     zone *= n_days  # in place, into the (zone, day) bincount key
     zone += days
     values = np.bincount(zone, minlength=n_zones * n_days).astype(float)
-    start = EPOCH + dt.timedelta(days=first)
-    day_list = [start + dt.timedelta(days=i) for i in range(n_days)]
+    series = DemandSeries(EPOCH + dt.timedelta(days=first), zones.zone_ids,
+                          values.reshape(n_zones, n_days))
     seen = np.bincount(days, minlength=n_days) > 0
-    report.zero_filled_days = [d for d, s in zip(day_list, seen) if not s]
-    return DemandSeries(day_list, zones.zone_ids, values.reshape(n_zones, n_days)), report
+    report.zero_filled_days = [d for d, s in zip(series.days, seen) if not s]
+    return series, report
 
 
 def chronological_split(series: DemandSeries, train_end: dt.date,
-                        test_end: dt.date):
-    """Train covers days <= train_end, test covers (train_end, test_end]."""
+                        test_end: dt.date) -> tuple[int, int]:
+    """Day indices (n_train, stop): train is days [0, n_train), those on or
+    before train_end, and test is days [n_train, stop), those in
+    (train_end, test_end]."""
     if train_end >= test_end:
         raise ValueError(f"train_end {train_end} must precede test_end {test_end}")
-    train_days = [d for d in series.days if d <= train_end]
-    test_days = [d for d in series.days if train_end < d <= test_end]
-    if not train_days:
+
+    def days_through(day):
+        return min(max((day - series.start).days + 1, 0), series.n_days)
+
+    n_train, stop = days_through(train_end), days_through(test_end)
+    if n_train == 0:
         raise ValueError(f"empty train partition: no days on or before {train_end}")
-    if not test_days:
+    if stop == n_train:
         raise ValueError(f"empty test partition: no days after {train_end} "
                          f"up to {test_end}")
-    n_train = len(train_days)
-    train = series.slice_days(0, n_train)
-    test = series.slice_days(n_train, n_train + len(test_days))
-    return train, test
+    return n_train, stop
 
 
 @dataclass
 class WindowSet:
-    """Sliding (ws consecutive days -> next day) training pairs."""
+    """Sliding (ws consecutive days -> next day) pairs."""
 
     inputs: np.ndarray   # (count, ws, Z)
     targets: np.ndarray  # (count, Z)
@@ -482,36 +479,22 @@ class WindowSet:
         return self.inputs.shape[0]
 
 
-def _windows_before(table: np.ndarray, ws: int, first: int) -> np.ndarray:
-    """(count, ws, Z) copies of the ws rows of a days x zones `table` before
-    each row from max(first, ws) on, all cut from one sliding window view:
-    window i holds the ws rows before its target row."""
+def make_windows(series: DemandSeries, ws: int, start: int = 0,
+                 stop: int | None = None) -> WindowSet:
+    """One pair per target day t in [max(start, ws), stop), `stop` defaulting
+    to the series' end: the inputs are the ws days before t, never t itself,
+    and the target is day t. Every pair is cut from one sliding window view
+    of ws + 1 days."""
     if ws < 1:
         raise ValueError("window size must be at least 1")
-    first = max(first, ws)
-    if first >= len(table):
-        return np.zeros((0, ws, table.shape[1]))
-    view = sliding_window_view(table[first - ws : -1], ws, axis=0)  # (count, Z, ws)
-    return np.array(view.transpose(0, 2, 1), dtype=float, order="C")
-
-
-def make_windows(series: DemandSeries, ws: int) -> WindowSet:
-    """Exactly max(D - ws, 0) pairs; pair i inputs days [i, i+ws), target i+ws."""
     table = series.values.T  # D x Z
-    return WindowSet(inputs=_windows_before(table, ws, ws),
-                     targets=np.array(table[ws:], dtype=float, order="C"))
-
-
-def trailing_windows(history: DemandSeries, test: DemandSeries,
-                     ws: int) -> tuple[list[int], np.ndarray]:
-    """The test days that have ws days of demand before them, as positions
-    in `test`, and those days' input windows stacked as one (D, ws, Z)
-    array. Window i holds the ws days before test day positions[i], never
-    that day itself. `history` must end the day before `test` starts.
-    """
-    offset = history.n_days
-    windows = _windows_before(history.concat(test).values.T, ws, offset)
-    return list(range(test.n_days - len(windows), test.n_days)), windows
+    first = max(start, ws)
+    stop = series.n_days if stop is None else stop
+    if first >= stop:
+        return WindowSet(np.zeros((0, ws, series.n_zones)), np.zeros((0, series.n_zones)))
+    view = sliding_window_view(table[first - ws : stop], ws + 1, axis=0)  # (count, Z, ws+1)
+    return WindowSet(inputs=np.array(view[..., :ws].transpose(0, 2, 1), order="C"),
+                     targets=np.array(view[..., ws], order="C"))
 
 
 @dataclass
@@ -522,9 +505,10 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, train: DemandSeries) -> "Standardizer":
-        mean = train.values.mean(axis=1)
-        std = np.maximum(train.values.std(axis=1), 1e-8)
+    def fit(cls, train_values: np.ndarray) -> "Standardizer":
+        """Fit on a Z x D array of training days."""
+        mean = train_values.mean(axis=1)
+        std = np.maximum(train_values.std(axis=1), 1e-8)
         return cls(mean, std)
 
     def transform(self, zone_last):

@@ -1,12 +1,14 @@
 """Rolling out-of-sample evaluation and the side-by-side comparison report.
 
-For each test day the forecaster sees only the trailing window of
-realized demand, the chosen program (scenario-based or point-based) is
-solved, and the committed plan is scored against that day's realized
+The test days are a range [start, D) of day indices over one demand
+series. For each test day the forecaster sees only the trailing window
+of realized demand, the chosen program (scenario-based or point-based)
+is solved, and the committed plan is scored against that day's realized
 demand. Day plans never see the day's own demand or anything after it.
 
 The planned days stay one leading axis from the forecast to the report.
-One forecaster call covers every planned day's window. Stochastic mode
+One `make_windows` call cuts every planned day's window and its realized
+demand, and one forecaster call covers the windows. Stochastic mode
 draws the (D, Z, K) mixture batch into one (D, N, Z) `ScenarioSet`, each
 day from its own seed; with a uniform move cost one
 `solve_relocation_days` call solves it into one (D, Z, Z) `PlanDecision`,
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries, read_json, trailing_windows, write_json
+from .data import DemandSeries, make_windows, read_json, write_json
 from .relocation import (
     OUTCOMES,
     PlanDecision,
@@ -105,50 +107,47 @@ class EvaluationReport:
         return cls(method, days, dict(zip(OUTCOMES, columns)), skipped)
 
 
-def rolling_evaluate(forecaster, mode: str, history: DemandSeries,
-                     test: DemandSeries, instance: RelocationInstance, *,
-                     window_size: int, n_scenarios: int, seed: int,
-                     method: str) -> EvaluationReport:
-    """Walk the test partition day by day with a frozen forecaster; the
-    report is named `method`.
+def rolling_evaluate(forecaster, mode: str, series: DemandSeries, start: int,
+                     instance: RelocationInstance, *, window_size: int,
+                     n_scenarios: int, seed: int, method: str) -> EvaluationReport:
+    """Walk the test days [start, D) of `series` day by day with a frozen
+    forecaster; the report is named `method`.
 
-    `history` must end the day before `test` starts. In "stochastic"
-    mode each day samples `n_scenarios` scenarios from the predicted
-    mixtures (seed `seed + t` on test day t) and solves the scenario
-    programs, all days in one `solve_relocation_days` call when the move
-    cost is uniform; "deterministic" solves the single point-forecast
-    program. One batched forecaster call covers every day with a full
-    trailing window of `window_size` days. Days without one are skipped
-    and reported.
+    In "stochastic" mode each day samples `n_scenarios` scenarios from
+    the predicted mixtures (seed `seed + t - start` on day t) and solves
+    the scenario programs, all days in one `solve_relocation_days` call
+    when the move cost is uniform; "deterministic" solves the single
+    point-forecast program. One batched forecaster call covers every day
+    with a full trailing window of `window_size` days. Days without one
+    are skipped and reported.
     """
     if mode not in ("stochastic", "deterministic"):
         raise ValueError("mode must be stochastic or deterministic")
-    if test.n_days == 0:
+    if start >= series.n_days:
         raise ValueError("empty test partition")
-    positions, windows = trailing_windows(history, test, window_size)
-    days = [test.days[t] for t in positions]
+    windows = make_windows(series, window_size, start)
+    first = max(start, window_size)
+    days = series.days[first:]
 
     z = instance.n_zones
     flows = np.zeros((0, z, z))  # (D, Z, Z), one plan per planned day
-    if positions and mode == "stochastic":
-        dists = forecaster.predict_distribution(windows, days)
-        scenarios = sample_scenarios(dists, n_scenarios, seed=[seed + t for t in positions])
+    if days and mode == "stochastic":
+        dists = forecaster.predict_distribution(windows.inputs, days)
+        seeds = [seed + t - start for t in range(first, series.n_days)]
+        scenarios = sample_scenarios(dists, n_scenarios, seed=seeds)
         if instance.uniform_move_cost is None:
             flows = [solve_relocation(instance, ScenarioSet(demand))[0].flows
                      for demand in scenarios.demand]
         else:
             flows = solve_relocation_days(instance, scenarios, labels=days)[0].flows
-    elif positions:
-        points = np.maximum(forecaster.predict_point(windows, days), 0.0)
+    elif days:
+        points = np.maximum(forecaster.predict_point(windows.inputs, days), 0.0)
         flows = [extract_plan(require_certified(solve_lp(deterministic_model(instance, p))),
                               z).flows for p in points]
 
-    realized = np.ascontiguousarray(test.values[:, positions].T)
-    planned = set(positions)
-    skipped = [day for t, day in enumerate(test.days) if t not in planned]
-    outcomes = evaluate_decision(instance, PlanDecision(flows), realized)
+    outcomes = evaluate_decision(instance, PlanDecision(flows), windows.targets)
     return EvaluationReport(method=method, days=days, outcomes=outcomes,
-                            skipped_days=skipped)
+                            skipped_days=series.days[start:first])
 
 
 @dataclass

@@ -534,6 +534,10 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
             raise ValueError("unrecognized checkpoint format")
 
     manifest, arrays = read_arrays(prefix, "checkpoint manifest", check)
+    window_size = manifest.get("window_size")
+    if window_size is not None and (type(window_size) is not int or window_size < 1):
+        raise ValueError(f"checkpoint manifest {prefix}.json has window_size "
+                         f"{window_size!r}; it must be null or a positive integer")
     try:
         cell = CellWeights(arrays["cell.w"], arrays["cell.u"], arrays["cell.b"])
         acts = manifest["dense_activations"]
@@ -541,8 +545,7 @@ def load_model(prefix: str) -> tuple[RecurrentModel, dict]:
                  for i in range(len(acts))]
         hd = manifest["head"]
         head = HeadSpec(hd["kind"], hd["n_series"], hd["k"])
-        model = RecurrentModel(manifest["cell_kind"], cell, dense, head,
-                               manifest.get("window_size"),
+        model = RecurrentModel(manifest["cell_kind"], cell, dense, head, window_size,
                                manifest.get("sigma_floor", SIGMA_FLOOR))
     except (KeyError, TypeError) as exc:
         what = (f"no {exc.args[0]!r} entry" if isinstance(exc, KeyError)

@@ -80,8 +80,7 @@ def generate_demand(cfg: SyntheticConfig) -> tuple[DemandSeries, np.ndarray]:
         means = np.where(hot, cfg.mean_high, cfg.mean_low)
         draws = rng.normal(means, cfg.noise_sd)
         values[z] = np.round(np.maximum(draws, 0.0))
-    days = [cfg.start_day + dt.timedelta(days=i) for i in range(cfg.n_days)]
-    series = DemandSeries(days, default_zone_map(cfg.n_zones).zone_ids, values)
+    series = DemandSeries(cfg.start_day, default_zone_map(cfg.n_zones).zone_ids, values)
     return series, regimes
 
 
@@ -114,7 +113,7 @@ def write_trips_csv(path, series: DemandSeries, zones: ZoneMap, seed: int) -> in
     counts = np.rint(series.values.T).astype(np.int64)  # days x zones, row order
     n_rows = int(counts.sum())
     zone = np.repeat(np.tile(np.arange(series.n_zones), series.n_days), counts.ravel())
-    day_start = 86400.0 * np.array([(day - EPOCH).days for day in series.days])
+    day_start = 86400.0 * ((series.start - EPOCH).days + np.arange(series.n_days))
     lat_lo, lat_hi, lon_lo, lon_hi = np.array([_micro_degrees_inside(b)
                                                for b in series_boxes]).T
     columns = [

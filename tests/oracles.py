@@ -33,13 +33,19 @@ class PerfectForecaster:
     truth: DemandSeries
     sigma: float = 1e-3
 
+    def position(self, day) -> int:
+        pos = (day - self.truth.start).days
+        if not 0 <= pos < self.truth.n_days:
+            raise KeyError(f"{day} outside series range")
+        return pos
+
     def predict_point(self, windows, days=None) -> np.ndarray:
         if days is None:
             raise ValueError("oracle forecaster needs the target day")
         if isinstance(days, (list, tuple)):
-            positions = [self.truth.day_position(day) for day in days]
+            positions = [self.position(day) for day in days]
             return self.truth.values[:, positions].T.copy()
-        return self.truth.values[:, self.truth.day_position(days)].copy()
+        return self.truth.values[:, self.position(days)].copy()
 
     def predict_distribution(self, windows, days=None) -> MixtureBatch:
         means = self.predict_point(windows, days)[..., None]

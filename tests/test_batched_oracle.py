@@ -20,7 +20,7 @@ import pytest
 
 from fleetcast.cli import _forecaster, _instance, _split_demand, main
 from fleetcast.config import PipelineConfig, load_config
-from fleetcast.data import DemandSeries, Standardizer, trailing_windows
+from fleetcast.data import DemandSeries, Standardizer, make_windows
 from fleetcast.evaluate import EvaluationReport, rolling_evaluate
 from fleetcast.forecast import (
     MixtureForecaster,
@@ -49,21 +49,18 @@ from oracles import (PerfectForecaster, per_zone_sample, row_by_row_distribution
 WS = 10
 
 
-def oracle_rolling_evaluate(forecaster, mode, history, test, instance, *,
+def oracle_rolling_evaluate(forecaster, mode, series, start, instance, *,
                             window_size, n_scenarios, seed, method):
-    full = history.concat(test)
     ws = window_size
-    offset = history.n_days
 
     def plan_for(t):
-        pos = offset + t
-        if pos < ws:
+        if t < ws:
             return None
-        window = full.values[:, pos - ws : pos].T
-        day = test.days[t]
+        window = series.values[:, t - ws : t].T
+        day = series.days[t]
         if mode == "stochastic":
             dists = forecaster.predict_distribution(window, day)
-            scen = per_zone_sample(dists, n_scenarios, seed=seed + t)
+            scen = per_zone_sample(dists, n_scenarios, seed=seed + t - start)
             plan, _ = solve_relocation(instance, scen)
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
@@ -72,27 +69,25 @@ def oracle_rolling_evaluate(forecaster, mode, history, test, instance, *,
         return plan
 
     days, outcomes, skipped = [], [], []
-    for t in range(test.n_days):
+    for t in range(start, series.n_days):
         plan = plan_for(t)
         if plan is None:
-            skipped.append(test.days[t])
+            skipped.append(series.days[t])
             continue
-        outcomes.append(evaluate_decision(instance, plan, test.values[:, t]))
-        days.append(test.days[t])
+        outcomes.append(evaluate_decision(instance, plan, series.values[:, t]))
+        days.append(series.days[t])
     columns = {name: np.array([day[name] for day in outcomes]) for name in OUTCOMES}
     return EvaluationReport(method=method, days=days, outcomes=columns,
                             skipped_days=skipped)
 
 
-def oracle_forecast_days(forecaster, history, test, ws):
-    full = history.concat(test)
-    offset = history.n_days
+def oracle_forecast_days(forecaster, series, start, ws):
     days, dists = [], []
-    for t, day in enumerate(test.days):
-        pos = offset + t
-        if pos < ws:
+    for t in range(start, series.n_days):
+        if t < ws:
             continue
-        window = full.values[:, pos - ws : pos].T
+        day = series.days[t]
+        window = series.values[:, t - ws : t].T
         days.append(day)
         dists.append(forecaster.predict_distribution(window, day))
     return days, dists
@@ -119,9 +114,15 @@ def oracle_optimize(cfg: PipelineConfig, day, plan_path):
 
 
 def demand_split(n_history):
+    """A synthetic series of n_history days then 91 test days, and n_history."""
     series, _ = generate_demand(SyntheticConfig(n_zones=2, n_days=n_history + 91,
                                                 seed=3))
-    return series.slice_days(0, n_history), series.slice_days(n_history, series.n_days)
+    return series, n_history
+
+
+def planned_windows(series, start, ws=WS):
+    """The days of [start, D) with ws days before them, and their windows."""
+    return series.days[max(start, ws):], make_windows(series, ws, start).inputs
 
 
 def build_forecasters():
@@ -159,11 +160,10 @@ def assert_mixtures_close(got, want, rtol):
 @pytest.mark.parametrize("tag", ["mdn", "posthoc"])
 def test_batched_distributions_equal_per_day_calls(tag):
     f = FORECASTERS[tag]
-    history, test = demand_split(49)
-    positions, windows = trailing_windows(history, test, WS)
-    days = [test.days[t] for t in positions]
+    series, start = demand_split(49)
+    days, windows = planned_windows(series, start)
     batched = f.predict_distribution(windows, days)
-    loop_days, loop = oracle_forecast_days(f, history, test, WS)
+    loop_days, loop = oracle_forecast_days(f, series, start, WS)
     assert loop_days == days and len(days) == 91
     assert_mixtures_close(batched, loop, rtol=1e-12)
 
@@ -171,8 +171,7 @@ def test_batched_distributions_equal_per_day_calls(tag):
 @pytest.mark.parametrize("tag", ["mdn", "posthoc"])
 def test_distributions_equal_the_row_by_row_transform_exactly(tag):
     f = FORECASTERS[tag]
-    history, test = demand_split(49)
-    _, windows = trailing_windows(history, test, WS)
+    _, windows = planned_windows(*demand_split(49))
     got = f.predict_distribution(windows)
     want = row_by_row_distribution(f, windows)
     assert got.shape == (91, 2) and len(want) == 91
@@ -188,8 +187,7 @@ def test_distributions_equal_the_row_by_row_transform_exactly(tag):
 
 def test_mixture_point_is_the_weighted_mean_of_the_batch():
     f = FORECASTERS["mdn"]
-    history, test = demand_split(49)
-    _, windows = trailing_windows(history, test, WS)
+    _, windows = planned_windows(*demand_split(49))
     batch = f.predict_distribution(windows)
     np.testing.assert_array_equal(f.predict_point(windows),
                                   (batch.weights * batch.means).sum(axis=-1))
@@ -198,9 +196,7 @@ def test_mixture_point_is_the_weighted_mean_of_the_batch():
 @pytest.mark.parametrize("tag", ["mdn", "gru-point", "lstm", "posthoc"])
 def test_batched_points_equal_per_day_calls(tag):
     f = FORECASTERS[tag]
-    history, test = demand_split(49)
-    positions, windows = trailing_windows(history, test, WS)
-    days = [test.days[t] for t in positions]
+    days, windows = planned_windows(*demand_split(49))
     batched = f.predict_point(windows, days)
     assert batched.shape == (91, 2)
     loop = np.array([f.predict_point(w, d) for w, d in zip(windows, days)])
@@ -208,9 +204,9 @@ def test_batched_points_equal_per_day_calls(tag):
 
 
 def test_perfect_forecaster_answers_a_list_of_days_as_a_batch():
-    history, test = demand_split(20)
-    f = PerfectForecaster(history.concat(test))
-    days = test.days[3:9]
+    series, start = demand_split(20)
+    f = PerfectForecaster(series)
+    days = series.days[start + 3 : start + 9]
     np.testing.assert_array_equal(f.predict_point(None, days),
                                   np.array([f.predict_point(None, d) for d in days]))
     batched = f.predict_distribution(None, days)
@@ -230,11 +226,11 @@ def instance():
                                        ("lstm", "deterministic")])
 @pytest.mark.parametrize("n_history", [49, 4])
 def test_reports_equal_the_per_day_loop(tag, mode, n_history):
-    history, test = demand_split(n_history)
+    series, start = demand_split(n_history)
     settings = dict(window_size=WS, n_scenarios=60, seed=11, method=mode)
-    got = rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
+    got = rolling_evaluate(FORECASTERS[tag], mode, series, start, instance(),
                            **settings).to_dict()
-    want = oracle_rolling_evaluate(FORECASTERS[tag], mode, history, test, instance(),
+    want = oracle_rolling_evaluate(FORECASTERS[tag], mode, series, start, instance(),
                                    **settings).to_dict()
     assert got["days"] == want["days"]
     assert got["skipped_days"] == want["skipped_days"]
@@ -250,9 +246,8 @@ class FrozenAnswers:
     batched call over all test days, so that the per-day oracle and
     `rolling_evaluate` plan from bit-identical forecasts."""
 
-    def __init__(self, forecaster, history, test):
-        positions, windows = trailing_windows(history, test, WS)
-        days = [test.days[t] for t in positions]
+    def __init__(self, forecaster, series, start):
+        days, windows = planned_windows(series, start)
         self.batch = forecaster.predict_distribution(windows, days)
         self.index = {day: i for i, day in enumerate(days)}
 
@@ -271,24 +266,24 @@ def non_uniform_instance():
 @pytest.mark.parametrize("tag", ["mdn", "posthoc"])
 @pytest.mark.parametrize("n_history", [49, 4])
 def test_stochastic_reports_equal_the_per_day_loop_exactly(tag, n_history):
-    history, test = demand_split(n_history)
-    forecaster = FrozenAnswers(FORECASTERS[tag], history, test)
+    series, start = demand_split(n_history)
+    forecaster = FrozenAnswers(FORECASTERS[tag], series, start)
     settings = dict(window_size=WS, n_scenarios=60, seed=11, method="stochastic")
-    got = rolling_evaluate(forecaster, "stochastic", history, test, instance(), **settings)
-    want = oracle_rolling_evaluate(forecaster, "stochastic", history, test, instance(),
+    got = rolling_evaluate(forecaster, "stochastic", series, start, instance(), **settings)
+    want = oracle_rolling_evaluate(forecaster, "stochastic", series, start, instance(),
                                    **settings)
     assert got.to_dict() == want.to_dict()
     assert got.day_count == 91 - max(0, WS - n_history)
 
 
 def test_non_uniform_costs_are_solved_day_by_day():
-    history, test = demand_split(49)
-    test = test.slice_days(0, 12)
-    forecaster = FrozenAnswers(FORECASTERS["mdn"], history, test)
+    series, start = demand_split(49)
+    series = DemandSeries(series.start, series.zone_ids, series.values[:, : start + 12])
+    forecaster = FrozenAnswers(FORECASTERS["mdn"], series, start)
     settings = dict(window_size=WS, n_scenarios=8, seed=11, method="stochastic")
-    got = rolling_evaluate(forecaster, "stochastic", history, test, non_uniform_instance(),
+    got = rolling_evaluate(forecaster, "stochastic", series, start, non_uniform_instance(),
                            **settings)
-    want = oracle_rolling_evaluate(forecaster, "stochastic", history, test,
+    want = oracle_rolling_evaluate(forecaster, "stochastic", series, start,
                                    non_uniform_instance(), **settings)
     assert got.to_dict() == want.to_dict() and got.day_count == 12
 
@@ -313,10 +308,8 @@ def test_forecast_command_equals_the_per_day_loop(tmp_path):
     cfg = load_config(str(cfg_path))
     series = DemandSeries.from_csv(tmp_path / "run" / "demand.csv")
     test_len = max(1, series.n_days // 4)
-    history = series.slice_days(0, series.n_days - test_len)
-    test = series.slice_days(series.n_days - test_len, series.n_days)
-    days, dists = oracle_forecast_days(_forecaster(cfg, "mdn"), history, test,
-                                       cfg.window_size)
+    days, dists = oracle_forecast_days(_forecaster(cfg, "mdn"), series,
+                                       series.n_days - test_len, cfg.window_size)
     want_path = tmp_path / "oracle_forecasts.json"
     save_forecast_file(want_path, days, series.zone_ids, stack_days(dists))
     got = load_forecast_file(tmp_path / "run" / "forecasts.json")
@@ -331,7 +324,7 @@ def test_optimize_plans_are_byte_identical_to_the_whole_file_reader(tmp_path):
     start = dt.date(2018, 8, 1)
     days = [start + dt.timedelta(days=i) for i in range(40)]
     rng = np.random.default_rng(5)
-    DemandSeries(days, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
+    DemandSeries(start, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
         run / "demand.csv")
     dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
                            rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[28:]]
@@ -389,8 +382,7 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
     cfg = load_config(str(cfg_path))
     split = _split_demand(cfg)
     assert split.series.n_zones == 3
-    positions, windows = trailing_windows(split.train, split.test, cfg.window_size)
-    days = [split.test.days[t] for t in positions]
+    days, windows = planned_windows(split.series, split.n_train, cfg.window_size)
     oracle = RowByRowAnswers(_forecaster(cfg, tag), days, windows)
 
     save_forecast_file(tmp_path / "forecasts.json", days, split.series.zone_ids,
@@ -398,7 +390,7 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
     for name in ("forecasts.json", "forecasts.bin"):
         assert (run / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
-    report = oracle_rolling_evaluate(oracle, "stochastic", split.train, split.test,
+    report = oracle_rolling_evaluate(oracle, "stochastic", split.series, split.n_train,
                                      _instance(cfg, 3), window_size=cfg.window_size,
                                      n_scenarios=cfg.n_scenarios, seed=cfg.seed,
                                      method=f"{tag}-stochastic")

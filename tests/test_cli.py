@@ -86,7 +86,9 @@ class TestPipeline:
         assert inputs("train_mdn") == ["demand.csv"]
         assert inputs("fit_gmm") == ["demand.csv"] + gru_point
         assert inputs("forecast") == ["demand.csv"] + mdn
-        assert inputs("optimize") == ["demand.csv", "forecasts.json", "forecasts.bin"]
+        day = json.loads((run / "forecasts.json").read_text())["days"][0]
+        assert inputs(f"optimize_{day}") == ["demand.csv", "forecasts.json",
+                                             "forecasts.bin"]
         outputs = json.loads((run / "forecast.manifest.json").read_text())["outputs"]
         assert [Path(p).name for p in outputs] == ["forecasts.json", "forecasts.bin"]
         assert inputs("evaluate_mdn_stochastic") == ["demand.csv"] + mdn
@@ -257,8 +259,13 @@ class TestPipeline:
     @pytest.mark.parametrize("edit, words", [
         (lambda m: m["arrays"].__setitem__(1, 3), "has an arrays entry of the wrong kind"),
         (lambda m: m.update(head=3), "has an entry of the wrong kind"),
-        (lambda m: m["extra"].pop("scaler"), "has no usable extra 'scaler'")],
-        ids=["arrays-entry-a-number", "head-a-number", "extra-without-scaler"])
+        (lambda m: m["extra"].pop("scaler"), "has no usable extra 'scaler'"),
+        (lambda m: m.update(window_size="x"),
+         "has window_size 'x'; it must be null or a positive integer"),
+        (lambda m: m.update(window_size=0),
+         "has window_size 0; it must be null or a positive integer")],
+        ids=["arrays-entry-a-number", "head-a-number", "extra-without-scaler",
+             "window-size-a-string", "window-size-zero"])
     def test_checkpoint_manifest_of_the_wrong_kind_exits_2_naming_it(self, run_dir, capsys,
                                                                      edit, words):
         run, cfg = run_dir
@@ -539,7 +546,7 @@ def plan_dir(tmp_path):
     start = dt.date(2018, 8, 1)
     days = [start + dt.timedelta(days=i) for i in range(40)]
     rng = np.random.default_rng(3)
-    DemandSeries(days, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
+    DemandSeries(start, ["A", "B"], rng.integers(5, 90, size=(2, 40))).to_csv(
         run / "demand.csv")
     dists = [[MixtureBatch(rng.dirichlet(np.ones(3)), rng.uniform(10, 80, 3),
                            rng.uniform(2, 15, 3)) for _ in range(2)] for _ in days[30:]]
@@ -682,9 +689,22 @@ class TestOptimize:
         run, cfg = plan_dir
         (run / "demand.csv").write_text("date,A,B\n2018-08-01,1,2\n2018-08-02,3,4\n")
         split = _split_demand(load_config(cfg))
-        assert split.train.days == [dt.date(2018, 8, 1)]
-        assert split.test.days == [dt.date(2018, 8, 2)]
-        np.testing.assert_array_equal(split.test.values, [[3.0], [4.0]])
+        assert split.n_train == 1
+        assert split.series.days == [dt.date(2018, 8, 1), dt.date(2018, 8, 2)]
+        np.testing.assert_array_equal(split.series.values[:, split.n_train :],
+                                      [[3.0], [4.0]])
+
+    def test_each_plan_has_its_own_manifest(self, plan_dir):
+        run, cfg = plan_dir
+        days = ["2018-08-31", "2018-09-01"]
+        for day in days:
+            assert call(cfg, "optimize", "--day", day) == 0
+        for day in days:
+            doc = json.loads((run / f"optimize_{day}.manifest.json").read_text())
+            assert doc["command"] == "optimize"
+            assert doc["outputs"] == [str(run / f"plan_{day}.json")]
+        assert sorted(p.name for p in run.glob("*.manifest.json")) == [
+            f"optimize_{day}.manifest.json" for day in days]
 
     def test_overrides_do_not_leak_into_the_next_call(self, plan_dir):
         from fleetcast.cli import build_parser
@@ -699,5 +719,5 @@ class TestOptimize:
         assert call(cfg, "optimize", "--day", day) == 0
         second = json.loads((run / f"plan_{day}.json").read_text())
         assert (second["seed"], second["n_scenarios"]) == (7, 25)
-        manifest = json.loads((run / "optimize.manifest.json").read_text())
+        manifest = json.loads((run / f"optimize_{day}.manifest.json").read_text())
         assert manifest["seed"] == 7

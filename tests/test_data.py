@@ -18,7 +18,6 @@ from fleetcast.data import (
     ingest_trips,
     make_windows,
     read_zone_ids,
-    trailing_windows,
     utc_days,
 )
 
@@ -207,7 +206,7 @@ class TestAggregate:
         assert series.values.shape == (2, 5)
         for (zone, day), count in table.items():
             zi = series.zone_ids.index(zone)
-            assert series.values[zi, series.day_position(day)] == count
+            assert series.values[zi, (day - series.start).days] == count
         assert series.values.sum() == report.matched == 100
 
     def test_unmatched_trips_dropped_and_counted(self):
@@ -240,13 +239,9 @@ class TestAggregate:
         assert series.n_days == 0 and report.matched == 0
 
 
-def day_range(start, n):
-    return [start + dt.timedelta(days=i) for i in range(n)]
-
-
 def series_of(n_days, n_zones=2, start=dt.date(2019, 1, 1), seed=0):
     rng = np.random.default_rng(seed)
-    return DemandSeries(day_range(start, n_days), [f"z{i}" for i in range(n_zones)],
+    return DemandSeries(start, [f"z{i}" for i in range(n_zones)],
                         rng.integers(0, 50, size=(n_zones, n_days)).astype(float))
 
 
@@ -256,17 +251,17 @@ class TestSplit:
         start = dt.date(2017, 1, 1)
         n = (dt.date(2019, 6, 30) - start).days + 1
         series = series_of(n, start=start)
-        train, test = chronological_split(series, dt.date(2019, 3, 31),
-                                          dt.date(2019, 6, 30))
-        assert test.n_days == 91
-        assert test.days[0] == dt.date(2019, 4, 1)
-        assert test.days[-1] == dt.date(2019, 6, 30)
-        assert train.days[-1] == dt.date(2019, 3, 31)
+        n_train, stop = chronological_split(series, dt.date(2019, 3, 31),
+                                            dt.date(2019, 6, 30))
+        assert (stop - n_train, stop) == (91, series.n_days)
+        assert series.days[n_train] == dt.date(2019, 4, 1)
+        assert series.days[stop - 1] == dt.date(2019, 6, 30)
+        assert series.days[n_train - 1] == dt.date(2019, 3, 31)
 
     def test_split_counts(self):
         series = series_of(10)
-        train, test = chronological_split(series, series.days[6], series.days[9])
-        assert train.n_days == 7 and test.n_days == 3
+        assert chronological_split(series, series.days[6], series.days[9]) == (7, 10)
+        assert chronological_split(series, series.days[2], series.days[5]) == (3, 6)
 
     def test_empty_test_partition_is_an_error(self):
         series = series_of(10)
@@ -285,12 +280,21 @@ class TestSplit:
         with pytest.raises(ValueError, match="must precede"):
             chronological_split(series, series.days[5], series.days[2])
 
-    def test_concatenation_reproduces_original(self):
-        series = series_of(30, seed=3)
-        train, test = chronological_split(series, series.days[19], series.days[29])
-        glued = train.concat(test)
-        assert glued.days == series.days
-        np.testing.assert_array_equal(glued.values, series.values)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(-5, 35), st.integers(1, 10))
+    def test_indices_count_the_days_up_to_each_end(self, n_days, train_at, test_len):
+        series = series_of(n_days, seed=3)
+        train_end = series.start + dt.timedelta(days=train_at)
+        test_end = train_end + dt.timedelta(days=test_len)
+        train = [d for d in series.days if d <= train_end]
+        test = [d for d in series.days if train_end < d <= test_end]
+        if not train or not test:
+            with pytest.raises(ValueError, match="empty"):
+                chronological_split(series, train_end, test_end)
+            return
+        n_train, stop = chronological_split(series, train_end, test_end)
+        assert series.days[:n_train] == train
+        assert series.days[n_train:stop] == test
 
 
 def loop_make_windows(series, ws):
@@ -305,20 +309,23 @@ def loop_make_windows(series, ws):
     return inputs, targets
 
 
-def loop_trailing_windows(history, test, ws):
-    """`trailing_windows` as a loop over test days, the way it was first written."""
-    table = history.concat(test).values.T
-    offset = history.n_days
-    positions = [t for t in range(test.n_days) if offset + t >= ws]
-    windows = np.zeros((len(positions), ws, test.n_zones))
+def loop_trailing_windows(series, ws, start, stop):
+    """The windows and demand of the target days in [start, stop) that have
+    ws days before them, as a loop over those days, the way the test days'
+    windows were first written."""
+    table = series.values.T
+    positions = [t for t in range(start, stop) if t >= ws]
+    windows = np.zeros((len(positions), ws, series.n_zones))
+    targets = np.zeros((len(positions), series.n_zones))
     for i, t in enumerate(positions):
-        windows[i] = table[offset + t - ws : offset + t]
-    return positions, windows
+        windows[i] = table[t - ws : t]
+        targets[i] = table[t]
+    return windows, targets
 
 
 def random_series(n_days, n_zones, seed):
     rng = np.random.default_rng(seed)
-    return DemandSeries(day_range(dt.date(2019, 1, 1), n_days),
+    return DemandSeries(dt.date(2019, 1, 1),
                         [f"z{i}" for i in range(n_zones)],
                         rng.uniform(0.0, 40.0, size=(n_zones, n_days)))
 
@@ -330,23 +337,31 @@ def assert_same_array(got, want):
 
 
 class TestWindows:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 14), st.integers(1, 12), st.integers(1, 3), st.integers(1, 16),
-           st.integers(0, 2**32 - 1))
-    def test_windows_equal_the_day_loops_bit_for_bit(self, n_hist, n_test, n_zones, ws,
-                                                    seed):
-        # ws runs past the history length, so leading test days are skipped
-        series = random_series(n_hist + n_test, n_zones, seed)
+           st.integers(0, 2**32 - 1), st.data())
+    def test_windows_equal_the_day_loops_bit_for_bit(self, n_train, n_test, n_zones, ws,
+                                                    seed, data):
+        # ws runs past the train length, so leading test days are skipped
+        n_days = n_train + n_test
+        series = random_series(n_days, n_zones, seed)
         inputs, targets = loop_make_windows(series, ws)
         got = make_windows(series, ws)
         assert_same_array(got.inputs, inputs)
         assert_same_array(got.targets, targets)
-        history = series.slice_days(0, n_hist)
-        test = series.slice_days(n_hist, series.n_days)
-        want_positions, want_windows = loop_trailing_windows(history, test, ws)
-        positions, windows = trailing_windows(history, test, ws)
-        assert positions == want_positions
-        assert_same_array(windows, want_windows)
+        # the training windows, as they were cut from a copy of the train days
+        train = DemandSeries(series.start, series.zone_ids, series.values[:, :n_train])
+        inputs, targets = loop_make_windows(train, ws)
+        for got in (make_windows(series, ws, stop=n_train), make_windows(train, ws)):
+            assert_same_array(got.inputs, inputs)
+            assert_same_array(got.targets, targets)
+        start = data.draw(st.integers(0, n_days), label="start")
+        stop = data.draw(st.integers(start, n_days), label="stop")
+        for first, last in ((n_train, n_days), (start, stop)):
+            inputs, targets = loop_trailing_windows(series, ws, first, last)
+            got = make_windows(series, ws, first, last)
+            assert_same_array(got.inputs, inputs)
+            assert_same_array(got.targets, targets)
 
     def test_counts(self):
         assert len(make_windows(series_of(100), 10)) == 90
@@ -378,16 +393,14 @@ class TestWindows:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 20), st.integers(1, 8))
-    def test_trailing_windows_end_the_day_before_their_target(self, n_hist, n_test, ws):
-        series = series_of(n_hist + n_test, n_zones=2, seed=n_hist)
-        history = series.slice_days(0, n_hist)
-        test = series.slice_days(n_hist, series.n_days)
-        positions, windows = trailing_windows(history, test, ws)
-        assert positions == [t for t in range(n_test) if n_hist + t >= ws]
-        assert windows.shape == (len(positions), ws, 2)
-        for t, window in zip(positions, windows):
-            np.testing.assert_array_equal(
-                window, series.values[:, n_hist + t - ws : n_hist + t].T)
+    def test_test_windows_end_the_day_before_their_target(self, n_train, n_test, ws):
+        series = series_of(n_train + n_test, n_zones=2, seed=n_train)
+        out = make_windows(series, ws, n_train)
+        positions = [t for t in range(n_train, series.n_days) if t >= ws]
+        assert out.inputs.shape == (len(positions), ws, 2)
+        for t, window, target in zip(positions, out.inputs, out.targets):
+            np.testing.assert_array_equal(window, series.values[:, t - ws : t].T)
+            np.testing.assert_array_equal(target, series.values[:, t])
 
 
 class TestSeriesIO:
@@ -455,10 +468,35 @@ class TestSeriesIO:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
-    def test_gap_in_index_rejected(self):
-        days = [dt.date(2019, 1, 1), dt.date(2019, 1, 3)]
-        with pytest.raises(ValueError, match="consecutive"):
-            DemandSeries(days, ["a"], np.zeros((1, 2)))
+    @pytest.mark.parametrize("day, words", [
+        ("2019-01-05", "2019-01-05 skips 2 day(s) after the previous row's 2019-01-02"),
+        ("2019-01-02", "2019-01-02 repeats the date of the row before"),
+        ("2019-01-01", "2019-01-01 comes before the previous row's 2019-01-02"),
+    ], ids=["gap", "repeated", "out-of-order"])
+    def test_a_date_that_is_not_the_next_day_names_its_file_and_line(
+            self, tmp_path, capsys, day, words):
+        from fleetcast.cli import main
+
+        path = tmp_path / "demand.csv"
+        path.write_text(f"date,A,B\n2019-01-01,1,2\n2019-01-02,3,4\n\n{day},5,6\n")
+        message = f"demand file {path}, line 5: {words}; rows must be consecutive days"
+        with pytest.raises(ValueError) as exc:
+            DemandSeries.from_csv(path)
+        assert str(exc.value) == message
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data_dir = {tmp_path}\n")
+        assert main(["--config", str(cfg), "train", "--model", "lstm", "--epochs", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_values_must_be_zones_by_days(self):
+        with pytest.raises(ValueError, match=r"values shape \(3,\) != \(1, days\)"):
+            DemandSeries(dt.date(2019, 1, 1), ["a"], np.zeros(3))
+        with pytest.raises(ValueError, match="nonnegative"):
+            DemandSeries(dt.date(2019, 1, 1), ["a"], -np.ones((1, 2)))
+        series = DemandSeries(dt.date(2019, 12, 30), ["a"], np.zeros((1, 4)))
+        assert series.days == [dt.date(2019, 12, 30), dt.date(2019, 12, 31),
+                               dt.date(2020, 1, 1), dt.date(2020, 1, 2)]
+        assert series.days is series.days  # built once
 
     def test_zone_map_spec_round_trip(self):
         text = TWO_ZONES.spec()
@@ -528,7 +566,7 @@ class TestUtcDays:
 class TestStandardizer:
     def test_fit_transform_inverse(self):
         series = series_of(50, n_zones=2, seed=4)
-        sc = Standardizer.fit(series)
+        sc = Standardizer.fit(series.values)
         x = series.values.T  # day-major, zone-last
         z = sc.transform(x)
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)

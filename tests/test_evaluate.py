@@ -13,12 +13,7 @@ from oracles import PerfectForecaster
 
 def mk_series(values, start=dt.date(2020, 1, 1)):
     values = np.asarray(values, dtype=float)
-    days = [start + dt.timedelta(days=i) for i in range(values.shape[1])]
-    return DemandSeries(days, [f"z{i}" for i in range(values.shape[0])], values)
-
-
-def split(series, n_train):
-    return series.slice_days(0, n_train), series.slice_days(n_train, series.n_days)
+    return DemandSeries(start, [f"z{i}" for i in range(values.shape[0])], values)
 
 
 def toy_instance(z=2, stock=6.0):
@@ -61,20 +56,18 @@ class TestRolling:
     def test_report_covers_every_test_day(self):
         rng = np.random.default_rng(0)
         series = mk_series(rng.integers(0, 10, size=(2, 120)))
-        history, test = split(series, 29)
         report = rolling_evaluate(constant_forecaster(), "deterministic",
-                                  history, test, toy_instance(),
+                                  series, 29, toy_instance(),
                                   window_size=10, n_scenarios=200, seed=0,
                                   method="deterministic")
         assert report.day_count == 91
         assert report.skipped_days == []
-        assert report.days == test.days
+        assert report.days == series.days[29:]
 
     def test_single_day_averages_equal_that_day(self):
         series = mk_series([[3.0] * 15, [1.0] * 15])
-        history, test = split(series, 14)
         report = rolling_evaluate(constant_forecaster(), "stochastic",
-                                  history, test, toy_instance(),
+                                  series, 14, toy_instance(),
                                   window_size=5, n_scenarios=30, seed=1,
                                   method="stochastic")
         assert report.day_count == 1
@@ -87,12 +80,11 @@ class TestRolling:
         rng = np.random.default_rng(3)
         values = rng.integers(0, 9, size=(2, 60)).astype(float)
         series = mk_series(values)
-        history, test = split(series, 20)
-        instance = toy_instance(stock=5.0)  # fleet 10 covers max total demand 16? no
+        instance = toy_instance(stock=5.0)
         # keep realized total within fleet so perfect information can serve all
-        test.values[:] = np.minimum(test.values, 4.0)
-        report = rolling_evaluate(PerfectForecaster(history.concat(test)),
-                                  "deterministic", history, test, instance,
+        series.values[:, 20:] = np.minimum(series.values[:, 20:], 4.0)
+        report = rolling_evaluate(PerfectForecaster(series),
+                                  "deterministic", series, 20, instance,
                                   window_size=10, n_scenarios=200, seed=0,
                                   method="deterministic")
         assert all(lost == pytest.approx(0.0, abs=1e-7)
@@ -100,29 +92,28 @@ class TestRolling:
 
     def test_days_without_history_are_skipped_and_reported(self):
         series = mk_series([[2.0] * 12])
-        history, test = split(series, 4)  # only 4 days of history, ws = 6
         instance = toy_instance(z=1)
         report = rolling_evaluate(constant_forecaster(z=1), "deterministic",
-                                  history, test, instance,
+                                  series, 4, instance,  # only 4 days of history, ws = 6
                                   window_size=6, n_scenarios=200, seed=0,
                                   method="deterministic")
         assert len(report.skipped_days) == 2
         assert report.day_count == 6
-        assert report.skipped_days == test.days[:2]
+        assert report.skipped_days == series.days[4:6]
+        assert report.days == series.days[6:]
 
     def test_no_leakage_future_mutation_leaves_day_unchanged(self):
         rng = np.random.default_rng(7)
         series = mk_series(rng.integers(0, 8, size=(2, 40)).astype(float))
-        history, test = split(series, 20)
         settings = dict(window_size=10, n_scenarios=25, seed=5, method="stochastic")
         fc = constant_forecaster()
-        base = rolling_evaluate(fc, "stochastic", history, test,
+        base = rolling_evaluate(fc, "stochastic", series, 20,
                                 toy_instance(), **settings)
         probe = 3
-        mutated = test.slice_days(0, test.n_days)
-        mutated.values[:, probe + 1 :] = rng.permutation(
-            mutated.values[:, probe + 1 :], axis=1)
-        again = rolling_evaluate(fc, "stochastic", history, mutated,
+        mutated = mk_series(series.values.copy(), start=series.start)
+        mutated.values[:, 20 + probe + 1 :] = rng.permutation(
+            mutated.values[:, 20 + probe + 1 :], axis=1)
+        again = rolling_evaluate(fc, "stochastic", mutated, 20,
                                  toy_instance(), **settings)
         for metric in ("revenue", "cost", "moving", "lost_sales"):
             assert again.outcomes[metric][probe] == pytest.approx(
@@ -130,45 +121,44 @@ class TestRolling:
 
     def test_forecaster_never_sees_target_day_demand(self):
         series = mk_series(np.arange(30, dtype=float)[None, :])
-        history, test = split(series, 20)
         fc = constant_forecaster(z=1)
-        rolling_evaluate(fc, "deterministic", history, test, toy_instance(z=1),
+        rolling_evaluate(fc, "deterministic", series, 20, toy_instance(z=1),
                          window_size=5, n_scenarios=200, seed=0, method="deterministic")
-        full = history.concat(test)
         assert fc.calls == 1  # one batched call covers every test day
-        assert [day for _, day in fc.seen] == test.days
+        assert [day for _, day in fc.seen] == series.days[20:]
         for window, day in fc.seen:
-            pos = full.day_position(day)
+            pos = (day - series.start).days
             np.testing.assert_array_equal(
-                window, full.values[:, pos - 5 : pos].T)  # strictly before day
+                window, series.values[:, pos - 5 : pos].T)  # strictly before day
 
     def test_bit_reproducible_with_same_seed(self):
         rng = np.random.default_rng(11)
         series = mk_series(rng.integers(0, 12, size=(2, 45)).astype(float))
-        history, test = split(series, 25)
         settings = dict(window_size=8, n_scenarios=40, seed=9, method="stochastic")
-        reports = [rolling_evaluate(constant_forecaster(), "stochastic", history,
-                                    test, toy_instance(), **settings)
+        reports = [rolling_evaluate(constant_forecaster(), "stochastic", series,
+                                    25, toy_instance(), **settings)
                    for _ in range(2)]
         assert reports[0].to_dict() == reports[1].to_dict()
 
     def test_unsolved_deterministic_day_raises_named_error(self, monkeypatch):
         series = mk_series(np.full((2, 20), 5.0))
-        history, test = split(series, 12)
         monkeypatch.setattr("fleetcast.evaluate.solve_lp",
                             lambda lp: solve_lp(lp, maxiter=1))
         with pytest.raises(RelocationSolveError, match="iteration_limit"):
-            rolling_evaluate(constant_forecaster(), "deterministic", history, test,
+            rolling_evaluate(constant_forecaster(), "deterministic", series, 12,
                              toy_instance(), window_size=5, n_scenarios=200, seed=0,
                              method="deterministic")
 
     def test_bad_mode_and_empty_test_rejected(self):
         series = mk_series([[1.0] * 20])
-        history, test = split(series, 10)
-        with pytest.raises(ValueError):
-            rolling_evaluate(constant_forecaster(z=1), "fuzzy", history, test,
+        with pytest.raises(ValueError, match="mode must be"):
+            rolling_evaluate(constant_forecaster(z=1), "fuzzy", series, 10,
                              toy_instance(z=1), window_size=5, n_scenarios=200, seed=0,
                              method="fuzzy")
+        with pytest.raises(ValueError, match="empty test partition"):
+            rolling_evaluate(constant_forecaster(z=1), "deterministic", series, 20,
+                             toy_instance(z=1), window_size=5, n_scenarios=200, seed=0,
+                             method="deterministic")
 
 
 def report_with(method, **avg):

@@ -22,8 +22,7 @@ from oracles import PerfectForecaster, stack_days
 
 def mk_series(values, start=dt.date(2020, 1, 1)):
     values = np.asarray(values, dtype=float)
-    days = [start + dt.timedelta(days=i) for i in range(values.shape[1])]
-    return DemandSeries(days, [f"z{i}" for i in range(values.shape[0])], values)
+    return DemandSeries(start, [f"z{i}" for i in range(values.shape[0])], values)
 
 
 class TestMixtureForecaster:

@@ -76,8 +76,7 @@ def test_pickups_stay_strictly_inside_boxes_narrower_than_the_rounding(tmp_path)
     # and rounded to 6 decimals would often land on the edge they share
     zones = ZoneMap([ZoneBox("A", 40.7, 40.700003, -74.0, -73.999997),
                      ZoneBox("B", 40.700003, 40.700006, -74.0, -73.999997)])
-    series = DemandSeries([dt.date(2019, 1, 1) + dt.timedelta(days=i) for i in range(5)],
-                          ["A", "B"], np.full((2, 5), 40.0))
+    series = DemandSeries(dt.date(2019, 1, 1), ["A", "B"], np.full((2, 5), 40.0))
     assert_round_trip(tmp_path / "trips.csv", series, zones, seed=4)
     table, _ = ingest_trips(tmp_path / "trips.csv")
     assert set(np.round(table.pickup_lat * 1e6) - 40_700_000) == {1, 2, 4, 5}
@@ -86,7 +85,7 @@ def test_pickups_stay_strictly_inside_boxes_narrower_than_the_rounding(tmp_path)
 
 def test_box_too_narrow_for_an_inside_coordinate_is_an_error(tmp_path):
     zones = ZoneMap([ZoneBox("A", 40.7, 40.700001, -74.0, -73.95)])
-    series = DemandSeries([dt.date(2019, 1, 1)], ["A"], np.ones((1, 1)))
+    series = DemandSeries(dt.date(2019, 1, 1), ["A"], np.ones((1, 1)))
     with pytest.raises(ValueError, match="'A' is too narrow"):
         write_trips_csv(tmp_path / "trips.csv", series, zones, seed=1)
 

@@ -136,7 +136,7 @@ def reference_aggregate(trips, zones: ZoneMap):
         key = (zone_pos[zid], day)
         counts[key] = counts.get(key, 0.0) + 1.0
     if not seen_days:
-        return (DemandSeries([], zones.zone_ids, np.zeros((len(zones.zones), 0))),
+        return (DemandSeries(EPOCH, zones.zone_ids, np.zeros((len(zones.zones), 0))),
                 report)
     first, last = min(seen_days), max(seen_days)
     n_days = (last - first).days + 1
@@ -145,7 +145,7 @@ def reference_aggregate(trips, zones: ZoneMap):
     for (zi, day), units in counts.items():
         values[zi, (day - first).days] = units
     report.zero_filled_days = [d for d in days if d not in seen_days]
-    return DemandSeries(days, zones.zone_ids, values), report
+    return DemandSeries(first, zones.zone_ids, values), report
 
 
 # --- generated inputs -------------------------------------------------------
