@@ -53,4 +53,4 @@ from .relocation import (
     solve_relocation_days,
     structural_certificate,
 )
-from .simplex import LinearProgram, SolveResult, certify, export_lp_text, solve_lp
+from .simplex import LinearProgram, SolveResult, certify, solve_lp

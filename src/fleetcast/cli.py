@@ -14,6 +14,10 @@ only. `forecast` and `evaluate` run the forecaster once over all their
 day windows.
 `optimize` reads the zone ids from the header of the demand CSV, not its
 body, and takes the requested day's (Z, K) slice of the forecast batch.
+The p-th planned day (p = 0 for the first) draws its scenarios with seed
+`seed + p`, in `evaluate` and in `optimize`, which takes p from the day's
+position in the forecast file; so `optimize --day D` writes the plan
+that `evaluate` scored for D.
 The argument parser is built once per process, so repeated in-process
 `main` calls parse with the same parser into fresh namespaces.
 """
@@ -57,7 +61,6 @@ from .relocation import (
     save_plan,
     solve_relocation,
 )
-from .simplex import export_lp_text
 from .synth import SyntheticConfig, default_zone_map, generate_demand, write_trips_csv
 
 ENV_CONFIG = "FLEETCAST_CONFIG"
@@ -106,19 +109,23 @@ class Split(NamedTuple):
 
 
 def _split_demand(cfg: PipelineConfig) -> Split:
-    """Load the demand series and split it at the config's dates; by
-    default the last 91 days (a quarter of a shorter series) are test."""
+    """Load the demand series and split it at the config's dates. Without
+    `train_end`, the series is cut after `test_end` (if set), and the last
+    91 days of what is left (a quarter of a shorter series) are test."""
     path = _require(_data_dir(cfg) / cfg.demand_file, "demand")
     series = DemandSeries.from_csv(path)
-    if series.n_days < 2:
-        raise ValueError(f"demand file {path} holds {series.n_days} days; a train/test "
+    stop, through = series.n_days, ""
+    if cfg.train_end is None and cfg.test_end is not None:
+        stop = series.days_through(cfg.test_end)
+        through = f" through test_end {cfg.test_end}"
+    if stop < 2:
+        raise ValueError(f"demand file {path} holds {stop} days{through}; a train/test "
                          f"split needs at least 2")
     if cfg.train_end is not None:
         n_train, stop = chronological_split(series, cfg.train_end,
                                             cfg.test_end or series.days[-1])
     else:
-        test_len = 91 if series.n_days >= 182 else max(1, series.n_days // 4)
-        n_train, stop = series.n_days - test_len, series.n_days
+        n_train = stop - (91 if stop >= 182 else max(1, stop // 4))
     cut = DemandSeries(series.start, series.zone_ids, series.values[:, :stop])
     return Split(path, cut, n_train)
 
@@ -313,23 +320,19 @@ def cmd_optimize(cfg: PipelineConfig, args) -> int:
     forecast_paths = [_require(p, "forecasts") for p in _json_and_bin(out / "forecasts")]
     demand_path = _require(out / cfg.demand_file, "demand")
     zone_ids = read_zone_ids(demand_path)
-    day, forecasts = fc.load_forecast_day(forecast_paths[0], args.day, zone_ids)
+    day, position, forecasts = fc.load_forecast_day(forecast_paths[0], args.day,
+                                                    zone_ids)
     instance = _instance(cfg, len(zone_ids))
+    seed = cfg.seed + position
     if args.saa_table:
-        table = saa_convergence_table(instance, forecasts, seed=cfg.seed)
+        table = saa_convergence_table(instance, forecasts, seed=seed)
         print(format_saa_table(table))
-    scen = sample_scenarios(forecasts, cfg.n_scenarios, seed=cfg.seed)
+    scen = sample_scenarios(forecasts, cfg.n_scenarios, seed=seed)
     plan, res = solve_relocation(instance, scen)
     plan_path = out / f"plan_{day}.json"
     save_plan(plan_path, plan, instance,
               extra={"day": day, "objective": res.objective,
-                     "n_scenarios": cfg.n_scenarios, "seed": cfg.seed})
-    if args.export_lp:
-        from .relocation import build_two_stage
-
-        lp_path = out / f"program_{day}.lp"
-        lp_path.write_text(export_lp_text(build_two_stage(instance, scen)))
-        print(f"exported program -> {lp_path}")
+                     "n_scenarios": cfg.n_scenarios, "seed": seed})
     _write_manifest(out / f"optimize_{day}.manifest.json", "optimize", cfg,
                     [demand_path, *forecast_paths], [plan_path])
     print(f"plan for {day}: moving {plan.moving:.2f} vehicles, "
@@ -409,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=DISTRIBUTION_FORECASTERS, default="mdn")
     p = add("optimize", cmd_optimize, "solve the scenario program for one day")
     p.add_argument("--day", default=None, help="ISO date (default: first forecast day)")
-    p.add_argument("--export-lp", action="store_true",
-                   help="also write the program in LP text format")
     p.add_argument("--saa-table", action="store_true",
                    help="print the scenario-count convergence diagnostic")
     p.add_argument("--n-scenarios", dest="n_scenarios", default=None)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .data import parse_day
+
 
 @dataclass
 class PipelineConfig:
@@ -115,7 +117,7 @@ def _parse_value(name: str, text: str):
         if ftype == "tuple":
             return tuple(float(v) for v in text.split(",") if v.strip())
         if ftype.startswith("dt.date"):
-            return dt.date.fromisoformat(text) if text else None
+            return parse_day(text) if text else None
         return text
     except ValueError as exc:
         raise ValueError(f"config.{name}: cannot parse {text!r} ({exc})") from exc

@@ -28,6 +28,7 @@ import functools
 import json
 import math
 import os
+import re
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
@@ -42,6 +43,16 @@ EPOCH = dt.date(1970, 1, 1)
 # the days `datetime` can represent, counted from EPOCH
 _DAY_MIN = dt.date.min.toordinal() - EPOCH.toordinal()
 _DAY_MAX = dt.date.max.toordinal() - EPOCH.toordinal()
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_day(text: str) -> dt.date:
+    """A YYYY-MM-DD day. The form is checked before `date.fromisoformat`,
+    which also takes 20170101 and 2017-W01-1 on Python 3.11 but not on
+    3.10; a failure is a ValueError."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"{text!r} is not a YYYY-MM-DD date")
+    return dt.date.fromisoformat(text)
 
 
 def utc_days(times) -> tuple[np.ndarray, np.ndarray]:
@@ -336,6 +347,10 @@ class DemandSeries:
         first = self.start.toordinal()
         return list(map(dt.date.fromordinal, range(first, first + self.n_days)))
 
+    def days_through(self, day: dt.date) -> int:
+        """How many of the series' days fall on or before `day`."""
+        return min(max((day - self.start).days + 1, 0), self.n_days)
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -347,10 +362,10 @@ class DemandSeries:
     @classmethod
     def from_csv(cls, path) -> "DemandSeries":
         """Read a `to_csv` file; blank lines are skipped. A row whose cell
-        count differs from the header's, or with a date that is not ISO or
-        not the day after the previous row's, a cell that is not a number,
-        or a negative or non-finite demand, is a ValueError naming the file
-        and the line."""
+        count differs from the header's, or with a date that is not
+        YYYY-MM-DD or not the day after the previous row's, a cell that is
+        not a number, or a negative or non-finite demand, is a ValueError
+        naming the file and the line."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             zone_ids = _demand_header(reader, path)
@@ -364,7 +379,7 @@ class DemandSeries:
                     raise ValueError(f"{where}: {len(row)} cells, but the header has "
                                      f"{len(zone_ids) + 1}")
                 try:
-                    day = dt.date.fromisoformat(row[0])
+                    day = parse_day(row[0])
                     values = [float(v) for v in row[1:]]
                 except ValueError as exc:
                     raise ValueError(f"{where}: {exc}") from None
@@ -451,11 +466,7 @@ def chronological_split(series: DemandSeries, train_end: dt.date,
     (train_end, test_end]."""
     if train_end >= test_end:
         raise ValueError(f"train_end {train_end} must precede test_end {test_end}")
-
-    def days_through(day):
-        return min(max((day - series.start).days + 1, 0), series.n_days)
-
-    n_train, stop = days_through(train_end), days_through(test_end)
+    n_train, stop = series.days_through(train_end), series.days_through(test_end)
     if n_train == 0:
         raise ValueError(f"empty train partition: no days on or before {train_end}")
     if stop == n_train:

@@ -20,12 +20,11 @@ One `evaluate_decision` call scores the stack into the (D,) columns that
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DemandSeries, make_windows, read_json, write_json
+from .data import DemandSeries, make_windows, parse_day, read_json, write_json
 from .relocation import (
     OUTCOMES,
     PlanDecision,
@@ -95,8 +94,8 @@ class EvaluationReport:
                 raise bad(f"has a bad entry in {key!r} ({exc})") from None
 
         try:
-            days = entries("days", dt.date.fromisoformat)
-            skipped = entries("skipped_days", dt.date.fromisoformat)
+            days = entries("days", parse_day)
+            skipped = entries("skipped_days", parse_day)
             rows = entries("per_day", lambda rec: [float(rec[name]) for name in OUTCOMES])
             method = doc["method"]
         except KeyError as exc:
@@ -114,9 +113,9 @@ def rolling_evaluate(forecaster, mode: str, series: DemandSeries, start: int,
     forecaster; the report is named `method`.
 
     In "stochastic" mode each day samples `n_scenarios` scenarios from
-    the predicted mixtures (seed `seed + t - start` on day t) and solves
-    the scenario programs, all days in one `solve_relocation_days` call
-    when the move cost is uniform; "deterministic" solves the single
+    the predicted mixtures (seed `seed + p` on the p-th planned day) and
+    solves the scenario programs, all days in one `solve_relocation_days`
+    call when the move cost is uniform; "deterministic" solves the single
     point-forecast program. One batched forecaster call covers every day
     with a full trailing window of `window_size` days. Days without one
     are skipped and reported.
@@ -133,7 +132,7 @@ def rolling_evaluate(forecaster, mode: str, series: DemandSeries, start: int,
     flows = np.zeros((0, z, z))  # (D, Z, Z), one plan per planned day
     if days and mode == "stochastic":
         dists = forecaster.predict_distribution(windows.inputs, days)
-        seeds = [seed + t - start for t in range(first, series.n_days)]
+        seeds = [seed + p for p in range(len(days))]
         scenarios = sample_scenarios(dists, n_scenarios, seed=seeds)
         if instance.uniform_move_cost is None:
             flows = [solve_relocation(instance, ScenarioSet(demand))[0].flows

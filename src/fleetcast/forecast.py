@@ -171,8 +171,10 @@ def load_forecast_file(path):
             for z, zone in enumerate(zones)}
 
 
-def load_forecast_day(path, day: str | None, zone_ids) -> tuple[str, MixtureBatch]:
-    """One day's forecasts as (day iso, (Z, K) batch in `zone_ids` order).
+def load_forecast_day(path, day: str | None,
+                      zone_ids) -> tuple[str, int, MixtureBatch]:
+    """One day's forecasts as (day iso, the day's position among the
+    file's days, (Z, K) batch in `zone_ids` order).
 
     Without `day`, the earliest forecast day is used. A day with no
     forecast raises ValueError naming the first and last forecast days; a
@@ -187,4 +189,5 @@ def load_forecast_day(path, day: str | None, zone_ids) -> tuple[str, MixtureBatc
     missing = [zid for zid in zone_ids if zid not in zones]
     if missing:
         raise ValueError(f"forecasts for {day} in {path} lack zones {missing}")
-    return day, batch[days.index(day), [zones.index(zid) for zid in zone_ids]]
+    position = days.index(day)
+    return day, position, batch[position, [zones.index(zid) for zid in zone_ids]]

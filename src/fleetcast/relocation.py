@@ -27,7 +27,7 @@ one program per day, all sharing one instance:
   - `solve_relocation` solves one program (D = 1) and keeps the dense
     certificate: it builds `build_two_stage` and checks the pair with
     `simplex.certify`, so its SolveResult carries the program's full
-    primal, dual and reduced-cost vectors.
+    primal and dual vectors.
 Any other cost matrix goes to the dense simplex through `solve_relocation`,
 and so does the point-forecast baseline's one-scenario program
 (`deterministic_model`) in deterministic evaluation. `build_two_stage`
@@ -220,8 +220,10 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> Lin
 
     Every row is <= with a nonnegative right-hand side, the one class
     `simplex.solve_lp` takes. Columns: flow r[i->j] sits at i*Z + j and
-    recourse y[w, z] at Z^2 + w*Z + z; `lp.names` spells them out. The
-    constant -penalty * mean total demand lives in lp.offset.
+    recourse y[w, z] at Z^2 + w*Z + z. Rows: the Z stock rows, then the
+    link rows y_wz <= s'_z and the demand rows y_wz <= d_wz, each block
+    in recourse-column order. The constant -penalty * mean total demand
+    lives in lp.offset.
     """
     d = scenarios.demand
     if d.ndim != 2:
@@ -238,9 +240,6 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> Lin
     obj[nr:] = (instance.price + instance.penalty) / n
     offset = -instance.penalty * float(d.sum()) / n
 
-    names = [f"r[{i}->{j}]" for i in range(z) for j in range(z)]
-    names += [f"y[s{w},z{zz}]" for w in range(n) for zz in range(z)]
-
     # net outflow sum_j r_zj - sum_i r_iz of each zone over the flow columns
     net_out = np.kron(np.eye(z), np.ones(z)) - np.tile(np.eye(z), z)
     recourse = np.arange(n * z)
@@ -249,7 +248,7 @@ def build_two_stage(instance: RelocationInstance, scenarios: ScenarioSet) -> Lin
     rows[z + recourse, nr + recourse] = 1.0
     rows[z + n * z + recourse, nr + recourse] = 1.0       # y_wz <= d_wz
     rhs = np.concatenate([np.tile(instance.stock, n + 1), d.ravel()])
-    return LinearProgram(objective=obj, rows=rows, rhs=rhs, offset=offset, names=names)
+    return LinearProgram(objective=obj, rows=rows, rhs=rhs, offset=offset)
 
 
 def deterministic_model(instance: RelocationInstance, point_demand) -> LinearProgram:

@@ -39,7 +39,6 @@ class LinearProgram:
     rows: np.ndarray
     rhs: np.ndarray
     offset: float = 0.0
-    names: list[str] | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -66,8 +65,6 @@ class LinearProgram:
             i = int(negative[0])
             raise ValueError(f"right-hand side of row {i} is negative ({self.rhs[i]:.12g}); "
                              f"the solver needs rhs >= 0")
-        if self.names is not None and len(self.names) != self.n_vars:
-            raise ValueError("names length mismatch")
 
 
 @dataclass
@@ -76,7 +73,6 @@ class SolveResult:
     objective: float
     x: np.ndarray
     duals: np.ndarray
-    reduced_costs: np.ndarray
     iterations: int
     residuals: dict = field(default_factory=dict)
 
@@ -106,15 +102,14 @@ def certified_result(lp: LinearProgram, x, duals, status: str = "optimal",
                      iterations: int = 0) -> SolveResult:
     """Wrap a primal/dual pair, found by any method, as a SolveResult.
 
-    Sets the objective (with `lp.offset`) and the reduced costs
-    c - A^T y; an "optimal" result also carries its `certify` residuals,
-    so a solver that is not the simplex is checked by the same arithmetic.
+    Sets the objective (with `lp.offset`); an "optimal" result also
+    carries its `certify` residuals, so a solver that is not the simplex
+    is checked by the same arithmetic.
     """
     x = np.asarray(x, dtype=float)
     duals = np.asarray(duals, dtype=float)
-    reduced = lp.objective - lp.rows.T @ duals
     obj = float(lp.objective @ x) + lp.offset
-    result = SolveResult(status, obj, x, duals, reduced, iterations)
+    result = SolveResult(status, obj, x, duals, iterations)
     if status == "optimal":
         result.residuals = certify(lp, x, duals)
     return result
@@ -151,7 +146,7 @@ def solve_lp(lp: LinearProgram, maxiter: int = 100_000) -> SolveResult:
         rows = np.flatnonzero(w > ENTER_TOL)  # basic values falling toward 0
         if rows.size == 0:
             return SolveResult("unbounded", np.inf, np.full(n, np.nan), np.zeros(m),
-                               np.zeros(n), iterations)
+                               iterations)
         ratios = xb[rows] / w[rows]
         t = ratios.min()
         near = rows[ratios <= t + DEGEN_TOL]
@@ -173,26 +168,3 @@ def solve_lp(lp: LinearProgram, maxiter: int = 100_000) -> SolveResult:
     x = np.zeros(n + m)
     x[basis] = np.maximum(xb, 0.0)
     return certified_result(lp, x[:n], -d[n:], status, iterations)
-
-
-def export_lp_text(lp: LinearProgram) -> str:
-    """Render in the plain LP interchange format readable by common solvers.
-
-    Every variable has the format's default bounds (x >= 0), so the
-    Bounds section is empty.
-    """
-    names = lp.names or [f"x{j}" for j in range(lp.n_vars)]
-
-    def combo(coeffs):
-        parts = []
-        for j, a in enumerate(coeffs):
-            if abs(a) < 1e-14:
-                continue
-            sign = "-" if a < 0 else ("+" if parts else "")
-            parts.append(f"{sign} {abs(a):.12g} {names[j]}".strip())
-        return " ".join(parts) if parts else "0 " + names[0]
-
-    out = ["Maximize", f" obj: {combo(lp.objective)}", "Subject To"]
-    out += [f" c{i}: {combo(lp.rows[i])} <= {lp.rhs[i]:.12g}" for i in range(lp.n_rows)]
-    out += ["Bounds", "End"]
-    return "\n".join(out) + "\n"

@@ -10,6 +10,8 @@ scenarios zone by zone with `oracles.per_zone_sample`, where
 `sample_scenarios` draws every day in one call, and solve each day's
 scenario program on its own with `solve_relocation`, where
 `rolling_evaluate` solves them all in one `solve_relocation_days` call.
+Both oracles draw the p-th planned day (p = 0 for the first day with a
+full window, or the first day of the forecast file) with seed `seed + p`.
 """
 
 import datetime as dt
@@ -60,7 +62,7 @@ def oracle_rolling_evaluate(forecaster, mode, series, start, instance, *,
         day = series.days[t]
         if mode == "stochastic":
             dists = forecaster.predict_distribution(window, day)
-            scen = per_zone_sample(dists, n_scenarios, seed=seed + t - start)
+            scen = per_zone_sample(dists, n_scenarios, seed=seed + t - max(start, ws))
             plan, _ = solve_relocation(instance, scen)
         else:
             point = np.maximum(forecaster.predict_point(window, day), 0.0)
@@ -97,19 +99,21 @@ def oracle_optimize(cfg: PipelineConfig, day, plan_path):
     out = Path(cfg.data_dir)
     forecasts = load_forecast_file(out / "forecasts.json")
     series = DemandSeries.from_csv(out / cfg.demand_file)
+    days = list(dict.fromkeys(key[0] for key in forecasts))
     if day is None:
-        day = min(key[0] for key in forecasts)
+        day = min(days)
+    seed = cfg.seed + days.index(day)
     per_zone = [forecasts[(day, zid)] for zid in series.zone_ids]
     stock = np.asarray(cfg.stock, dtype=float)
     cost = np.full((series.n_zones, series.n_zones), cfg.move_cost, dtype=float)
     np.fill_diagonal(cost, 0.0)
     instance = RelocationInstance(stock=stock, move_cost=cost, price=cfg.price,
                                   penalty=cfg.penalty)
-    scen = per_zone_sample(per_zone, cfg.n_scenarios, seed=cfg.seed)
+    scen = per_zone_sample(per_zone, cfg.n_scenarios, seed=seed)
     plan, res = solve_relocation(instance, scen)
     save_plan(plan_path, plan, instance,
               extra={"day": day, "objective": res.objective,
-                     "n_scenarios": cfg.n_scenarios, "seed": cfg.seed})
+                     "n_scenarios": cfg.n_scenarios, "seed": seed})
     return day
 
 
@@ -351,13 +355,13 @@ class RowByRowAnswers:
         return self.answers[day]
 
 
-Z3_CFG = """
+MULTI_ZONE_CFG = """
 data_dir = {run}
 seed = 5
 synth_days = 120
-synth_zones = 3
+synth_zones = {z}
 zones = {zones}
-stock = 40,50,30
+stock = {stock}
 window_size = 6
 hidden_size = 6
 dense_sizes = 12
@@ -368,11 +372,20 @@ em_max_iter = 50
 """
 
 
-@pytest.mark.parametrize("tag", ["mdn", "posthoc"])
-def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path, tag):
+STOCK = {3: "40,50,30", 5: "40,50,30,45,35"}
+
+
+@pytest.mark.parametrize("z, tag", [
+    pytest.param(3, "mdn", id="mdn"),
+    pytest.param(3, "posthoc", id="posthoc"),
+    pytest.param(5, "mdn", id="5-zones-mdn"),
+    pytest.param(5, "posthoc", id="5-zones-posthoc")])
+def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path, z, tag):
+    """Three zones, and five (the `5-zones` cases), through the whole pipeline."""
     run = tmp_path / "run"
     cfg_path = tmp_path / "exp.cfg"
-    cfg_path.write_text(Z3_CFG.format(run=run, zones=default_zone_map(3).spec()))
+    cfg_path.write_text(MULTI_ZONE_CFG.format(run=run, z=z, stock=STOCK[z],
+                                              zones=default_zone_map(z).spec()))
     models = [("train", "--model", "mdn")] if tag == "mdn" else \
         [("train", "--model", "gru-point"), ("fit-gmm",)]
     for argv in (("synth",), ("ingest",), *models, ("forecast", "--model", tag),
@@ -381,7 +394,7 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
         assert main(["--config", str(cfg_path), *argv]) == 0
     cfg = load_config(str(cfg_path))
     split = _split_demand(cfg)
-    assert split.series.n_zones == 3
+    assert split.series.n_zones == z
     days, windows = planned_windows(split.series, split.n_train, cfg.window_size)
     oracle = RowByRowAnswers(_forecaster(cfg, tag), days, windows)
 
@@ -391,7 +404,7 @@ def test_three_zone_pipeline_writes_the_oracle_artifacts_byte_for_byte(tmp_path,
         assert (run / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     report = oracle_rolling_evaluate(oracle, "stochastic", split.series, split.n_train,
-                                     _instance(cfg, 3), window_size=cfg.window_size,
+                                     _instance(cfg, z), window_size=cfg.window_size,
                                      n_scenarios=cfg.n_scenarios, seed=cfg.seed,
                                      method=f"{tag}-stochastic")
     report.save(tmp_path / "report.json")

@@ -3,6 +3,9 @@
 import datetime as dt
 import json
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -54,7 +57,7 @@ class TestPipeline:
         assert call(cfg, "train", "--model", "gru-point") == 0
         assert call(cfg, "fit-gmm") == 0
         assert call(cfg, "forecast", "--model", "mdn") == 0
-        assert call(cfg, "optimize", "--export-lp") == 0
+        assert call(cfg, "optimize") == 0
         assert call(cfg, "evaluate", "--mode", "stochastic", "--forecaster",
                     "mdn") == 0
         assert call(cfg, "evaluate", "--mode", "deterministic", "--forecaster",
@@ -68,7 +71,6 @@ class TestPipeline:
                      "comparison.json", "comparison.txt"):
             assert (run / name).exists(), name
         assert list(run.glob("plan_*.json"))
-        assert list(run.glob("program_*.lp"))
         manifest = json.loads((run / "ingest.manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert manifest["seed"] == 7
@@ -96,6 +98,42 @@ class TestPipeline:
             ["demand.csv", "checkpoints/lstm.json", "checkpoints/lstm.bin"]
         assert inputs("evaluate_posthoc_stochastic") == \
             ["demand.csv"] + gru_point + ["em_fit.json"]
+
+    def test_optimize_writes_the_plan_evaluate_scored_for_each_day(self, run_dir):
+        run, cfg = run_dir
+        for argv in (("synth",), ("ingest",), ("train", "--model", "mdn", "--epochs", "2"),
+                     ("forecast", "--model", "mdn"),
+                     ("evaluate", "--mode", "stochastic", "--forecaster", "mdn")):
+            assert call(cfg, *argv) == 0
+        report = json.loads((run / "report_mdn_stochastic.json").read_text())
+        days = json.loads((run / "forecasts.json").read_text())["days"]
+        assert report["days"] == days and len(days) == 35
+        for day, scored in zip(days, report["per_day"]):
+            assert call(cfg, "optimize", "--day", day) == 0
+            plan = json.loads((run / f"plan_{day}.json").read_text())
+            assert plan["moving"] == scored["moving"], day
+        assert len({scored["moving"] for scored in report["per_day"]}) > 1
+
+    def test_test_end_alone_cuts_the_series_before_the_default_split(self, run_dir,
+                                                                     capsys):
+        run, cfg = run_dir
+        cfg.write_text(SMALL_CFG.format(run=run).replace("synth_days = 140",
+                                                         "synth_days = 200")
+                       + "test_end = 2017-06-30\n")
+        for argv in (("synth",), ("ingest",), ("train", "--model", "lstm", "--epochs", "0"),
+                     ("evaluate", "--mode", "deterministic", "--forecaster", "lstm")):
+            assert call(cfg, *argv) == 0
+        # 181 days through test_end, of which the last quarter (45) are test days
+        report = json.loads((run / "report_lstm_deterministic.json").read_text())
+        assert (report["days"][0], report["days"][-1]) == ("2017-05-17", "2017-06-30")
+        assert report["day_count"] == 45
+        extra = json.loads((run / "checkpoints" / "lstm.json").read_text())["extra"]
+        assert (extra["train_end"], extra["test_end"]) == ("2017-05-16", "2017-06-30")
+        cfg.write_text(cfg.read_text().replace("2017-06-30", "2017-01-01"))
+        assert call(cfg, "train", "--model", "lstm", "--epochs", "0") == 2
+        assert capsys.readouterr().err == (
+            f"error: demand file {run / 'demand.csv'} holds 1 days through test_end "
+            f"2017-01-01; a train/test split needs at least 2\n")
 
     def test_evaluate_mode_defaults_to_stochastic(self, run_dir):
         run, cfg = run_dir
@@ -396,11 +434,13 @@ class TestPipeline:
         (lambda doc: doc.__setitem__("days", ["2020-13-01"]), "has a bad entry in 'days'"),
         (lambda doc: doc.__setitem__("skipped_days", ["2020-01-01", "June 2"]),
          "has a bad entry in 'skipped_days'"),
+        (lambda doc: doc.__setitem__("days", ["20200102"]),
+         "has a bad entry in 'days' ('20200102' is not a YYYY-MM-DD date)"),
         (lambda doc: doc["days"].append("2020-01-03"), "lists 2 days but 1 per_day records"),
         (lambda doc: doc["per_day"][0].__setitem__("cost", "four"),
          "has a bad entry in 'per_day'"),
     ], ids=["missing-field", "record-not-object", "bad-day", "bad-skipped-day",
-            "days-and-per-day-lengths-differ", "value-not-a-number"])
+            "basic-format-day", "days-and-per-day-lengths-differ", "value-not-a-number"])
     def test_malformed_report_exits_2_naming_it(self, run_dir, capsys, edit, message):
         from fleetcast.evaluate import EvaluationReport
 
@@ -451,6 +491,30 @@ class TestPipeline:
         monkeypatch.setenv("FLEETCAST_CONFIG", str(cfg))
         assert main(["synth"]) == 0
         assert (run / "trips.csv").exists()
+
+
+class TestEntryPoint:
+    """`python -m fleetcast.cli` run as its own process, as the installed
+    `fleetcast` script runs it."""
+
+    @staticmethod
+    def run(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "fleetcast.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_help_lists_the_eight_commands(self):
+        done = self.run("--help")
+        assert done.returncode == 0, done.stderr
+        assert ("{synth,ingest,train,fit-gmm,forecast,optimize,evaluate,compare}"
+                in done.stdout)
+
+    def test_optimize_has_no_export_lp_flag(self):
+        done = self.run("optimize", "--export-lp")
+        assert done.returncode == 2
+        assert "unrecognized arguments: --export-lp" in done.stderr
 
 
 class TestTripRoundTrip:
@@ -715,9 +779,10 @@ class TestOptimize:
         assert call(cfg, "optimize", "--day", day, "--seed", "3",
                     "--n-scenarios", "10") == 0
         first = json.loads((run / f"plan_{day}.json").read_text())
-        assert (first["seed"], first["n_scenarios"]) == (3, 10)
+        # the day is the third in the forecast file, so it draws with seed + 2
+        assert (first["seed"], first["n_scenarios"]) == (3 + 2, 10)
         assert call(cfg, "optimize", "--day", day) == 0
         second = json.loads((run / f"plan_{day}.json").read_text())
-        assert (second["seed"], second["n_scenarios"]) == (7, 25)
+        assert (second["seed"], second["n_scenarios"]) == (7 + 2, 25)
         manifest = json.loads((run / f"optimize_{day}.manifest.json").read_text())
         assert manifest["seed"] == 7

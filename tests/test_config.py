@@ -47,6 +47,13 @@ def test_bad_value_names_the_field():
         parse_config_text("epochs = ten")
 
 
+@pytest.mark.parametrize("day", ["20170301", "2017-W09-3", "2017-3-1"])
+def test_a_day_that_is_not_yyyy_mm_dd_names_the_field(day):
+    with pytest.raises(ValueError, match=f"config.train_end: cannot parse '{day}' "
+                                         f"\\('{day}' is not a YYYY-MM-DD date\\)"):
+        parse_config_text(f"train_end = {day}")
+
+
 def test_out_of_range_names_the_field():
     with pytest.raises(ValueError, match="config.window_size"):
         parse_config_text("window_size = 0")

@@ -452,6 +452,9 @@ class TestSeriesIO:
         ("2019-01-02,3,x", "could not convert string to float: 'x'"),
         ("2019-01-02,3,-3", "demand must be finite and nonnegative, got 3,-3"),
         ("2019-13-01,3,4", "month must be in 1..12"),
+        # other ISO 8601 forms of 2019-01-02, which Python 3.11 reads and 3.10 does not
+        ("20190102,3,4", "'20190102' is not a YYYY-MM-DD date"),
+        ("2019-W01-3,3,4", "'2019-W01-3' is not a YYYY-MM-DD date"),
     ])
     def test_a_bad_cell_names_its_file_and_line(self, tmp_path, capsys, row, words):
         from fleetcast.cli import main

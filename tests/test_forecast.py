@@ -158,8 +158,8 @@ def test_forecast_file_round_trip(tmp_path):
     got = back[("2020-01-02", "B")]
     np.testing.assert_allclose(got.weights, [0.4, 0.6])
     np.testing.assert_allclose(got.means, [1.0, 2.0])
-    day, per_zone = load_forecast_day(path, "2020-01-03", ["B", "A"])
-    assert day == "2020-01-03" and per_zone.shape == (2,)
+    day, position, per_zone = load_forecast_day(path, "2020-01-03", ["B", "A"])
+    assert (day, position) == ("2020-01-03", 1) and per_zone.shape == (2,)
     np.testing.assert_array_equal(per_zone.means, [[2.0, 0.0], [6.0, 0.0]])
 
 
@@ -191,7 +191,8 @@ def test_forecast_file_round_trips_awkward_floats_bit_for_bit(tmp_path):
     path = tmp_path / "forecasts.json"
     save_forecast_file(path, days, ["A"], batch)
     back = load_forecast_file(path)
-    _, first = load_forecast_day(path, None, ["A"])
+    _, position, first = load_forecast_day(path, None, ["A"])
+    assert position == 0
     for name in ("weights", "means", "stds"):
         want = getattr(batch, name)
         got = np.stack([getattr(back[(day.isoformat(), "A")], name) for day in days])

@@ -28,7 +28,7 @@ from fleetcast.relocation import (
     solve_relocation_days,
     structural_certificate,
 )
-from fleetcast.simplex import certified_result, certify, export_lp_text, solve_lp
+from fleetcast.simplex import certified_result, certify, solve_lp
 
 
 def brute_force_plan(instance, scenarios):
@@ -104,17 +104,28 @@ class TestTwoStageModel:
         lp = build_two_stage(inst, scen)
         z, n = 2, 2
         assert lp.n_vars == z * z + n * z  # Z^2 flows + N*Z recourse
+        assert lp.n_rows == z + 2 * n * z  # stock, link and demand rows
         for i, j in itertools.product(range(z), range(z)):
-            assert lp.names[i * z + j] == f"r[{i}->{j}]"
+            if i != j:  # flow r[i->j] leaves zone i's stock row and enters j's
+                want = np.zeros(z)
+                want[i], want[j] = 1.0, -1.0
+                np.testing.assert_array_equal(lp.rows[:z, i * z + j], want)
         for w, zz in itertools.product(range(n), range(z)):
-            assert lp.names[z * z + w * z + zz] == f"y[s{w},z{zz}]"
+            column = lp.rows[:, z * z + w * z + zz]  # recourse y[w, zz]
+            link, demand = z + w * z + zz, z + n * z + w * z + zz
+            assert np.flatnonzero(column).tolist() == [link, demand]
+            assert column[link] == column[demand] == 1.0
+            assert lp.rhs[demand] == scen.demand[w, zz]
 
-    def test_lp_text_matches_golden_export(self):
+    def test_coefficients_match_golden_arrays(self):
         inst = RelocationInstance(stock=np.array([4.0, 0.0]),
                                   move_cost=np.array([[0.0, 1.0], [1.5, 0.0]]),
                                   price=10.0, penalty=5.0)
         lp = build_two_stage(inst, ScenarioSet(np.array([[1.0, 3.25], [3.0, 0.5]])))
-        assert export_lp_text(lp) == GOLDEN_LP
+        assert np.array_equal(lp.objective, GOLDEN_OBJECTIVE)
+        assert np.array_equal(lp.rows, GOLDEN_ROWS)
+        assert np.array_equal(lp.rhs, GOLDEN_RHS)
+        assert lp.offset == -19.375  # -penalty * mean total demand
 
     def test_single_scenario_collapses_to_deterministic(self):
         inst = small_instance()
@@ -547,20 +558,18 @@ def test_instance_rejects_non_finite_data(field, bad):
         RelocationInstance(**fields)
 
 
-GOLDEN_LP = """\
-Maximize
- obj: - 1 r[0->1] - 1.5 r[1->0] + 7.5 y[s0,z0] + 7.5 y[s0,z1] + 7.5 y[s1,z0] + 7.5 y[s1,z1]
-Subject To
- c0: 1 r[0->1] - 1 r[1->0] <= 4
- c1: - 1 r[0->1] + 1 r[1->0] <= 0
- c2: 1 r[0->1] - 1 r[1->0] + 1 y[s0,z0] <= 4
- c3: - 1 r[0->1] + 1 r[1->0] + 1 y[s0,z1] <= 0
- c4: 1 r[0->1] - 1 r[1->0] + 1 y[s1,z0] <= 4
- c5: - 1 r[0->1] + 1 r[1->0] + 1 y[s1,z1] <= 0
- c6: 1 y[s0,z0] <= 1
- c7: 1 y[s0,z1] <= 3.25
- c8: 1 y[s1,z0] <= 3
- c9: 1 y[s1,z1] <= 0.5
-Bounds
-End
-"""
+# columns r[0->0], r[0->1], r[1->0], r[1->1], y[s0,z0], y[s0,z1], y[s1,z0], y[s1,z1]
+GOLDEN_OBJECTIVE = np.array([0, -1, -1.5, 0, 7.5, 7.5, 7.5, 7.5])
+GOLDEN_ROWS = np.array([
+    [0, 1, -1, 0, 0, 0, 0, 0],   # stock rows: post-move stock >= 0
+    [0, -1, 1, 0, 0, 0, 0, 0],
+    [0, 1, -1, 0, 1, 0, 0, 0],   # link rows: y[w, z] <= post-move stock of z
+    [0, -1, 1, 0, 0, 1, 0, 0],
+    [0, 1, -1, 0, 0, 0, 1, 0],
+    [0, -1, 1, 0, 0, 0, 0, 1],
+    [0, 0, 0, 0, 1, 0, 0, 0],    # demand rows: y[w, z] <= d[w, z]
+    [0, 0, 0, 0, 0, 1, 0, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 0, 0, 1],
+], dtype=float)
+GOLDEN_RHS = np.array([4, 0, 4, 0, 4, 0, 1, 3.25, 3, 0.5])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fleetcast.simplex
-from fleetcast.simplex import LinearProgram, certify, export_lp_text, solve_lp
+from fleetcast.simplex import LinearProgram, certify, solve_lp
 
 CERT_TOL = 1e-6
 
@@ -194,18 +194,6 @@ def test_invalid_programs_rejected():
         solve_lp(LinearProgram(objective=[np.nan], rows=[[1.0]], rhs=[1.0]))
     with pytest.raises(ValueError, match="non-finite constraint"):
         solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], rhs=[np.inf]))
-    with pytest.raises(ValueError, match="names length"):
-        solve_lp(LinearProgram(objective=[1.0], rows=[[1.0]], rhs=[1.0], names=["a", "b"]))
-
-
-def test_lp_text_export_round_trips_key_facts():
-    lp = LinearProgram(objective=[1.0, -2.5], rows=[[1.0, 1.0], [2.0, -1.0]],
-                       rhs=[4.0, 1.0], names=["move", "serve"])
-    text = export_lp_text(lp)
-    assert text.startswith("Maximize")
-    assert "move" in text and "serve" in text
-    assert " c1: 2 move - 1 serve <= 1\n" in text
-    assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
 
 
 def certify_reference(lp: LinearProgram, x, duals) -> dict:
